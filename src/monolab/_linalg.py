@@ -3,9 +3,90 @@
 Everything here works with plain Python integers, so there is no precision
 ceiling anywhere.  Matrices are tuples of tuples (immutable) or lists of
 lists (scratch space); vectors are tuples or lists of ints.
+
+The two bases of the package's value types live here too, since every
+module that defines one already imports this one: ``Frozen`` (immutable,
+compared by key or by identity) and ``IntVector`` (the integer vectors of
+H_1, the third exterior power and the Johnson quotient).
 """
 
 from math import gcd
+
+
+class Frozen:
+    """Base of the package's immutable value types.
+
+    Fields are set once, by ``_init`` in the constructor; assigning or
+    deleting one afterwards raises.  A subclass that defines ``_key()``
+    compares and hashes by it (same type, equal keys); the others compare
+    by identity.
+    """
+
+    __slots__ = ()
+    _key = None
+
+    def _init(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if self._key is None:
+            return self is other
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        if self._key is None:
+            return object.__hash__(self)
+        return hash(self._key())
+
+
+class IntVector(Frozen):
+    """An integer vector over the homology of the genus-``genus`` surface.
+
+    Subclasses give the dimension (``_dim``, which also validates the
+    genus), the dimension error (``_dim_error``), the mixing check
+    (``_check``) and ``__repr__``; the arithmetic is shared.
+    """
+
+    __slots__ = ("genus", "coords")
+
+    def __init__(self, genus, coords):
+        genus = int(genus)
+        dim = self._dim(genus)
+        coords = tuple(int(c) for c in coords)
+        if len(coords) != dim:
+            raise ValueError(self._dim_error % {"dim": dim, "genus": genus, "got": len(coords)})
+        self._init(genus=genus, coords=coords)
+
+    @classmethod
+    def zero(cls, genus):
+        return cls(genus, (0,) * cls._dim(int(genus)))
+
+    def _key(self):
+        return (self.genus, self.coords)
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.genus, tuple(x + y for x, y in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(self.genus, tuple(x - y for x, y in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return type(self)(self.genus, tuple(-x for x in self.coords))
+
+    def __rmul__(self, k):
+        return type(self)(self.genus, tuple(int(k) * x for x in self.coords))
+
+    def is_zero(self):
+        return not any(self.coords)
 
 
 def xgcd(a, b):

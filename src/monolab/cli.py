@@ -102,17 +102,21 @@ def _cmd_verify(argv):
     return EX_OK
 
 
+_FAMILY_SPECS = {"mck": scenarios.twisted_mck, "chain": scenarios.chain_family}
+
+
+def _family_maker(fam):
+    if fam not in _FAMILY_SPECS:
+        raise UsageError("unknown family %r" % fam)
+    return _FAMILY_SPECS[fam]
+
+
 def _spec_from_args(args):
     fam = args.get("family")
     if fam is None:
         raise UsageError("need a spec file or --family mck|chain")
-    g = args.get_int("genus")
-    n = args.get_int("n", 0)
-    if fam == "mck":
-        return scenarios.twisted_mck(g, n)
-    if fam == "chain":
-        return scenarios.chain_family(g, n)
-    raise UsageError("unknown family %r" % fam)
+    make = _family_maker(fam)
+    return make(args.get_int("genus"), args.get_int("n", 0))
 
 
 def _cmd_invariants(argv):
@@ -123,19 +127,22 @@ def _cmd_invariants(argv):
         fam = args.get("family")
         if fam is None:
             raise UsageError("--grid requires --family")
+        make = _family_maker(fam)
         try:
             g_part, n_part = grid.split(",")
             g0, g1 = (int(x) for x in g_part.split(".."))
             n0, n1 = (int(x) for x in n_part.split(".."))
         except ValueError:
             raise UsageError("--grid expects g0..g1,n0..n1")
-        print("family,g,n,chi,sigma,b1,b2_plus,b2_minus")
+        # every row is built before anything is printed, so a failure
+        # part-way leaves stdout empty
+        lines = ["family,g,n,chi,sigma,b1,b2_plus,b2_minus"]
         for g in range(g0, g1 + 1):
             for n in range(n0, n1 + 1):
-                spec = (scenarios.twisted_mck if fam == "mck" else scenarios.chain_family)(g, n)
-                r = invariants.full_report(spec)
-                print("%s,%d,%d,%d,%d,%d,%d,%d"
-                      % (fam, g, n, r.chi, r.sigma, r.b1, r.b2_plus, r.b2_minus))
+                r = invariants.full_report(make(g, n))
+                lines.append("%s,%d,%d,%d,%d,%d,%d,%d"
+                             % (fam, g, n, r.chi, r.sigma, r.b1, r.b2_plus, r.b2_minus))
+        print("\n".join(lines))
         return EX_OK
     if args.positional:
         doc = _load_json(args.positional[0])
@@ -245,7 +252,7 @@ def _cmd_hurwitz(argv):
     if not argv:
         raise UsageError("usage: hurwitz explore|compare ...")
     sub, rest = argv[0], argv[1:]
-    args = _Args(rest, flags_with_value=("mod", "budget", "jobs"), switches=("json",))
+    args = _Args(rest, flags_with_value=("mod", "budget"), switches=("json",))
     mod = args.get_int("mod")
     budget = args.get_int("budget", 10000)
     if sub == "explore":
@@ -317,9 +324,10 @@ def _cmd_lattice(argv):
         if classes_path is None:
             raise UsageError("complement needs --classes <json with 'vectors'>")
         cdoc = _load_json(classes_path)
-        vectors = cdoc.get("vectors")
+        vectors = cdoc.get("vectors") if isinstance(cdoc, dict) else None
         if not isinstance(vectors, list):
             raise SchemaError("classes file needs a 'vectors' list")
+        schemas.expect_int_rows(vectors, lattice.rank, "classes.vectors")
         basis, induced = lattices.orthogonal_complement(lattice, vectors)
         _emit({"schema": schemas.SCHEMA, "type": "complement_report",
                "basis": [list(r) for r in basis.rows],
@@ -334,6 +342,9 @@ def _cmd_lattice(argv):
             pattern = json.loads(pattern_raw)
         except json.JSONDecodeError as exc:
             raise SchemaError("--pattern: invalid JSON (%s)" % exc)
+        if not isinstance(pattern, list):
+            raise SchemaError("--pattern: expected a square matrix of integers")
+        schemas.expect_int_rows(pattern, len(pattern), "--pattern")
         bound = args.get_int("bound", 5)
         tuples = lattices.enumerate_pattern(lattice, pattern, bound)
         _emit({"schema": schemas.SCHEMA, "type": "enumeration_report",

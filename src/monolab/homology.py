@@ -11,14 +11,14 @@ All values are immutable and all operations are pure.
 """
 
 from . import _linalg
-from ._linalg import gcd_all, identity_matrix, mat_mul, mat_vec
+from ._linalg import Frozen, IntVector, gcd_all, identity_matrix, mat_mul, mat_vec
 
 
 class GenusMismatchError(ValueError):
     pass
 
 
-class HomologyClass:
+class HomologyClass(IntVector):
     """An element of H_1 of the genus-``genus`` surface.
 
     >>> a1 = basis_a(2, 1); b1 = basis_b(2, 1)
@@ -28,23 +28,14 @@ class HomologyClass:
     (1, 0, 1, 0)
     """
 
-    __slots__ = ("genus", "coords")
+    __slots__ = ()
+    _dim_error = "expected %(dim)d coordinates for genus %(genus)d, got %(got)d"
 
-    def __init__(self, genus, coords):
-        genus = int(genus)
+    @staticmethod
+    def _dim(genus):
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != 2 * genus:
-            raise ValueError(
-                "expected %d coordinates for genus %d, got %d"
-                % (2 * genus, genus, len(coords))
-            )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *args):
-        raise AttributeError("HomologyClass is immutable")
+        return 2 * genus
 
     def _check(self, other):
         if not isinstance(other, HomologyClass):
@@ -54,39 +45,12 @@ class HomologyClass:
                 "genus mismatch: %d vs %d" % (self.genus, other.genus)
             )
 
-    def __add__(self, other):
-        self._check(other)
-        return HomologyClass(self.genus, tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return HomologyClass(self.genus, tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return HomologyClass(self.genus, tuple(-x for x in self.coords))
-
-    def __rmul__(self, k):
-        return HomologyClass(self.genus, tuple(int(k) * x for x in self.coords))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomologyClass)
-            and self.genus == other.genus
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.genus, self.coords))
-
     def __repr__(self):
         return "HomologyClass(%d, %r)" % (self.genus, list(self.coords))
 
-    def is_zero(self):
-        return not any(self.coords)
-
 
 def zero_class(genus):
-    return HomologyClass(genus, (0,) * (2 * genus))
+    return HomologyClass.zero(genus)
 
 
 def basis_a(genus, i):
@@ -138,7 +102,7 @@ def transvection(c, power, x):
     return HomologyClass(x.genus, tuple(xi + k * ci for xi, ci in zip(x.coords, c.coords)))
 
 
-class SpMap:
+class SpMap(Frozen):
     """An integral symplectic matrix acting on coordinate columns."""
 
     __slots__ = ("genus", "rows")
@@ -149,11 +113,10 @@ class SpMap:
         n = 2 * genus
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("expected a %dx%d matrix" % (n, n))
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "rows", rows)
+        self._init(genus=genus, rows=rows)
 
-    def __setattr__(self, *args):
-        raise AttributeError("SpMap is immutable")
+    def _key(self):
+        return (self.genus, self.rows)
 
     @classmethod
     def identity(cls, genus):
@@ -165,12 +128,6 @@ class SpMap:
         if other.genus != self.genus:
             raise GenusMismatchError("genus mismatch: %d vs %d" % (self.genus, other.genus))
         return SpMap(self.genus, mat_mul(self.rows, other.rows))
-
-    def __eq__(self, other):
-        return isinstance(other, SpMap) and self.genus == other.genus and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.genus, self.rows))
 
     def __repr__(self):
         return "SpMap(genus=%d, rows=%r)" % (self.genus, [list(r) for r in self.rows])

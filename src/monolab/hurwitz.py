@@ -10,10 +10,11 @@ nothing beyond the search that was actually run.
 
 from collections import deque
 
+from ._linalg import Frozen
 from .homology import GenusMismatchError
 
 
-class QuotientConfig:
+class QuotientConfig(Frozen):
     """Modulus and genus for the reduced search."""
 
     __slots__ = ("modulus", "genus")
@@ -22,11 +23,7 @@ class QuotientConfig:
         modulus = int(modulus)
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "genus", int(genus))
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuotientConfig is immutable")
+        self._init(modulus=modulus, genus=int(genus))
 
 
 def reduce_factorization(fact, cfg):
@@ -123,7 +120,7 @@ def _moves(state):
         yield (pos, "right")
 
 
-class OrbitCertificate:
+class OrbitCertificate(Frozen):
     """Outcome of a reduced-orbit question, with a replayable witness when
     the verdict is positive.  No field ever claims anything at the
     mapping-class level."""
@@ -133,14 +130,13 @@ class OrbitCertificate:
     def __init__(self, verdict, witness, explored, budget, reason=""):
         if verdict not in ("same-orbit", "distinct-in-budget", "unknown"):
             raise ValueError("unknown verdict %r" % verdict)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness", tuple(witness) if witness is not None else None)
-        object.__setattr__(self, "explored", int(explored))
-        object.__setattr__(self, "budget", int(budget))
-        object.__setattr__(self, "reason", reason)
-
-    def __setattr__(self, *args):
-        raise AttributeError("OrbitCertificate is immutable")
+        self._init(
+            verdict=verdict,
+            witness=tuple(witness) if witness is not None else None,
+            explored=int(explored),
+            budget=int(budget),
+            reason=reason,
+        )
 
     def as_dict(self):
         return {
@@ -156,17 +152,12 @@ class OrbitCertificate:
         }
 
 
-class ExploreReport:
+class ExploreReport(Frozen):
     __slots__ = ("forms", "complete", "explored", "budget")
 
     def __init__(self, forms, complete, explored, budget):
-        object.__setattr__(self, "forms", tuple(sorted(forms)))
-        object.__setattr__(self, "complete", bool(complete))
-        object.__setattr__(self, "explored", int(explored))
-        object.__setattr__(self, "budget", int(budget))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ExploreReport is immutable")
+        self._init(forms=tuple(sorted(forms)), complete=bool(complete),
+                   explored=int(explored), budget=int(budget))
 
     def as_dict(self):
         return {

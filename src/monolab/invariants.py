@@ -19,7 +19,7 @@ failure means malformed input, not roundoff.
 
 from fractions import Fraction
 
-from ._linalg import rank
+from ._linalg import Frozen, rank
 from .lattices import IntLattice, orthogonal_complement, parity
 
 
@@ -27,7 +27,7 @@ class FibrationError(ValueError):
     pass
 
 
-class FibrationSpec:
+class FibrationSpec(Frozen):
     """Fiber genus, ordered positive twist letters, section data, and flags."""
 
     __slots__ = ("fiber_genus", "cycles", "sections", "hyperelliptic", "signature_reference")
@@ -46,14 +46,13 @@ class FibrationSpec:
                 raise FibrationError("signature reference must itself be hyperelliptic")
             if _cycle_counts(signature_reference) != _counts(fiber_genus, cycles):
                 raise FibrationError("signature reference has different cycle counts")
-        object.__setattr__(self, "fiber_genus", int(fiber_genus))
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "sections", tuple(int(s) for s in sections))
-        object.__setattr__(self, "hyperelliptic", bool(hyperelliptic))
-        object.__setattr__(self, "signature_reference", signature_reference)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FibrationSpec is immutable")
+        self._init(
+            fiber_genus=int(fiber_genus),
+            cycles=cycles,
+            sections=tuple(int(s) for s in sections),
+            hyperelliptic=bool(hyperelliptic),
+            signature_reference=signature_reference,
+        )
 
     def __repr__(self):
         return "FibrationSpec(fiber_genus=%d, cycles=%d, sections=%r)" % (
@@ -123,7 +122,7 @@ def b1_homological(spec):
     return 2 * spec.fiber_genus - rank(classes)
 
 
-class InvariantReport:
+class InvariantReport(Frozen):
     """chi, sigma and the Betti numbers, with the consistency identities
     chi = 2 - 2 b1 + b2 and b2 = b2_plus + b2_minus enforced at build time."""
 
@@ -136,17 +135,8 @@ class InvariantReport:
             raise FibrationError("chi, b1, b2 are inconsistent")
         if sigma != b2_plus - b2_minus:
             raise FibrationError("sigma must equal b2_plus - b2_minus")
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "b2_plus", b2_plus)
-        object.__setattr__(self, "b2_minus", b2_minus)
-        object.__setattr__(self, "parity_notes", parity_notes)
-        object.__setattr__(self, "certification", "homology-level")
-
-    def __setattr__(self, *args):
-        raise AttributeError("InvariantReport is immutable")
+        self._init(chi=chi, sigma=sigma, b1=b1, b2=b2, b2_plus=b2_plus, b2_minus=b2_minus,
+                   parity_notes=parity_notes, certification="homology-level")
 
     def as_dict(self):
         return {

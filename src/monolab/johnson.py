@@ -29,6 +29,7 @@ import itertools
 from math import gcd
 
 from . import _linalg
+from ._linalg import Frozen, IntVector
 from .homology import GenusMismatchError, HomologyClass, intersection, is_primitive
 from .lattices import SublatticeBasis
 from .words import TwistLetter, Word, sp_image
@@ -126,111 +127,37 @@ def _sort_triple(i, j, k):
 # wedge and quotient vectors
 
 
-class Wedge3:
+class Wedge3(IntVector):
     """An element of the third exterior power, in gamma-triple coordinates."""
 
-    __slots__ = ("genus", "coords")
+    __slots__ = ()
+    _dim_error = "expected %(dim)d wedge coordinates, got %(got)d"
 
-    def __init__(self, genus, coords):
-        tab = _table(genus)
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != tab.dim_wedge:
-            raise ValueError(
-                "expected %d wedge coordinates, got %d" % (tab.dim_wedge, len(coords))
-            )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Wedge3 is immutable")
-
-    @classmethod
-    def zero(cls, genus):
-        return cls(genus, (0,) * _table(genus).dim_wedge)
+    @staticmethod
+    def _dim(genus):
+        return _table(genus).dim_wedge
 
     def _check(self, other):
         if not isinstance(other, Wedge3) or other.genus != self.genus:
             raise GenusMismatchError("wedge arguments must share a genus")
 
-    def __add__(self, other):
-        self._check(other)
-        return Wedge3(self.genus, tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Wedge3(self.genus, tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return Wedge3(self.genus, tuple(-x for x in self.coords))
-
-    def __rmul__(self, k):
-        return Wedge3(self.genus, tuple(int(k) * x for x in self.coords))
-
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, Wedge3) and self.genus == other.genus and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.genus, self.coords))
-
     def __repr__(self):
         return "Wedge3(genus=%d, nnz=%d)" % (self.genus, sum(1 for c in self.coords if c))
 
 
-class QuotientClass:
+class QuotientClass(IntVector):
     """An element of (wedge^3 H)/H in the retained-triple basis."""
 
-    __slots__ = ("genus", "coords")
+    __slots__ = ()
+    _dim_error = "expected %(dim)d quotient coordinates, got %(got)d"
 
-    def __init__(self, genus, coords):
-        tab = _table(genus)
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != tab.dim_quot:
-            raise ValueError(
-                "expected %d quotient coordinates, got %d" % (tab.dim_quot, len(coords))
-            )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuotientClass is immutable")
-
-    @classmethod
-    def zero(cls, genus):
-        return cls(genus, (0,) * _table(genus).dim_quot)
+    @staticmethod
+    def _dim(genus):
+        return _table(genus).dim_quot
 
     def _check(self, other):
         if not isinstance(other, QuotientClass) or other.genus != self.genus:
             raise GenusMismatchError("quotient arguments must share a genus")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuotientClass(self.genus, tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuotientClass(self.genus, tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return QuotientClass(self.genus, tuple(-x for x in self.coords))
-
-    def __rmul__(self, k):
-        return QuotientClass(self.genus, tuple(int(k) * x for x in self.coords))
-
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientClass)
-            and self.genus == other.genus
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.genus, self.coords))
 
     def __repr__(self):
         return "QuotientClass(genus=%d, nnz=%d)" % (
@@ -477,7 +404,7 @@ def sp_action_quotient(m, q):
 # Torelli words from bounding pairs
 
 
-class BoundingPairGen:
+class BoundingPairGen(Frozen):
     """A bounding-pair map T_x T_y^{-1} presented by homology data.
 
     ``cls`` is the common (primitive) class of the two curves; ``side_basis``
@@ -509,21 +436,10 @@ class BoundingPairGen:
                     continue
                 if intersection(u, v) != 0:
                     raise ValueError("side vectors %d and %d are not orthogonal" % (i, j))
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "side_basis", side)
+        self._init(cls=cls, side_basis=side)
 
-    def __setattr__(self, *args):
-        raise AttributeError("BoundingPairGen is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BoundingPairGen)
-            and self.cls == other.cls
-            and self.side_basis == other.side_basis
-        )
-
-    def __hash__(self):
-        return hash((self.cls, self.side_basis))
+    def _key(self):
+        return (self.cls, self.side_basis)
 
     @property
     def genus(self):
@@ -538,7 +454,7 @@ def tau_bounding_pair(gen):
     return reduce_to_quotient(total)
 
 
-class TorelliWord:
+class TorelliWord(Frozen):
     """An ordered product of conjugated powers of bounding-pair maps.
 
     Factors are (conjugator word, generator, exponent); the represented
@@ -556,11 +472,7 @@ class TorelliWord:
         for w, g, _ in factors:
             if w.genus != genus or g.genus != genus:
                 raise GenusMismatchError("factor genus differs from word genus")
-        object.__setattr__(self, "genus", int(genus))
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, *args):
-        raise AttributeError("TorelliWord is immutable")
+        self._init(genus=int(genus), factors=factors)
 
     def __mul__(self, other):
         if other.genus != self.genus:
@@ -721,7 +633,7 @@ def content(basis):
     return basis.content()
 
 
-class Certificate:
+class Certificate(Frozen):
     """A machine-checkable record that two family members differ.
 
     Everything in it is an exact integer statement about the saturated
@@ -744,18 +656,8 @@ class Certificate:
     )
 
     def __init__(self, family, genus_param, n, m, witness, content_n, content_m, basis_n, basis_m):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "genus_param", genus_param)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "content_n", content_n)
-        object.__setattr__(self, "content_m", content_m)
-        object.__setattr__(self, "basis_n", basis_n)
-        object.__setattr__(self, "basis_m", basis_m)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Certificate is immutable")
+        self._init(family=family, genus_param=genus_param, n=n, m=m, witness=witness,
+                   content_n=content_n, content_m=content_m, basis_n=basis_n, basis_m=basis_m)
 
     def as_dict(self):
         return {

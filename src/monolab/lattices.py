@@ -8,33 +8,28 @@ import itertools
 from fractions import Fraction
 
 from . import _linalg
-from ._linalg import det, gcd_all, kernel_basis, mat_vec
+from ._linalg import Frozen, det, gcd_all, kernel_basis, mat_vec
 
 smith_normal_form = _linalg.smith_normal_form
 hermite_normal_form = _linalg.hnf
 
 
-class SublatticeBasis:
+class SublatticeBasis(Frozen):
     """A sublattice of Z^dim, stored as its canonical Hermite row basis."""
 
     __slots__ = ("dim", "rows", "_lat")
 
     def __init__(self, dim, vectors):
-        rows = _linalg.hnf(vectors, dim)
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_lat", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SublatticeBasis is immutable")
+        self._init(dim=int(dim), rows=_linalg.hnf(vectors, dim), _lat=None)
 
     @classmethod
     def _from_hnf(cls, dim, rows):
         self = object.__new__(cls)
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "_lat", None)
+        self._init(dim=int(dim), rows=tuple(tuple(r) for r in rows), _lat=None)
         return self
+
+    def _key(self):
+        return (self.dim, self.rows)
 
     @property
     def rank(self):
@@ -45,7 +40,7 @@ class SublatticeBasis:
             lat = _linalg.EchelonLattice(self.dim)
             for r in self.rows:
                 lat.insert(r)
-            object.__setattr__(self, "_lat", lat)
+            self._init(_lat=lat)
         return self._lat.member(vec)
 
     def contains(self, other):
@@ -68,18 +63,11 @@ class SublatticeBasis:
             self.dim, tuple(tuple(abs(k) * x for x in r) for r in self.rows)
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SublatticeBasis)
-            and self.dim == other.dim
-            and self.rows == other.rows
-        )
-
     def __repr__(self):
         return "SublatticeBasis(dim=%d, rank=%d)" % (self.dim, self.rank)
 
 
-class IntLattice:
+class IntLattice(Frozen):
     """A free Z-module with a symmetric integer Gram matrix."""
 
     __slots__ = ("gram",)
@@ -93,10 +81,10 @@ class IntLattice:
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", gram)
+        self._init(gram=gram)
 
-    def __setattr__(self, *args):
-        raise AttributeError("IntLattice is immutable")
+    def _key(self):
+        return self.gram
 
     @property
     def rank(self):
@@ -116,9 +104,6 @@ class IntLattice:
         for i in range(m):
             rows.append((0,) * n + tuple(other.gram[i]))
         return IntLattice(rows)
-
-    def __eq__(self, other):
-        return isinstance(other, IntLattice) and self.gram == other.gram
 
     def __repr__(self):
         return "IntLattice(%r)" % ([list(r) for r in self.gram],)

@@ -2,14 +2,15 @@
 twists, and the chain-relation family.
 
 Transcription policy.  The homology classes of the drawn curves cannot be
-read off a picture by a program, so they ship as data (and a formula that
-regenerates them), and *nothing trusts the transcription directly*: every
-constructor runs the full battery of validation constraints below, which
-are exactly the facts the computations depend on.  A failed constraint
-aborts with its name.
+read off a picture by a program, so they are transcribed as a closed
+formula; a directory named by the ``MONOLAB_DATA`` environment variable may
+replace it with an ``mck_classes.json`` of its own.  *Nothing trusts the
+transcription directly*, whichever was loaded: every constructor runs the
+full battery of validation constraints below, which are exactly the facts
+the computations depend on.  A failed constraint aborts with its name.
 
 For the involution family with parameter g (surface genus 2g), the
-shipped classes are, in the basis a_1..a_2g, b_1..b_2g:
+formula's classes are, in the basis a_1..a_2g, b_1..b_2g:
 
     B_0      = -(a_1 + ... + a_2g)
     B_{2k-1} = (a_k + ... + a_{2g+1-k}) + b_k + b_{2g+1-k}
@@ -29,7 +30,6 @@ validated for coherence rather than assumed.
 
 import json
 import os
-from importlib import resources
 
 from .homology import (
     HomologyClass,
@@ -72,7 +72,7 @@ class ScenarioValidationError(AssertionError):
 
 
 # --------------------------------------------------------------------------
-# shipped class vectors
+# class vectors
 
 
 def _mck_vectors(g):
@@ -100,22 +100,14 @@ def _mck_vectors(g):
     return vecs
 
 
-def _data_dir():
-    override = os.environ.get("MONOLAB_DATA")
-    if override:
-        return override
-    return None
-
-
 def _load_mck_vectors(g):
-    override = _data_dir()
-    if override is not None:
-        path = os.path.join(override, "mck_classes.json")
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        ref = resources.files("monolab").joinpath("data/mck_classes.json")
-        doc = json.loads(ref.read_text(encoding="utf-8"))
+    """The formula's vectors, unless ``MONOLAB_DATA`` names a directory whose
+    ``mck_classes.json`` lists vectors for this g."""
+    override = os.environ.get("MONOLAB_DATA")
+    if not override:
+        return _mck_vectors(g)
+    with open(os.path.join(override, "mck_classes.json"), "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     entry = doc.get("mck", {}).get(str(g))
     if entry is None:
         return _mck_vectors(g)

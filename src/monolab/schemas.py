@@ -39,6 +39,24 @@ def _expect_int_list(value, path):
     return value
 
 
+def _expect_coords(value, genus, path):
+    coords = _expect_int_list(value, path)
+    if len(coords) != 2 * genus:
+        _fail(path, "expected %d entries" % (2 * genus))
+    return coords
+
+
+def expect_int_rows(value, length, path):
+    """A list of integer lists, each with ``length`` entries."""
+    if not isinstance(value, list):
+        _fail(path, "expected a list of integer lists")
+    for i, row in enumerate(value):
+        _expect_int_list(row, "%s[%d]" % (path, i))
+        if len(row) != length:
+            _fail("%s[%d]" % (path, i), "expected %d entries" % length)
+    return value
+
+
 def check_version(doc, path="document"):
     if not isinstance(doc, dict):
         _fail(path, "expected a JSON object")
@@ -63,10 +81,7 @@ def encode_homology_class(c):
 def decode_homology_class(doc, path="homology_class"):
     check_version(doc, path)
     genus = _expect_int(doc, "genus", path)
-    coords = _expect_int_list(doc.get("coords"), path + ".coords")
-    if len(coords) != 2 * genus:
-        _fail(path + ".coords", "expected %d entries" % (2 * genus))
-    return HomologyClass(genus, coords)
+    return HomologyClass(genus, _expect_coords(doc.get("coords"), genus, path + ".coords"))
 
 
 def encode_sp_map(m):
@@ -80,11 +95,7 @@ def decode_sp_map(doc, path="sp_map"):
     matrix = doc.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != 2 * genus:
         _fail(path + ".matrix", "expected %d rows" % (2 * genus))
-    for i, row in enumerate(matrix):
-        _expect_int_list(row, "%s.matrix[%d]" % (path, i))
-        if len(row) != 2 * genus:
-            _fail("%s.matrix[%d]" % (path, i), "expected %d entries" % (2 * genus))
-    return SpMap(genus, matrix)
+    return SpMap(genus, expect_int_rows(matrix, 2 * genus, path + ".matrix"))
 
 
 # -- letters, words, factorizations ------------------------------------------
@@ -102,9 +113,7 @@ def _encode_letter(letter):
 def _decode_letter(doc, genus, path):
     if not isinstance(doc, dict):
         _fail(path, "expected a letter object")
-    coords = _expect_int_list(doc.get("coords"), path + ".coords")
-    if len(coords) != 2 * genus:
-        _fail(path + ".coords", "expected %d entries" % (2 * genus))
+    coords = _expect_coords(doc.get("coords"), genus, path + ".coords")
     power = doc.get("power", 1)
     if power not in (1, -1):
         _fail(path + ".power", "expected +1 or -1")
@@ -207,9 +216,10 @@ def decode_torelli_word(doc, path="torelli_word"):
             ppath = "%s.generator.side[%d]" % (fpath, j)
             if not isinstance(pair, list) or len(pair) != 2:
                 _fail(ppath, "expected a two-element list")
-            a = HomologyClass(genus, _expect_int_list(pair[0], ppath + "[0]"))
-            b = HomologyClass(genus, _expect_int_list(pair[1], ppath + "[1]"))
-            side.append((a, b))
+            side.append(tuple(
+                HomologyClass(genus, _expect_coords(v, genus, "%s[%d]" % (ppath, k)))
+                for k, v in enumerate(pair)
+            ))
         exp = fdoc.get("exp", 1)
         if not isinstance(exp, int) or isinstance(exp, bool):
             _fail(fpath + ".exp", "expected an integer")

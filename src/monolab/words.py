@@ -13,6 +13,7 @@ Equality of images is necessary, never sufficient, for an identity between
 the underlying mapping classes; the Torelli group is exactly the blind spot.
 """
 
+from ._linalg import Frozen
 from .homology import (
     GenusMismatchError,
     HomologyClass,
@@ -34,7 +35,7 @@ class FactorizationError(ValueError):
     pass
 
 
-class TwistLetter:
+class TwistLetter(Frozen):
     """One Dehn twist: a homology class, a handedness, and separating data.
 
     A separating letter has the zero class and carries ``split``, the pair
@@ -64,13 +65,10 @@ class TwistLetter:
                 raise LetterError("only separating letters carry split data")
             if curve.is_zero() or not is_primitive(curve):
                 raise LetterError("a nonseparating letter must have a primitive class")
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "separating", bool(separating))
-        object.__setattr__(self, "split", split)
+        self._init(curve=curve, power=power, separating=bool(separating), split=split)
 
-    def __setattr__(self, *args):
-        raise AttributeError("TwistLetter is immutable")
+    def _key(self):
+        return (self.curve, self.power, self.separating, self.split)
 
     @property
     def genus(self):
@@ -92,24 +90,12 @@ class TwistLetter:
             return self
         return TwistLetter(m.apply(self.curve), self.power, False, None)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistLetter)
-            and self.curve == other.curve
-            and self.power == other.power
-            and self.separating == other.separating
-            and self.split == other.split
-        )
-
-    def __hash__(self):
-        return hash((self.curve, self.power, self.separating, self.split))
-
     def __repr__(self):
         extra = ", separating, split=%r" % (self.split,) if self.separating else ""
         return "TwistLetter(%r, power=%d%s)" % (list(self.curve.coords), self.power, extra)
 
 
-class Word:
+class Word(Frozen):
     """A finite product of twist letters, stored in written order."""
 
     __slots__ = ("genus", "letters")
@@ -123,11 +109,10 @@ class Word:
         for let in letters:
             if let.genus != genus:
                 raise GenusMismatchError("letter genus %d != word genus %d" % (let.genus, genus))
-        object.__setattr__(self, "genus", int(genus))
-        object.__setattr__(self, "letters", letters)
+        self._init(genus=int(genus), letters=letters)
 
-    def __setattr__(self, *args):
-        raise AttributeError("Word is immutable")
+    def _key(self):
+        return (self.genus, self.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -146,12 +131,6 @@ class Word:
             return Word((), self.genus)
         base = self if n > 0 else self.inverse()
         return Word(base.letters * abs(n), self.genus)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.genus == other.genus and self.letters == other.letters
-
-    def __hash__(self):
-        return hash((self.genus, self.letters))
 
     def __repr__(self):
         return "Word(%d letters, genus=%d)" % (len(self.letters), self.genus)
@@ -172,7 +151,7 @@ def commutes_at_sp(g, w):
     return sp_image(g).commutes_with(sp_image(w))
 
 
-class PositiveFactorization:
+class PositiveFactorization(Frozen):
     """A word of right-handed twists whose image equals a claimed target.
 
     The image check runs at construction; a mismatch raises.  For data of
@@ -195,11 +174,10 @@ class PositiveFactorization:
                 "symplectic image differs from the claimed target; "
                 "see verify_factorization for a report"
             )
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "claimed_target", claimed_target)
+        self._init(word=word, claimed_target=claimed_target)
 
-    def __setattr__(self, *args):
-        raise AttributeError("PositiveFactorization is immutable")
+    def _key(self):
+        return (self.word, self.claimed_target)
 
     @property
     def genus(self):
@@ -211,13 +189,6 @@ class PositiveFactorization:
 
     def __len__(self):
         return len(self.word.letters)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PositiveFactorization)
-            and self.word == other.word
-            and self.claimed_target == other.claimed_target
-        )
 
     def __repr__(self):
         return "PositiveFactorization(%d letters, genus=%d)" % (len(self), self.genus)

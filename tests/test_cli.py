@@ -222,3 +222,62 @@ def test_roundtrips():
     g = 2
     word = Word([TwistLetter(basis_a(g, 1), -1)], g)
     assert schemas.decode_word(schemas.encode_word(word)) == word
+
+
+def test_hurwitz_jobs_flag_is_unknown(tmp_path, capsys):
+    path = write_json(tmp_path, "mck.json", mck_fact_doc())
+    code, out, err = run_cli(["hurwitz", "explore", path, "--mod", "2",
+                              "--jobs", "2"], capsys)
+    assert code == cli.EX_SCHEMA
+    assert "--jobs" in err
+    assert out == ""
+
+
+def test_torelli_side_vector_of_wrong_length_is_named(tmp_path, capsys):
+    doc = schemas.encode_torelli_word(torelli_f(2, "mck"))
+    doc["factors"][0]["generator"]["side"][0][1] = [0, 1, 0]
+    path = write_json(tmp_path, "tw.json", doc)
+    code, out, err = run_cli(["johnson", path], capsys)
+    assert code == cli.EX_SCHEMA
+    assert "torelli_word.factors[0].generator.side[0][1]" in err
+    assert out == ""
+
+
+def _gram_path(tmp_path):
+    gram = {"schema": schemas.SCHEMA, "type": "gram", "matrix": [[0, 1], [1, 0]]}
+    return write_json(tmp_path, "u.json", gram)
+
+
+def test_lattice_enumerate_pattern_must_be_a_square_integer_matrix(tmp_path, capsys):
+    path = _gram_path(tmp_path)
+    for pattern, field in (("5", "--pattern"), ("[[0,1]]", "--pattern[0]"),
+                           ('[[0,"x"],[1,0]]', "--pattern[0]"),
+                           ("[[0,1],[1]]", "--pattern[1]")):
+        code, out, err = run_cli(["lattice", "enumerate", path, "--pattern", pattern],
+                                 capsys)
+        assert code == cli.EX_SCHEMA, pattern
+        assert "error: %s:" % field in err
+        assert out == ""
+
+
+def test_lattice_complement_classes_must_match_the_rank(tmp_path, capsys):
+    path = _gram_path(tmp_path)
+    for vectors in ([[1, 0, 0]], [[1]], [[1, "x"]], [5]):
+        classes = write_json(tmp_path, "c.json", {"vectors": vectors})
+        code, out, err = run_cli(["lattice", "complement", path, "--classes", classes],
+                                 capsys)
+        assert code == cli.EX_SCHEMA, vectors
+        assert "classes.vectors[0]" in err
+        assert out == ""
+
+
+def test_invariants_grid_failure_leaves_stdout_empty(capsys):
+    # the chain family needs g >= 3, so the first row fails
+    code, out, err = run_cli(["invariants", "--grid", "2..3,0..1", "--family", "chain",
+                              "--csv"], capsys)
+    assert code == cli.EX_PRECONDITION
+    assert out == ""
+    code, out, err = run_cli(["invariants", "--grid", "3..3,0..0", "--family", "cycle"],
+                             capsys)
+    assert code == cli.EX_SCHEMA
+    assert "unknown family" in err and out == ""
