@@ -239,11 +239,10 @@ def _cmd_conjugate(argv):
     conj = schemas.decode_word(_load_json(args.get("word")))
     from .words import PositiveFactorization
     fact = PositiveFactorization(word, target)
-    prefix = args.get("prefix")
-    if prefix is None:
+    if args.get("prefix") is None:
         out = global_conjugation(fact, conj)
     else:
-        out = partial_conjugation(fact, int(prefix), conj)
+        out = partial_conjugation(fact, args.get_int("prefix"), conj)
     _emit(schemas.encode_factorization(out.word, out.claimed_target))
     return EX_OK
 

@@ -7,7 +7,8 @@ pairing is <a_i, b_i> = +1, all other basis pairings zero.
 The homology action of a right-handed Dehn twist about a curve in class c
 is the transvection x -> x + <x, c> c; the left-handed twist subtracts.
 This one sign convention is fixed here and inherited everywhere else.
-All values are immutable and all operations are pure.
+All values are immutable and all operations are pure, except ``_right_twist``,
+the one twist-product kernel, which updates caller-owned rows in place.
 """
 
 from . import _linalg
@@ -161,6 +162,21 @@ class SpMap(Frozen):
         return self @ other == other @ self
 
 
+def _right_twist(rows, coords, power):
+    """Right-multiply integer ``rows`` in place by T_c^power, c = ``coords``.
+
+    T_c = I + c s^T with s.x = <x, c>, s = (c_{g+1..2g}, -c_{1..g}): the update
+    M T_c^p = M + p (M c) s^T visits only the nonzero entries of c and s."""
+    g = len(coords) // 2
+    c = [(i, x) for i, x in enumerate(coords) if x]
+    s = [(i + g, -x) if i < g else (i - g, x) for i, x in c]
+    for r in rows:
+        k = power * sum(r[i] * x for i, x in c)
+        if k:
+            for i, x in s:
+                r[i] += k * x
+
+
 def twist_matrix(c, power=1):
     """Matrix of the transvection for the twist about c (power +1 or -1).
 
@@ -168,17 +184,9 @@ def twist_matrix(c, power=1):
     """
     if power not in (1, -1):
         raise ValueError("power must be +1 or -1")
-    g = c.genus
-    n = 2 * g
-    cc = c.coords
-    cols = []
-    for j in range(n):
-        basis_j = [0] * n
-        basis_j[j] = 1
-        e = HomologyClass(g, basis_j)
-        k = power * intersection(e, c)
-        cols.append([basis_j[i] + k * cc[i] for i in range(n)])
-    return SpMap(g, tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    rows = [list(r) for r in identity_matrix(2 * c.genus)]
+    _right_twist(rows, c.coords, power)
+    return SpMap(c.genus, rows)
 
 
 def is_primitive(v):

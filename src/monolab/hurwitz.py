@@ -10,8 +10,8 @@ nothing beyond the search that was actually run.
 
 from collections import deque
 
-from ._linalg import Frozen
-from .homology import GenusMismatchError
+from ._linalg import Frozen, identity_matrix
+from .homology import GenusMismatchError, _right_twist
 
 
 class QuotientConfig(Frozen):
@@ -54,36 +54,17 @@ def _twist_mod(c, power, x, g, m):
     return tuple((xi + k * ci) % m for xi, ci in zip(x, c))
 
 
-_matrix_cache = {}
 _pair_cache = {}
-
-
-def _letter_matrix(coords, g, m):
-    key = (coords, g, m)
-    mat = _matrix_cache.get(key)
-    if mat is None:
-        n = 2 * g
-        cols = []
-        for j in range(n):
-            e = [0] * n
-            e[j] = 1
-            cols.append(_twist_mod(coords, 1, tuple(e), g, m))
-        mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        _matrix_cache[key] = mat
-    return mat
 
 
 def _pair_product(cu, cv, g, m):
     key = (cu, cv, g, m)
     prod = _pair_cache.get(key)
     if prod is None:
-        a = _letter_matrix(cu, g, m)
-        b = _letter_matrix(cv, g, m)
-        n = 2 * g
-        prod = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % m for j in range(n))
-            for i in range(n)
-        )
+        rows = [list(r) for r in identity_matrix(2 * g)]
+        _right_twist(rows, cu, 1)
+        _right_twist(rows, cv, 1)
+        prod = tuple(tuple(x % m for x in r) for r in rows)
         _pair_cache[key] = prod
     return prod
 

@@ -13,6 +13,10 @@ from ._linalg import Frozen, det, gcd_all, kernel_basis, mat_vec
 smith_normal_form = _linalg.smith_normal_form
 hermite_normal_form = _linalg.hnf
 
+# enumerate_pattern holds its whole box in memory; the paper's patterns need
+# boxes of 121 and 343 vectors, and this admits rank 3 up to bound 22.
+MAX_BOX_VECTORS = 100000
+
 
 class SublatticeBasis(Frozen):
     """A sublattice of Z^dim, stored as its canonical Hermite row basis."""
@@ -201,7 +205,8 @@ def enumerate_pattern(lattice, pattern, bound):
     ``pattern`` is the m x m target Gram matrix of the tuple.  The search is
     complete within the box [-bound, bound]^rank per vector and the output
     is in deterministic lexicographic order.  Completeness holds for the box
-    only; callers must label results accordingly.
+    only; callers must label results accordingly.  A box above
+    ``MAX_BOX_VECTORS`` vectors raises ValueError before it is built.
     """
     bound = int(bound)
     if bound < 1:
@@ -209,6 +214,9 @@ def enumerate_pattern(lattice, pattern, bound):
     pattern = [list(map(int, row)) for row in pattern]
     m = len(pattern)
     n = lattice.rank
+    if (2 * bound + 1) ** n > MAX_BOX_VECTORS:
+        raise ValueError("bound %d: box [-bound, bound]^%d exceeds MAX_BOX_VECTORS = %d"
+                         % (bound, n, MAX_BOX_VECTORS))
     rng = range(-bound, bound + 1)
     vectors = list(itertools.product(rng, repeat=n))
 

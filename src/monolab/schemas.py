@@ -89,13 +89,16 @@ def encode_sp_map(m):
             "genus": m.genus, "matrix": [list(r) for r in m.rows]}
 
 
+def _decode_matrix(matrix, genus, path):
+    if not isinstance(matrix, list) or len(matrix) != 2 * genus:
+        _fail(path, "expected %d rows" % (2 * genus))
+    return SpMap(genus, expect_int_rows(matrix, 2 * genus, path))
+
+
 def decode_sp_map(doc, path="sp_map"):
     check_version(doc, path)
     genus = _expect_int(doc, "genus", path)
-    matrix = doc.get("matrix")
-    if not isinstance(matrix, list) or len(matrix) != 2 * genus:
-        _fail(path + ".matrix", "expected %d rows" % (2 * genus))
-    return SpMap(genus, expect_int_rows(matrix, 2 * genus, path + ".matrix"))
+    return _decode_matrix(doc.get("matrix"), genus, path + ".matrix")
 
 
 # -- letters, words, factorizations ------------------------------------------
@@ -168,7 +171,7 @@ def decode_factorization(doc, path="factorization"):
     if target_doc == "identity":
         target = SpMap.identity(word.genus)
     elif isinstance(target_doc, dict) and "matrix" in target_doc:
-        target = SpMap(word.genus, target_doc["matrix"])
+        target = _decode_matrix(target_doc["matrix"], word.genus, path + ".target.matrix")
     else:
         _fail(path + ".target", "expected 'identity' or an object with 'matrix'")
     return word, target

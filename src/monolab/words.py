@@ -13,11 +13,12 @@ Equality of images is necessary, never sufficient, for an identity between
 the underlying mapping classes; the Torelli group is exactly the blind spot.
 """
 
-from ._linalg import Frozen
+from ._linalg import Frozen, identity_matrix
 from .homology import (
     GenusMismatchError,
     HomologyClass,
     SpMap,
+    _right_twist,
     is_primitive,
     twist_matrix,
 )
@@ -138,10 +139,10 @@ class Word(Frozen):
 
 def sp_image(word):
     """Symplectic image of a word; the rightmost letter is applied first."""
-    out = SpMap.identity(word.genus)
+    rows = [list(r) for r in identity_matrix(2 * word.genus)]
     for letter in word.letters:
-        out = out @ letter.matrix()
-    return out
+        _right_twist(rows, letter.curve.coords, letter.power)
+    return SpMap(word.genus, rows)
 
 
 def commutes_at_sp(g, w):

@@ -281,3 +281,52 @@ def test_invariants_grid_failure_leaves_stdout_empty(capsys):
                              capsys)
     assert code == cli.EX_SCHEMA
     assert "unknown family" in err and out == ""
+
+
+def _fact_path_with_target(tmp_path, target):
+    doc = mck_fact_doc()
+    doc["target"] = target
+    return write_json(tmp_path, "f.json", doc)
+
+
+def test_factorization_target_matrix_must_be_a_list_of_rows(tmp_path, capsys):
+    path = _fact_path_with_target(tmp_path, {"matrix": 5})
+    code, out, err = run_cli(["verify", path], capsys)
+    assert code == cli.EX_SCHEMA
+    assert "error: factorization.target.matrix:" in err
+    assert out == ""
+
+
+def test_factorization_target_matrix_must_be_2g_square(tmp_path, capsys):
+    n = 2 * mck_fact_doc()["genus"]
+    row = [0] * n
+    for matrix, field in (([row] * (n - 1), "factorization.target.matrix"),
+                          ([[1, 0]] * n, "factorization.target.matrix[0]"),
+                          ([row] * (n - 1) + [row[1:]],
+                           "factorization.target.matrix[%d]" % (n - 1))):
+        path = _fact_path_with_target(tmp_path, {"matrix": matrix})
+        code, out, err = run_cli(["verify", path], capsys)
+        assert code == cli.EX_SCHEMA, matrix
+        assert "error: %s:" % field in err
+        assert out == ""
+
+
+def test_conjugate_prefix_must_be_an_integer(tmp_path, capsys):
+    fact_path = write_json(tmp_path, "fact.json", mck_fact_doc())
+    word_path = write_json(tmp_path, "word.json",
+                           schemas.encode_word(torelli_f(2, "mck").twist_word()))
+    code, out, err = run_cli(["conjugate", fact_path, "--word", word_path,
+                              "--prefix", "x"], capsys)
+    assert code == cli.EX_SCHEMA
+    assert "--prefix" in err
+    assert out == ""
+
+
+def test_lattice_enumerate_box_is_capped(tmp_path, capsys):
+    # the cap is checked before the box is built, so this fails at once
+    path = _gram_path(tmp_path)
+    code, out, err = run_cli(["lattice", "enumerate", path, "--pattern", "[[0]]",
+                              "--bound", str(10 ** 9)], capsys)
+    assert code == cli.EX_PRECONDITION
+    assert "bound 1000000000" in err and "MAX_BOX_VECTORS = 100000" in err
+    assert out == ""

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from monolab.homology import basis_a, basis_b
+from monolab.homology import HomologyClass, basis_a, basis_b, twist_matrix
 from monolab.hurwitz import (
     OrbitCertificate,
     QuotientConfig,
+    _pair_product,
     apply_move,
     canonical_form,
     invert_move,
@@ -15,12 +16,38 @@ from monolab.hurwitz import (
 )
 from monolab.scenarios import mck_factorization
 from monolab.words import PositiveFactorization, TwistLetter, Word, sp_image
-from helpers import random_positive_factorization
+from helpers import random_class, random_positive_factorization
 
 
 def fact_of(letters, genus):
     word = Word(letters, genus)
     return PositiveFactorization(word, sp_image(word))
+
+
+def dense_product_mod(classes, g, m):
+    """The written-order product of the right-handed twist matrices about
+    ``classes``, as a dense mod-m product of twist_matrix rows."""
+    n = 2 * g
+    acc = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    for coords in classes:
+        t = [[x % m for x in r] for r in twist_matrix(HomologyClass(g, coords)).rows]
+        acc = tuple(
+            tuple(sum(acc[i][k] * t[k][j] for k in range(n)) % m for j in range(n))
+            for i in range(n)
+        )
+    return acc
+
+
+def test_pair_product_equals_the_dense_product_mod_m():
+    rng = random.Random(71)
+    for g in (1, 2, 3):
+        for m in (2, 3, 5):
+            zero = (0,) * (2 * g)
+            for _ in range(10):
+                cu, cv = (tuple(x % m for x in random_class(rng, g).coords)
+                          for _ in range(2))
+                for pair in ((cu, cv), (cu, zero), (zero, cv)):
+                    assert _pair_product(*pair, g, m) == dense_product_mod(pair, g, m)
 
 
 def test_canonical_form_deterministic_and_injective():
@@ -51,17 +78,7 @@ def test_moves_preserve_full_product_mod_m():
         state = reduce_factorization(fact, cfg)
 
         def product(st):
-            from monolab.hurwitz import _letter_matrix
-            n = 2 * g
-            acc = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-            for coords, _, _ in st:
-                m = _letter_matrix(coords, g, cfg.modulus)
-                acc = tuple(
-                    tuple(sum(acc[i][k] * m[k][j] for k in range(n)) % cfg.modulus
-                          for j in range(n))
-                    for i in range(n)
-                )
-            return acc
+            return dense_product_mod([coords for coords, _, _ in st], g, cfg.modulus)
 
         base = product(state)
         for _ in range(10):

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from monolab.homology import basis_a, basis_b, zero_class
+from monolab.homology import HomologyClass, SpMap, basis_a, basis_b, zero_class
 from monolab.words import (
     ConjugationError,
     FactorizationError,
@@ -17,7 +19,7 @@ from monolab.words import (
     sp_image,
     verify_factorization,
 )
-from helpers import random_positive_factorization
+from helpers import naive_transvect, random_positive_factorization
 
 
 def test_letter_validation():
@@ -49,6 +51,41 @@ def test_sp_image_order_convention():
     u = TwistLetter(basis_a(g, 1))
     v = TwistLetter(basis_b(g, 1))
     assert sp_image(Word([u, v], g)) == u.matrix() @ v.matrix()
+
+
+def _letters(g):
+    powers = st.sampled_from((1, -1))
+    vectors = st.lists(st.integers(-3, 3), min_size=2 * g, max_size=2 * g).filter(any)
+    nonsep = st.builds(
+        lambda v, p: TwistLetter(HomologyClass(g, [x // math.gcd(*v) for x in v]), p),
+        vectors, powers)
+    if g < 2:
+        return nonsep
+    sep = st.builds(
+        lambda h, p: TwistLetter(zero_class(g), p, separating=True, split=(h, g - h)),
+        st.integers(1, g - 1), powers)
+    return st.one_of(nonsep, sep)
+
+
+words = st.integers(1, 6).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(_letters(g), max_size=12)))
+
+
+@given(words)
+@example((1, []))
+@example((6, []))
+def test_sp_image_equals_the_dense_product(data):
+    # the dense product of the letter matrices is the oracle for the
+    # in-place rank-one kernel behind sp_image
+    g, letters = data
+    dense = SpMap.identity(g)
+    for letter in letters:
+        m = letter.matrix()
+        for j in range(2 * g):
+            e = HomologyClass(g, [int(i == j) for i in range(2 * g)])
+            assert m.apply(e) == naive_transvect(letter.curve, letter.power, e)
+        dense = dense @ m
+    assert sp_image(Word(letters, g)) == dense
 
 
 def test_verify_factorization_pass_and_fail():
