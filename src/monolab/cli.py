@@ -409,7 +409,7 @@ def run(argv):
         return EX_SCHEMA
     except (ConjugationError, FactorizationError, GenusMismatchError,
             invariants.FibrationError, scenarios.ScenarioValidationError,
-            ValueError, IndexError) as exc:
+            johnson.SaturationBudgetError, ValueError, IndexError) as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return EX_PRECONDITION
 

@@ -6,12 +6,20 @@ verdict vocabulary is deliberately weak.  "same-orbit" means the two
 reduced factorizations are connected by moves *at this reduced level* (a
 replayable witness is attached); "distinct-in-budget" and "unknown" claim
 nothing beyond the search that was actually run.
+
+A reduced state is a tuple of ints, bools and tuples, equal exactly when
+its ``canonical_form`` bytes are, so the searches key on the state itself;
+the bytes are for reports and tests.  Budgets are capped at ``MAX_BUDGET``
+and the pair-product cache at ``MAX_PAIR_CACHE`` entries.
 """
 
 from collections import deque
 
 from ._linalg import Frozen, identity_matrix
 from .homology import GenusMismatchError, _right_twist
+
+MAX_BUDGET = 200000
+MAX_PAIR_CACHE = 65536
 
 
 class QuotientConfig(Frozen):
@@ -39,7 +47,8 @@ def reduce_factorization(fact, cfg):
 
 
 def canonical_form(state, cfg):
-    """Deterministic, injective serialization of a reduced letter list."""
+    """Deterministic, injective byte serialization of a reduced letter list,
+    for reports and tests; the searches key on the state tuple itself."""
     return repr((cfg.genus, cfg.modulus, state)).encode("ascii")
 
 
@@ -65,6 +74,8 @@ def _pair_product(cu, cv, g, m):
         _right_twist(rows, cu, 1)
         _right_twist(rows, cv, 1)
         prod = tuple(tuple(x % m for x in r) for r in rows)
+        if len(_pair_cache) >= MAX_PAIR_CACHE:
+            _pair_cache.clear()
         _pair_cache[key] = prod
     return prod
 
@@ -134,15 +145,20 @@ class OrbitCertificate(Frozen):
 
 
 class ExploreReport(Frozen):
-    __slots__ = ("forms", "complete", "explored", "budget")
+    __slots__ = ("states", "cfg", "complete", "explored", "budget")
 
-    def __init__(self, forms, complete, explored, budget):
-        self._init(forms=tuple(sorted(forms)), complete=bool(complete),
+    def __init__(self, states, cfg, complete, explored, budget):
+        self._init(states=frozenset(states), cfg=cfg, complete=bool(complete),
                    explored=int(explored), budget=int(budget))
+
+    @property
+    def forms(self):
+        """The sorted canonical forms of the states reached."""
+        return tuple(sorted(canonical_form(s, self.cfg) for s in self.states))
 
     def as_dict(self):
         return {
-            "orbit_size": len(self.forms),
+            "orbit_size": len(self.states),
             "closure_reached": self.complete,
             "explored": self.explored,
             "budget": self.budget,
@@ -150,28 +166,31 @@ class ExploreReport(Frozen):
         }
 
 
+def _check_budget(budget):
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ValueError("budget %d is outside 1..MAX_BUDGET = %d" % (budget, MAX_BUDGET))
+
+
 def orbit_explore(fact, cfg, budget):
     """Breadth-first closure of the reduced orbit, capped at ``budget``
     states.  The report says whether closure was reached."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_budget(budget)
     start = reduce_factorization(fact, cfg)
-    seen = {canonical_form(start, cfg)}
+    seen = {start}
     frontier = deque([start])
     complete = True
     while frontier:
         state = frontier.popleft()
         for move in _moves(state):
             nxt = apply_move(state, move, cfg)
-            key = canonical_form(nxt, cfg)
-            if key in seen:
+            if nxt in seen:
                 continue
             if len(seen) >= budget:
                 complete = False
                 continue
-            seen.add(key)
+            seen.add(nxt)
             frontier.append(nxt)
-    return ExploreReport(seen, complete, len(seen), budget)
+    return ExploreReport(seen, cfg, complete, len(seen), budget)
 
 
 def _invariant_mismatch(s1, s2):
@@ -191,66 +210,57 @@ def same_orbit(f1, f2, cfg, budget):
     returned.  A negative in-budget verdict is only a statement about this
     search, except when a move invariant already separates the inputs.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_budget(budget)
     s1 = reduce_factorization(f1, cfg)
     s2 = reduce_factorization(f2, cfg)
     reason = _invariant_mismatch(s1, s2)
     if reason is not None:
         return OrbitCertificate("distinct-in-budget", None, 0, budget, reason)
-    k1, k2 = canonical_form(s1, cfg), canonical_form(s2, cfg)
-    if k1 == k2:
+    if s1 == s2:
         return OrbitCertificate("same-orbit", (), 0, budget)
 
-    # parent maps: canonical form -> (parent form, move from parent)
-    sides = (
-        {"seen": {k1: None}, "frontier": deque([(s1, k1)])},
-        {"seen": {k2: None}, "frontier": deque([(s2, k2)])},
-    )
+    # parent maps: state -> (parent state, move from parent)
+    parents = ({s1: None}, {s2: None})
+    frontiers = (deque([s1]), deque([s2]))
     explored = 2
     meet = None
-    while meet is None and (sides[0]["frontier"] or sides[1]["frontier"]):
-        idx = 0 if len(sides[0]["seen"]) <= len(sides[1]["seen"]) and sides[0]["frontier"] else 1
-        if not sides[idx]["frontier"]:
-            idx = 1 - idx
-        side, other = sides[idx], sides[1 - idx]
-        state, key = side["frontier"].popleft()
+    while frontiers[0] or frontiers[1]:
+        # grow the smaller side while it has a frontier
+        idx = 0 if frontiers[0] and (len(parents[0]) <= len(parents[1]) or not frontiers[1]) else 1
+        mine, other = parents[idx], parents[1 - idx]
+        state = frontiers[idx].popleft()
         for move in _moves(state):
             nxt = apply_move(state, move, cfg)
-            nkey = canonical_form(nxt, cfg)
-            if nkey in side["seen"]:
+            if nxt in mine:
                 continue
-            side["seen"][nkey] = (key, move, state)
+            mine[nxt] = (state, move)
             explored += 1
-            if nkey in other["seen"]:
-                meet = (nkey, idx)
+            if nxt in other:
+                meet = nxt
                 break
             if explored >= budget:
                 break
-            side["frontier"].append((nxt, nkey))
+            frontiers[idx].append(nxt)
         if meet is not None or explored >= budget:
             break
     if meet is None:
         return OrbitCertificate("unknown", None, explored, budget,
                                 "budget exhausted before the searches met")
 
-    def path_from(side_idx, key):
+    def moves_back(parent_map, state):
+        """The moves from the root to ``state``, last move first."""
         moves = []
-        entry = sides[side_idx]["seen"][key]
-        while entry is not None:
-            pkey, move, _ = entry
+        while parent_map[state] is not None:
+            state, move = parent_map[state]
             moves.append(move)
-            entry = sides[side_idx]["seen"][pkey]
-        moves.reverse()
         return moves
 
-    mkey, _ = meet
-    forward = path_from(0, mkey)           # s1 -> meet
-    backward = path_from(1, mkey)          # s2 -> meet
-    witness = forward + [invert_move(mv) for mv in reversed(backward)]
+    # s1 -> meet, then meet -> s2 by undoing s2's path in reverse
+    witness = moves_back(parents[0], meet)[::-1]
+    witness += [invert_move(mv) for mv in moves_back(parents[1], meet)]
     state = s1
     for move in witness:
         state = apply_move(state, move, cfg)
-    if canonical_form(state, cfg) != k2:
+    if state != s2:
         raise AssertionError("witness replay did not reach the target state")
     return OrbitCertificate("same-orbit", witness, explored, budget)

@@ -7,10 +7,14 @@ to an oracle, the oracle lives here.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 from monolab.homology import HomologyClass
-from monolab.words import PositiveFactorization, TwistLetter, Word, sp_image
+from monolab.scenarios import mck_factorization
+from monolab.words import (
+    PositiveFactorization, TwistLetter, Word, elementary_transformation, sp_image,
+)
 
 
 def naive_j_matrix(genus):
@@ -121,3 +125,13 @@ def random_positive_factorization(rng, genus, length, with_separating=True):
             letters.append(TwistLetter(random_class(rng, genus), 1))
     word = Word(letters, genus)
     return PositiveFactorization(word, sp_image(word))
+
+
+def mck_depth3_inputs():
+    """mck g=2 and the result of three seeded Hurwitz moves on it."""
+    rng = random.Random(5)
+    start = end = mck_factorization(2)
+    for _ in range(3):
+        end = elementary_transformation(end, rng.randrange(len(end.letters) - 1),
+                                        rng.choice(("left", "right")))
+    return start, end

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
-from monolab import cli, schemas
+from monolab import cli, johnson, schemas
 from monolab.homology import basis_a, basis_b
 from monolab.scenarios import mck, torelli_f, twisted_mck
 from monolab.words import TwistLetter, Word, sp_image
+from helpers import mck_depth3_inputs
 
 
 def run_cli(argv, capsys):
@@ -330,3 +332,51 @@ def test_lattice_enumerate_box_is_capped(tmp_path, capsys):
     assert code == cli.EX_PRECONDITION
     assert "bound 1000000000" in err and "MAX_BOX_VECTORS = 100000" in err
     assert out == ""
+
+
+def test_hurwitz_budget_is_capped(tmp_path, capsys):
+    # the cap is checked before any state is built, so this fails at once
+    path = write_json(tmp_path, "mck.json", mck_fact_doc())
+    for sub in (["explore", path], ["compare", path, path]):
+        code, out, err = run_cli(["hurwitz", *sub, "--mod", "3",
+                                  "--budget", str(10 ** 9)], capsys)
+        assert code == cli.EX_PRECONDITION, sub
+        assert "budget 1000000000 is outside 1..MAX_BUDGET = 200000" in err
+        assert out == ""
+
+
+def test_saturation_budget_error_is_a_precondition_failure(monkeypatch, capsys):
+    monkeypatch.setattr(johnson, "_closure_cache", {})
+    monkeypatch.setattr(johnson.saturate, "__defaults__", (3,))
+    code, out, err = run_cli(["distinguish", "--family", "mck", "--genus", "2",
+                              "--n", "1", "--m", "2"], capsys)
+    assert code == cli.EX_PRECONDITION
+    assert "precondition failed: saturation exceeded 3 steps" in err
+    assert out == ""
+
+
+# sha256 of stdout, recorded from the search that keyed its seen sets on
+# canonical_form bytes
+HURWITZ_STDOUT_SHA256 = {
+    "explore --json": "7920028bd92df78e555ef947d46bbfe68c79b77c91d67a2872b75e828e28b818",
+    "explore": "c98e037b4120bfd8e84961d8a50ff20584edf023825afbc40a4bc6008ff1aa2f",
+    "compare --json": "d61a78c1ecbeee48a54d55f418736cea41ac572a77202776365de3a569498b67",
+}
+
+
+def test_hurwitz_stdout_is_pinned(tmp_path, capsys):
+    mck_path = write_json(tmp_path, "mck.json", mck_fact_doc())
+    start, end = mck_depth3_inputs()
+    a = write_json(tmp_path, "a.json", schemas.encode_factorization(start.word))
+    b = write_json(tmp_path, "b.json", schemas.encode_factorization(end.word))
+    explore = ["hurwitz", "explore", mck_path, "--mod", "3", "--budget", "2000"]
+    runs = {
+        "explore --json": explore + ["--json"],
+        "explore": explore,
+        "compare --json": ["hurwitz", "compare", a, b, "--mod", "5", "--budget", "20000",
+                           "--json"],
+    }
+    for name, argv in runs.items():
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == HURWITZ_STDOUT_SHA256[name], name

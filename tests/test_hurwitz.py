@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from monolab import hurwitz
 from monolab.homology import HomologyClass, basis_a, basis_b, twist_matrix
 from monolab.hurwitz import (
     OrbitCertificate,
@@ -15,8 +16,10 @@ from monolab.hurwitz import (
     same_orbit,
 )
 from monolab.scenarios import mck_factorization
-from monolab.words import PositiveFactorization, TwistLetter, Word, sp_image
-from helpers import random_class, random_positive_factorization
+from monolab.words import (
+    PositiveFactorization, TwistLetter, Word, elementary_transformation, sp_image,
+)
+from helpers import mck_depth3_inputs, random_class, random_positive_factorization
 
 
 def fact_of(letters, genus):
@@ -48,6 +51,17 @@ def test_pair_product_equals_the_dense_product_mod_m():
                           for _ in range(2))
                 for pair in ((cu, cv), (cu, zero), (zero, cv)):
                     assert _pair_product(*pair, g, m) == dense_product_mod(pair, g, m)
+
+
+def test_pair_cache_never_grows_past_its_cap(monkeypatch):
+    monkeypatch.setattr(hurwitz, "MAX_PAIR_CACHE", 8)
+    monkeypatch.setattr(hurwitz, "_pair_cache", {})
+    rng = random.Random(73)
+    g, m = 2, 5
+    for _ in range(50):
+        cu, cv = (tuple(x % m for x in random_class(rng, g).coords) for _ in range(2))
+        assert _pair_product(cu, cv, g, m) == dense_product_mod((cu, cv), g, m)
+        assert 1 <= len(hurwitz._pair_cache) <= 8
 
 
 def test_canonical_form_deterministic_and_injective():
@@ -246,3 +260,59 @@ def test_certificate_vocabulary():
     cert = OrbitCertificate("unknown", None, 5, 10)
     doc = cert.as_dict()
     assert "not a proof of inequivalence" in doc["certification_level"]
+
+
+@pytest.mark.parametrize("search", [orbit_explore, lambda f, cfg, b: same_orbit(f, f, cfg, b)])
+def test_budget_above_the_cap_is_refused_before_any_state(monkeypatch, search):
+    def no_state(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(hurwitz, "reduce_factorization", no_state)
+    with pytest.raises(ValueError, match=r"budget 200001 is outside 1\.\.MAX_BUDGET = 200000"):
+        search(mck_factorization(2), QuotientConfig(3, 4), hurwitz.MAX_BUDGET + 1)
+
+
+def _replay_inputs():
+    rng = random.Random(71)
+    fact = random_positive_factorization(rng, 2, 5)
+    other = fact
+    for _ in range(4):
+        other = elementary_transformation(other, rng.randint(0, 3),
+                                          rng.choice(("left", "right")))
+    return fact, other
+
+
+def _neighbor_inputs():
+    g = 2
+    fact = fact_of(
+        [TwistLetter(basis_a(g, 1)), TwistLetter(basis_b(g, 1)),
+         TwistLetter(basis_a(g, 2))], g)
+    return fact, elementary_transformation(fact, 0, "left")
+
+
+def _alternating_inputs():
+    g = 2
+    a, b = TwistLetter(basis_a(g, 1)), TwistLetter(basis_b(g, 1))
+    return fact_of([a, b, a, b], g), fact_of([b, a, b, a], g)
+
+
+# (inputs, modulus, budget) -> (verdict, explored, witness), recorded from
+# the search that keyed its seen sets on canonical_form bytes
+PINNED_SEARCHES = [
+    (_replay_inputs, 5, 20000,
+     ("same-orbit", 96, ((0, "right"), (1, "left"), (2, "right"), (3, "left")))),
+    (_neighbor_inputs, 3, 1000, ("same-orbit", 3, ((0, "left"),))),
+    (lambda: _neighbor_inputs()[:1] * 2, 3, 100, ("same-orbit", 0, ())),
+    (_alternating_inputs, 3, 3, ("unknown", 3, None)),
+    (_alternating_inputs, 3, 100, ("unknown", 100, None)),
+    (mck_depth3_inputs, 5, 20000,
+     ("same-orbit", 332, ((5, "left"), (7, "left"), (9, "right")))),
+    (mck_depth3_inputs, 5, 300, ("unknown", 300, None)),
+]
+
+
+@pytest.mark.parametrize("inputs,modulus,budget,expected", PINNED_SEARCHES)
+def test_same_orbit_outputs_are_pinned(inputs, modulus, budget, expected):
+    f1, f2 = inputs()
+    cert = same_orbit(f1, f2, QuotientConfig(modulus, f1.genus), budget)
+    assert (cert.verdict, cert.explored, cert.witness) == expected

@@ -35,7 +35,7 @@ VALUE_TYPES = [
 IDENTITY_TYPES = [
     (QuotientConfig, lambda: QuotientConfig(3, 2)),
     (OrbitCertificate, lambda: OrbitCertificate("unknown", None, 0, 1)),
-    (ExploreReport, lambda: ExploreReport({b"x"}, True, 1, 1)),
+    (ExploreReport, lambda: ExploreReport({()}, QuotientConfig(3, 2), True, 1, 1)),
     (TorelliWord, lambda: torelli_f(2, "mck")),
     (Certificate, lambda: Certificate("mck", 3, 1, 2, QuotientClass.zero(3), 1, 2,
                                       SublatticeBasis(14, ()), SublatticeBasis(14, ()))),
