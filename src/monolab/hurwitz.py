@@ -173,12 +173,11 @@ def _check_budget(budget):
 
 def orbit_explore(fact, cfg, budget):
     """Breadth-first closure of the reduced orbit, capped at ``budget``
-    states.  The report says whether closure was reached."""
+    states; a new state that does not fit ends it with closure not reached."""
     _check_budget(budget)
     start = reduce_factorization(fact, cfg)
     seen = {start}
     frontier = deque([start])
-    complete = True
     while frontier:
         state = frontier.popleft()
         for move in _moves(state):
@@ -186,11 +185,10 @@ def orbit_explore(fact, cfg, budget):
             if nxt in seen:
                 continue
             if len(seen) >= budget:
-                complete = False
-                continue
+                return ExploreReport(seen, cfg, False, len(seen), budget)
             seen.add(nxt)
             frontier.append(nxt)
-    return ExploreReport(seen, cfg, complete, len(seen), budget)
+    return ExploreReport(seen, cfg, True, len(seen), budget)
 
 
 def _invariant_mismatch(s1, s2):
@@ -209,8 +207,11 @@ def same_orbit(f1, f2, cfg, budget):
     The positive verdict carries a witness that is replayed before being
     returned.  A negative in-budget verdict is only a statement about this
     search, except when a move invariant already separates the inputs.
+    ``explored`` counts both roots and never exceeds ``budget`` (at least 2).
     """
     _check_budget(budget)
+    if budget < 2:
+        raise ValueError("budget %d is below 2, the two roots of the search" % budget)
     s1 = reduce_factorization(f1, cfg)
     s2 = reduce_factorization(f2, cfg)
     reason = _invariant_mismatch(s1, s2)
@@ -224,7 +225,7 @@ def same_orbit(f1, f2, cfg, budget):
     frontiers = (deque([s1]), deque([s2]))
     explored = 2
     meet = None
-    while frontiers[0] or frontiers[1]:
+    while (frontiers[0] or frontiers[1]) and explored < budget and meet is None:
         # grow the smaller side while it has a frontier
         idx = 0 if frontiers[0] and (len(parents[0]) <= len(parents[1]) or not frontiers[1]) else 1
         mine, other = parents[idx], parents[1 - idx]
@@ -241,8 +242,6 @@ def same_orbit(f1, f2, cfg, budget):
             if explored >= budget:
                 break
             frontiers[idx].append(nxt)
-        if meet is not None or explored >= budget:
-            break
     if meet is None:
         return OrbitCertificate("unknown", None, explored, budget,
                                 "budget exhausted before the searches met")

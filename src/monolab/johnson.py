@@ -23,6 +23,11 @@ A Torelli word is given to tau as an explicit product of conjugated
 bounding-pair maps.  No attempt is made to evaluate tau on a raw twist
 word: deciding whether a word is Torelli and presenting it by bounding
 pairs is the caller's job.
+
+tau is computed by transport (Johnson's equivariance, see ``tau_word``).
+The quotient action is built only for twist letters, from their rank-one
+shape, to saturate and replay; the dense action by 3x3 minors,
+``sp_action_quotient``, is the oracle the tests check both against.
 """
 
 import itertools
@@ -275,73 +280,45 @@ def sp_action_wedge(m, w):
     return Wedge3(w.genus, out)
 
 
-def _rank_one_split(mg, n):
-    """Write mg - I as column c times row s if possible, else None.
-
-    Twist matrices and their powers all have this shape, which makes the
-    induced wedge action expand with no cross terms (c ^ c = 0).
-    """
-    d = [[mg[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    c = None
-    for j in range(n):
-        col = [d[i][j] for i in range(n)]
-        if any(col):
-            g = _linalg.gcd_all(col)
-            c = [x // g for x in col]
-            break
-    if c is None:
-        return [0] * n, [0] * n
-    lead = next(i for i in range(n) if c[i])
-    if c[lead] < 0:
-        c = [-x for x in c]
-    s = []
-    for j in range(n):
-        num = d[lead][j]
-        if num % c[lead] != 0:
-            return None
-        sj = num // c[lead]
-        for i in range(n):
-            if d[i][j] != sj * c[i]:
-                return None
-        s.append(sj)
-    return c, s
+def sp_action_quotient(m, q):
+    """The action on the quotient by the wedge action on q's retained-triple
+    lift; well defined because the embedding of H is equivariant (a
+    symplectic map fixes the form used to wedge).  The tests' oracle."""
+    if m.genus != q.genus:
+        raise GenusMismatchError("map and class genus differ")
+    tab = _table(q.genus)
+    lift = [0] * tab.dim_wedge
+    for trip, c in zip(tab.retained, q.coords):
+        lift[tab.triple_index[trip]] = c
+    return reduce_to_quotient(sp_action_wedge(m, Wedge3(q.genus, lift)))
 
 
+MAX_ACTION_CACHE = 256
 _action_cache = {}
 
 
-def _quotient_action_columns(m):
-    """Sparse columns of the quotient action of m, minus the identity.
+def _twist_columns(genus, coords, power):
+    """Sparse columns of the quotient action of T_c^power, minus the identity.
 
-    Keyed per matrix; the two code paths (rank-one expansion for twist
-    shapes, dense minors otherwise) agree and are cross-checked in tests.
+    T_c^p = I + c (p s)^T with s.x = <x, c> as in ``homology._right_twist``,
+    so the wedge action has no cross terms (c ^ c = 0); c = 0 gives none.
     """
-    key = (m.genus, m.rows)
-    cached = _action_cache.get(key)
-    if cached is not None:
-        return cached
-    tab = _table(m.genus)
-    mg = _gamma_matrix(m)
-    split = _rank_one_split(mg, tab.n)
-    cols = {}
-    if split is not None:
-        c, s = split
+    key = (genus, coords, power)
+    cols = _action_cache.get(key)
+    if cols is None:
+        tab = _table(genus)
+        s = coords[genus:] + tuple(-x for x in coords[:genus])
+        c_gamma = [coords[i] for i in tab.perm]
+        s_gamma = [power * s[i] for i in tab.perm]
+        cols = {}
         for r_idx, trip in enumerate(tab.retained):
-            entries = _rank_one_column(tab, c, s, trip)
+            entries = _rank_one_column(tab, c_gamma, s_gamma, trip)
             delta = _reduced_delta(tab, entries, r_idx)
             if delta:
                 cols[r_idx] = delta
-    else:
-        for r_idx, trip in enumerate(tab.retained):
-            entries = {}
-            for t_idx, dst in enumerate(tab.triples):
-                v = _minor3(mg, dst, trip)
-                if v:
-                    entries[dst] = v
-            delta = _reduced_delta(tab, entries, r_idx)
-            if delta:
-                cols[r_idx] = delta
-    _action_cache[key] = cols
+        if len(_action_cache) >= MAX_ACTION_CACHE:
+            _action_cache.clear()
+        _action_cache[key] = cols
     return cols
 
 
@@ -383,21 +360,29 @@ def _reduced_delta(tab, entries, r_idx):
     return tuple((i, v) for i, v in sorted(acc.items()) if v)
 
 
-def sp_action_quotient(m, q):
-    """The action on the quotient; well defined because the embedding of H
-    is equivariant (a symplectic map fixes the form used to wedge)."""
-    if m.genus != q.genus:
-        raise GenusMismatchError("map and class genus differ")
-    cols = _quotient_action_columns(m)
-    out = list(q.coords)
-    for j, qj in enumerate(q.coords):
-        if qj == 0:
-            continue
-        col = cols.get(j)
-        if col:
-            for i, a in col:
-                out[i] += a * qj
-    return QuotientClass(q.genus, out)
+def _act(cols, vec):
+    """The image of a quotient vector under the identity plus ``cols``."""
+    img = list(vec)
+    for j, vj in enumerate(vec):
+        if vj:
+            col = cols.get(j)
+            if col:
+                for i, a in col:
+                    img[i] += a * vj
+    return img
+
+
+def _letter_columns(letters, genus):
+    """(coords, power) of each nonseparating letter, and the columns of each
+    of them and of its inverse; separating letters act as the identity."""
+    keys = []
+    for letter in letters:
+        if letter.genus != genus:
+            raise GenusMismatchError("action generator genus differs from seeds")
+        if not letter.curve.is_zero():
+            keys.append((letter.curve.coords, letter.power))
+    cols = [_twist_columns(genus, c, p) for c, power in keys for p in (power, -power)]
+    return keys, cols
 
 
 # --------------------------------------------------------------------------
@@ -446,11 +431,14 @@ class BoundingPairGen(Frozen):
         return self.cls.genus
 
 
-def tau_bounding_pair(gen):
-    """Johnson value of the bounding-pair map: (sum_j alpha_j ^ beta_j) ^ cls."""
+def tau_bounding_pair(gen, m=None):
+    """Johnson value of the bounding-pair map: (sum_j alpha_j ^ beta_j) ^ cls;
+    given a symplectic map ``m``, m_* of it: the wedge of the data moved by m."""
+    move = m.apply if m is not None else (lambda x: x)
+    cls = move(gen.cls)
     total = Wedge3.zero(gen.genus)
     for a, b in gen.side_basis:
-        total = total + wedge3(a, b, gen.cls)
+        total = total + wedge3(move(a), move(b), cls)
     return reduce_to_quotient(total)
 
 
@@ -516,29 +504,28 @@ def bounding_pair_word(gen):
 
 
 def tau_word(tw):
-    """tau of a Torelli word, by equivariance and additivity over factors."""
+    """tau of a Torelli word, additive over factors.  By Johnson's
+    equivariance tau(w x w^{-1}) = w_* tau(x) (Math. Ann. 249, 1980), a
+    factor (w, gen, e) adds e * tau_bounding_pair(gen, sp_image(w))."""
     total = QuotientClass.zero(tw.genus)
     for w, gen, e in tw.factors:
-        if e == 0:
-            continue
-        val = sp_action_quotient(sp_image(w), tau_bounding_pair(gen))
-        total = total + e * val
+        if e:
+            total = total + e * tau_bounding_pair(gen, sp_image(w))
     return total
 
 
 def commutator_tau(k, tw, n):
     """tau of the commutator [k^{-1}, tw^n] = k^{-1} tw^n k tw^{-n}.
 
-    ``k`` is a plain twist word; the value is
-    n * ( (k_*)^{-1} tau(tw) - tau(tw) ), and it is cross-checked against
+    ``k`` is a plain twist word; the value is n * ( (k_*)^{-1} tau(tw) -
+    tau(tw) ), with (k_*)^{-1} tau(tw) = tau(k^{-1} tw k), cross-checked against
     tau of the literal commutator built factor by factor.
     """
     if k.genus != tw.genus:
         raise GenusMismatchError("word and Torelli word genus differ")
     n = int(n)
     base = tau_word(tw)
-    mk_inv = sp_image(k).inverse()
-    value = n * (sp_action_quotient(mk_inv, base) - base)
+    value = n * (tau_word(tw.conjugated_by(k.inverse())) - base)
     literal = tw.power(n).conjugated_by(k.inverse()) * tw.power(-n)
     if tau_word(literal) != value:
         raise AssertionError("commutator tau: formula and literal word disagree")
@@ -549,19 +536,21 @@ def commutator_tau(k, tw, n):
 # saturation and certificates
 
 
+MAX_CLOSURE_CACHE = 32
 _closure_cache = {}
 
 
 def saturate(seeds, action_gens, max_steps=200000):
-    """Smallest subgroup containing the seeds and stable under the generated
-    group action (each generator and its inverse), as a Hermite basis.
+    """Smallest subgroup containing the seeds and stable under the twist
+    letters ``action_gens`` and their inverses, as a Hermite basis.
 
     The closure commutes with integer scaling, so any common content of the
     seeds is factored out first and restored at the end; this keeps the
     arithmetic on primitive data and lets all scalings of one seed family
     share a single cached closure.  Termination is guaranteed (ascending
     chains of subgroups of a finite-rank free abelian group stabilize); the
-    step budget guards against implementation bugs only.
+    step budget guards against implementation bugs only.  The cache is
+    cleared when it holds MAX_CLOSURE_CACHE closures.
     """
     seeds = list(seeds)
     if not seeds:
@@ -578,21 +567,13 @@ def saturate(seeds, action_gens, max_steps=200000):
         return SublatticeBasis(dim, ())
     reduced = [tuple(x // scale for x in s.coords) for s in seeds]
 
-    gen_keys = []
-    directed = []
-    for m in action_gens:
-        if m.genus != genus:
-            raise GenusMismatchError("action generator genus differs from seeds")
-        if m.is_identity():
-            continue
-        gen_keys.append(m.rows)
-        directed.append(_quotient_action_columns(m))
-        directed.append(_quotient_action_columns(m.inverse()))
-
+    gen_keys, directed = _letter_columns(action_gens, genus)
     cache_key = (genus, tuple(sorted(set(reduced))), tuple(sorted(gen_keys)))
     rows = _closure_cache.get(cache_key)
     if rows is None:
         rows = _closure(dim, reduced, directed, max_steps)
+        if len(_closure_cache) >= MAX_CLOSURE_CACHE:
+            _closure_cache.clear()
         _closure_cache[cache_key] = rows
     if scale != 1:
         rows = tuple(tuple(scale * x for x in r) for r in rows)
@@ -616,15 +597,7 @@ def _closure(dim, seed_vectors, directed_columns, max_steps):
         if not lat.insert(vec):
             continue
         for cols in directed_columns:
-            img = list(vec)
-            for j, vj in enumerate(vec):
-                if vj == 0:
-                    continue
-                col = cols.get(j)
-                if col:
-                    for i, a in col:
-                        img[i] += a * vj
-            queue.append(img)
+            queue.append(_act(cols, vec))
     return lat.hnf_rows()
 
 
@@ -764,12 +737,10 @@ def check_certificate(cert_dict, family, deep=True):
         )
         if deep:
             stable = True
-            for g in family.action_generators():
-                for direction in (g, g.inverse()):
-                    for row in basis.rows:
-                        img = sp_action_quotient(direction, QuotientClass(genus, row))
-                        if not basis.member(img.coords):
-                            stable = False
+            for cols in _letter_columns(family.action_generators(), genus)[1]:
+                for row in basis.rows:
+                    if not basis.member(_act(cols, row)):
+                        stable = False
             record("lattice stable under the action at %d" % param, stable)
     record(
         "contents give the divisibility contradiction",

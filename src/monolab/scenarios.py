@@ -39,7 +39,6 @@ from .homology import (
     fixed_subspace_dim,
     intersection,
     is_primitive,
-    twist_matrix,
     zero_class,
 )
 from .invariants import FibrationSpec
@@ -516,7 +515,7 @@ class FamilySpec:
         return list(self._seed_cache[n])
 
     def action_generators(self):
-        return [twist_matrix(l.curve, 1) for l in self.base_letters]
+        return list(self.base_letters)
 
     def witness_class(self):
         return self._witness

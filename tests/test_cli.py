@@ -345,6 +345,15 @@ def test_hurwitz_budget_is_capped(tmp_path, capsys):
         assert out == ""
 
 
+def test_hurwitz_compare_budget_below_two_is_refused(tmp_path, capsys):
+    path = write_json(tmp_path, "mck.json", mck_fact_doc())
+    code, out, err = run_cli(["hurwitz", "compare", path, path, "--mod", "3",
+                              "--budget", "1"], capsys)
+    assert code == cli.EX_PRECONDITION
+    assert "budget 1 is below 2" in err
+    assert out == ""
+
+
 def test_saturation_budget_error_is_a_precondition_failure(monkeypatch, capsys):
     monkeypatch.setattr(johnson, "_closure_cache", {})
     monkeypatch.setattr(johnson.saturate, "__defaults__", (3,))

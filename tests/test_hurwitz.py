@@ -157,6 +157,45 @@ def test_budget_truncation():
     assert report.explored == 50
 
 
+def test_truncated_explore_stops_at_the_first_state_that_does_not_fit(monkeypatch):
+    # once a new state finds the seen set full, no later move can change
+    # the report, so the search makes no further move
+    from collections import deque
+    cfg = QuotientConfig(3, 4)
+    fact = mck_factorization(2)
+    budget = 300
+    calls = []
+
+    def counting(state, move, cfg):
+        calls.append(move)
+        return apply_move(state, move, cfg)
+
+    monkeypatch.setattr(hurwitz, "apply_move", counting)
+    report = orbit_explore(fact, cfg, budget)
+    assert (report.complete, report.explored) == (False, budget)
+    # the reference count: breadth-first over canonical forms, up to and
+    # including the move whose new state did not fit
+    start = reduce_factorization(fact, cfg)
+    seen, queue, moves = {canonical_form(start, cfg)}, deque([start]), 0
+    while queue and len(seen) <= budget:
+        state = queue.popleft()
+        for pos in range(len(state) - 1):
+            for direction in ("left", "right"):
+                nxt = apply_move(state, (pos, direction), cfg)
+                moves += 1
+                key = canonical_form(nxt, cfg)
+                if key not in seen:
+                    seen.add(key)
+                    queue.append(nxt)
+                if len(seen) > budget:
+                    break
+            if len(seen) > budget:
+                break
+    assert len(calls) == moves
+    # expanding every seen state, as a search that runs on would, takes more
+    assert len(calls) < budget * 2 * (len(start) - 1)
+
+
 def test_explore_deterministic():
     cfg = QuotientConfig(3, 4)
     fact = mck_factorization(2)
@@ -270,6 +309,20 @@ def test_budget_above_the_cap_is_refused_before_any_state(monkeypatch, search):
     monkeypatch.setattr(hurwitz, "reduce_factorization", no_state)
     with pytest.raises(ValueError, match=r"budget 200001 is outside 1\.\.MAX_BUDGET = 200000"):
         search(mck_factorization(2), QuotientConfig(3, 4), hurwitz.MAX_BUDGET + 1)
+
+
+def test_same_orbit_budget_counts_both_roots():
+    f1, f2 = mck_depth3_inputs()
+    cfg = QuotientConfig(5, f1.genus)
+    with pytest.raises(ValueError, match=r"budget 1 is below 2"):
+        same_orbit(f1, f2, cfg, 1)
+    for budget in (2, 3):
+        for a, b in ((f1, f2), _alternating_inputs(), _neighbor_inputs()):
+            cert = same_orbit(a, b, QuotientConfig(5, a.genus), budget)
+            assert cert.explored <= budget
+    # the two roots fill a budget of 2, so no state is expanded
+    cert = same_orbit(f1, f2, cfg, 2)
+    assert (cert.verdict, cert.explored) == ("unknown", 2)
 
 
 def _replay_inputs():

@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monolab.homology import (
     HomologyClass,
@@ -10,6 +12,7 @@ from monolab.homology import (
     twist_matrix,
     zero_class,
 )
+from monolab import johnson
 from monolab.johnson import (
     BoundingPairGen,
     QuotientClass,
@@ -184,32 +187,54 @@ def test_sp_action_functorial_and_descends():
 
 
 def test_quotient_action_rank_one_matches_dense():
-    # the rank-one fast path and the dense minor path agree on twist powers
-    from monolab.johnson import _quotient_action_columns, _action_cache, _rank_one_split, _gamma_matrix
+    # the per-letter rank-one columns agree with the dense oracle on both
+    # powers of a twist, and a separating (zero) letter acts as the identity
+    from monolab.johnson import _action_cache, _twist_columns
     genus = 3
+    tab = _table(genus)
     rng = random.Random(7)
-    for _ in range(6):
-        m = twist_matrix(random_class(rng, genus), rng.choice((1, -1)))
-        assert _rank_one_split(_gamma_matrix(m), 2 * genus) is not None
-        _action_cache.pop((m.genus, m.rows), None)
-        fast = _quotient_action_columns(m)
-        # force the dense path by composing with the identity the long way
-        tab = _table(genus)
-        dense = {}
-        for r_idx, trip in enumerate(tab.retained):
-            q = QuotientClass(genus, [1 if i == r_idx else 0 for i in range(tab.dim_quot)])
-            img = sp_action_quotient(m, q)
-            delta = [(i, v - (1 if i == r_idx else 0)) for i, v in enumerate(img.coords)]
-            delta = tuple((i, v) for i, v in delta if v)
-            if delta:
-                dense[r_idx] = delta
-        assert fast == dense
+    curves = [random_class(rng, genus) for _ in range(6)] + [zero_class(genus)]
+    for c in curves:
+        for power in (1, -1):
+            _action_cache.pop((genus, c.coords, power), None)
+            fast = _twist_columns(genus, c.coords, power)
+            m = twist_matrix(c, power)
+            dense = {}
+            for r_idx in range(tab.dim_quot):
+                q = QuotientClass(genus, [1 if i == r_idx else 0 for i in range(tab.dim_quot)])
+                img = sp_action_quotient(m, q)
+                delta = [(i, v - (1 if i == r_idx else 0)) for i, v in enumerate(img.coords)]
+                delta = tuple((i, v) for i, v in delta if v)
+                if delta:
+                    dense[r_idx] = delta
+            assert fast == dense
+            assert bool(fast) == (not c.is_zero())
+
+
+def test_action_cache_never_grows_past_its_cap(monkeypatch):
+    monkeypatch.setattr(johnson, "MAX_ACTION_CACHE", 4)
+    monkeypatch.setattr(johnson, "_action_cache", {})
+    genus = 2
+    rng = random.Random(31)
+    for _ in range(20):
+        johnson._twist_columns(genus, random_class(rng, genus).coords, rng.choice((1, -1)))
+        assert 1 <= len(johnson._action_cache) <= 4
+
+
+def test_closure_cache_never_grows_past_its_cap(monkeypatch):
+    monkeypatch.setattr(johnson, "MAX_CLOSURE_CACHE", 3)
+    monkeypatch.setattr(johnson, "_closure_cache", {})
+    g = 3
+    gens = [TwistLetter(basis_a(g, 1), 1)]
+    for idx in range(10):
+        saturate([_simple_seed(g, idx % _table(g).dim_quot)], gens)
+        assert 1 <= len(johnson._closure_cache) <= 3
 
 
 def test_quotient_action_dense_path_against_wedge_action():
-    # the involution's difference from the identity has full rank, so its
-    # quotient action goes through the dense-minor path; cross-check it
-    # against the direct wedge action on lifts of basis classes
+    # the involution's difference from the identity has full rank, so no
+    # rank-one shortcut applies; cross-check the quotient action against
+    # the direct wedge action on lifts of basis classes
     from monolab.scenarios import eta_matrix
     g = 2
     genus = 2 * g
@@ -277,6 +302,53 @@ def test_tau_naturality_randomized():
         )
 
 
+def _bounding_pairs(g):
+    """Random bounding-pair data: side pairs from a subset of the standard
+    symplectic pairs, a primitive class in the span of the others, all moved
+    by the symplectic image of a random word."""
+    def build(side, coeffs, scramble):
+        rest = [i for i in range(1, g + 1) if i not in side]
+        cls = zero_class(g)
+        for i, (x, y) in zip(rest, coeffs):
+            cls = cls + x * basis_a(g, i) + y * basis_b(g, i)
+        if cls.is_zero():
+            cls = basis_b(g, rest[0])
+        cls = HomologyClass(g, [x // math.gcd(*cls.coords) for x in cls.coords])
+        m = sp_image(Word(scramble, g))
+        return BoundingPairGen(m.apply(cls), [(m.apply(basis_a(g, i)), m.apply(basis_b(g, i)))
+                                              for i in sorted(side)])
+
+    sides = st.sets(st.integers(1, g), min_size=1, max_size=g - 1)
+    coeffs = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=g, max_size=g)
+    return st.builds(build, sides, coeffs, st.lists(_letters(g), max_size=4))
+
+
+def _letters(g):
+    vectors = st.lists(st.integers(-2, 2), min_size=2 * g, max_size=2 * g).filter(any)
+    return st.builds(
+        lambda v, p: TwistLetter(HomologyClass(g, [x // math.gcd(*v) for x in v]), p),
+        vectors, st.sampled_from((1, -1)))
+
+
+def _torelli_factors(g):
+    factor = st.tuples(st.lists(_letters(g), max_size=4), _bounding_pairs(g),
+                       st.sampled_from((1, -1, 2)))
+    return st.tuples(st.just(g), st.lists(factor, min_size=1, max_size=3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4).flatmap(_torelli_factors))
+def test_tau_word_is_the_transport_of_tau_bounding_pair(data):
+    # Johnson's equivariance, with the dense action as the oracle: each
+    # factor (w, gen, e) contributes e * sp_image(w)_* tau(gen)
+    g, factors = data
+    tw = TorelliWord([(Word(letters, g), gen, e) for letters, gen, e in factors], g)
+    want = QuotientClass.zero(g)
+    for w, gen, e in tw.factors:
+        want = want + e * sp_action_quotient(sp_image(w), tau_bounding_pair(gen))
+    assert tau_word(tw) == want
+
+
 def test_commutator_tau_trivial_cases():
     g = 4
     gen = BoundingPairGen(basis_b(g, 2), [(basis_a(g, 1), basis_b(g, 1))])
@@ -321,11 +393,11 @@ def _simple_seed(genus, idx, scale=1):
 def test_saturate_trivials():
     g = 3
     zero = QuotientClass.zero(g)
-    basis = saturate([zero], [SpMap.identity(g)])
+    basis = saturate([zero], [])
     assert basis.rank == 0
     assert content(basis) == 0
     seed = _simple_seed(g, 2, 3)
-    basis = saturate([seed], [SpMap.identity(g)])
+    basis = saturate([seed], [])
     assert basis.rank == 1
     assert list(basis.rows[0]) == list(seed.coords)
     assert content(basis) == 3
@@ -334,7 +406,7 @@ def test_saturate_trivials():
 def test_saturate_monotone_idempotent_scaling():
     g = 3
     rng = random.Random(23)
-    gens = [twist_matrix(basis_a(g, 1), 1), twist_matrix(basis_b(g, 1), 1)]
+    gens = [TwistLetter(basis_a(g, 1), 1), TwistLetter(basis_b(g, 1), 1)]
     tab = _table(g)
     seeds = [QuotientClass(g, [rng.randint(-2, 2) for _ in range(tab.dim_quot)])
              for _ in range(2)]
@@ -354,14 +426,14 @@ def test_saturate_monotone_idempotent_scaling():
 def test_saturate_invariance_postcondition():
     g = 3
     rng = random.Random(29)
-    gens = [twist_matrix(random_class(rng, g), 1) for _ in range(3)]
+    gens = [TwistLetter(random_class(rng, g), 1) for _ in range(3)]
     tab = _table(g)
     seeds = [QuotientClass(g, [rng.randint(-1, 1) for _ in range(tab.dim_quot)])]
     basis = saturate(seeds, gens)
     for s in seeds:
         assert basis.member(s.coords)
-    for m in gens:
-        for direction in (m, m.inverse()):
+    for letter in gens:
+        for direction in (letter.matrix(), letter.inverse().matrix()):
             for row in basis.rows:
                 img = sp_action_quotient(direction, QuotientClass(g, row))
                 assert basis.member(img.coords)
@@ -371,6 +443,6 @@ def test_content_examples():
     g = 3
     tab = _table(g)
     one = _simple_seed(g, 0)
-    assert content(saturate([one], [SpMap.identity(g)])) == 1
+    assert content(saturate([one], [])) == 1
     two = [_simple_seed(g, 0, 2), _simple_seed(g, 1, 4)]
-    assert content(saturate(two, [SpMap.identity(g)])) == 2
+    assert content(saturate(two, [])) == 2
