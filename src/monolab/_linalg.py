@@ -379,10 +379,10 @@ def smith_normal_form(mat):
     return U, D, V
 
 
-def kernel_basis(mat):
-    """Primitive integer basis of {x : mat @ x == 0} (right kernel)."""
+def kernel_basis(mat, n):
+    """Primitive integer basis of {x : mat @ x == 0} (right kernel) for a
+    matrix with n columns; a matrix with no rows has all of Z^n."""
     m = len(mat)
-    n = len(mat[0]) if m else 0
     if n == 0:
         return ()
     if m == 0:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 computation ran (any verdict), 2 malformed input or usage,
 3 a checked precondition failed (the message names it), 64 unknown
-subcommand, 66 input file not found.  Output is deterministic byte for
+subcommand, 66 input file not found, 70 an internal self-check failed (a
+fault in monolab, not in the input).  Output is deterministic byte for
 byte for fixed inputs and flags: keys are sorted, orderings canonical,
 and nothing timestamps.
 """
@@ -21,6 +22,7 @@ EX_SCHEMA = 2
 EX_PRECONDITION = 3
 EX_UNKNOWN_COMMAND = 64
 EX_NO_INPUT = 66
+EX_SOFTWARE = 70
 
 
 class UsageError(Exception):
@@ -102,21 +104,18 @@ def _cmd_verify(argv):
     return EX_OK
 
 
-_FAMILY_SPECS = {"mck": scenarios.twisted_mck, "chain": scenarios.chain_family}
-
-
-def _family_maker(fam):
-    if fam not in _FAMILY_SPECS:
+def _check_family(fam):
+    if fam not in scenarios.FAMILY_KINDS:
         raise UsageError("unknown family %r" % fam)
-    return _FAMILY_SPECS[fam]
 
 
 def _spec_from_args(args):
     fam = args.get("family")
     if fam is None:
         raise UsageError("need a spec file or --family mck|chain")
-    make = _family_maker(fam)
-    return make(args.get_int("genus"), args.get_int("n", 0))
+    _check_family(fam)
+    g, n = args.get_int("genus"), args.get_int("n", 0)
+    return scenarios.family(fam, g).spec(n)
 
 
 def _cmd_invariants(argv):
@@ -127,7 +126,7 @@ def _cmd_invariants(argv):
         fam = args.get("family")
         if fam is None:
             raise UsageError("--grid requires --family")
-        make = _family_maker(fam)
+        _check_family(fam)
         try:
             g_part, n_part = grid.split(",")
             g0, g1 = (int(x) for x in g_part.split(".."))
@@ -138,8 +137,9 @@ def _cmd_invariants(argv):
         # part-way leaves stdout empty
         lines = ["family,g,n,chi,sigma,b1,b2_plus,b2_minus"]
         for g in range(g0, g1 + 1):
+            family = scenarios.family(fam, g)
             for n in range(n0, n1 + 1):
-                r = invariants.full_report(make(g, n))
+                r = invariants.full_report(family.spec(n))
                 lines.append("%s,%d,%d,%d,%d,%d,%d,%d"
                              % (fam, g, n, r.chi, r.sigma, r.b1, r.b2_plus, r.b2_minus))
         print("\n".join(lines))
@@ -196,7 +196,7 @@ def _cmd_distinguish(argv):
     args = _Args(argv, flags_with_value=("family", "genus", "n", "m"),
                  switches=("json", "deep-check"))
     fam_name = args.get("family")
-    if fam_name not in ("mck", "chain"):
+    if fam_name not in scenarios.FAMILY_KINDS:
         raise UsageError("--family must be mck or chain")
     g = args.get_int("genus")
     n = args.get_int("n")
@@ -360,13 +360,9 @@ def _cmd_scenario(argv):
     sub, rest = argv[0], argv[1:]
     args = _Args(rest, flags_with_value=("genus", "n", "context"))
     g = args.get_int("genus")
-    if sub == "mck":
-        spec = scenarios.twisted_mck(g, args.get_int("n", 0))
-        _emit(schemas.encode_fibration_spec(spec))
-        return EX_OK
-    if sub == "chain":
-        spec = scenarios.chain_family(g, args.get_int("n", 0))
-        _emit(schemas.encode_fibration_spec(spec))
+    if sub in scenarios.FAMILY_KINDS:
+        n = args.get_int("n", 0)
+        _emit(schemas.encode_fibration_spec(scenarios.family(sub, g).spec(n)))
         return EX_OK
     if sub == "curves":
         context = args.get("context", "mck")
@@ -412,6 +408,9 @@ def run(argv):
             johnson.SaturationBudgetError, ValueError, IndexError) as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return EX_PRECONDITION
+    except AssertionError as exc:
+        print("internal self-check failed: %s" % exc, file=sys.stderr)
+        return EX_SOFTWARE
 
 
 def main():

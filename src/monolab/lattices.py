@@ -11,7 +11,6 @@ from . import _linalg
 from ._linalg import Frozen, det, gcd_all, kernel_basis, mat_vec
 
 smith_normal_form = _linalg.smith_normal_form
-hermite_normal_form = _linalg.hnf
 
 # enumerate_pattern holds its whole box in memory; the paper's patterns need
 # boxes of 121 and 343 vectors, and this admits rank 3 up to bound 22.
@@ -46,9 +45,6 @@ class SublatticeBasis(Frozen):
                 lat.insert(r)
             self._init(_lat=lat)
         return self._lat.member(vec)
-
-    def contains(self, other):
-        return all(self.member(r) for r in other.rows)
 
     def content(self):
         """Largest d with the lattice inside d * Z^dim; 0 for the zero lattice."""
@@ -185,7 +181,7 @@ def orthogonal_complement(lattice, classes):
         )
     # complement = integer kernel of the pairing matrix (classes x ambient)
     pair_rows = [mat_vec(lattice.gram, c) for c in classes]
-    basis = SublatticeBasis(n, kernel_basis(pair_rows))
+    basis = SublatticeBasis(n, kernel_basis(pair_rows, n))
     comp = basis.rows
     comp_gram = [[lattice.pairing(u, v) for v in comp] for u in comp]
     if len(comp) + k != n:

@@ -1,6 +1,11 @@
 """Concrete twist data: the genus-2g involution factorization, its Torelli
 twists, and the chain-relation family.
 
+``FamilySpec(kind, g)`` is the one place that knows a family: one
+validated ``CurveTable``, one base word, one twist word and one prefix.
+Member n is the base with its first-acting prefix partially conjugated by
+the n-th twist power; the named builders below all delegate to it.
+
 Transcription policy.  The homology classes of the drawn curves cannot be
 read off a picture by a program, so they are transcribed as a closed
 formula; a directory named by the ``MONOLAB_DATA`` environment variable may
@@ -28,6 +33,7 @@ sign remains free per family; the chain family's commutator values carry
 validated for coherence rather than assumed.
 """
 
+import functools
 import json
 import os
 
@@ -283,118 +289,174 @@ def _extends_to_symplectic(vectors, pairs):
 
 
 # --------------------------------------------------------------------------
-# factorizations and fibration specs
+# the families
 
 
-def _mck_half_letters(table):
-    return tuple(TwistLetter(table.B[j]) for j in range(2 * table.g + 1)) + (table.C,)
+FAMILY_KINDS = ("mck", "chain")
+
+
+class FamilySpec:
+    """One twisted family at one parameter g, built and validated once;
+    the base factorization and its spec are built on first use."""
+
+    def __init__(self, kind, g):
+        if kind not in FAMILY_KINDS:
+            raise ValueError("kind must be 'mck' or 'chain'")
+        least = 2 if kind == "mck" else 3
+        if g < least:
+            raise ValueError("need g >= %d" % least)
+        table = self.table = CurveTable(kind, g)
+        genus = table.genus
+        gen = BoundingPairGen(table.b[2], [(table.a[1], table.b[1])])
+        pair = (TwistLetter(table.x, 1), TwistLetter(table.y, -1))
+        if kind == "mck":
+            # the half word, whose product is eta, written twice; the twist
+            # is the bounding pair and its conjugate by the half word
+            letters = tuple(TwistLetter(table.B[j]) for j in range(2 * g + 1)) + (table.C,)
+            self.base_word = Word(letters * 2, genus)
+            self.prefix_length = len(letters)
+            self.twist = TorelliWord([(Word((), genus), gen, 1),
+                                      (Word(letters, genus), gen, 1)])
+            pair += (TwistLetter(table.hx, 1), TwistLetter(table.hy, -1))
+            self.sections = (-1,) * 4
+        else:
+            # the block (c_1 ... c_2g)^(4g+2), cubed
+            letters = tuple(TwistLetter(table.chain[i]) for i in range(1, 2 * g + 1))
+            block = letters * (4 * g + 2)
+            self.prefix_length = len(block)
+            self.base_word = Word(block * 3, genus)
+            self.twist = TorelliWord([(Word((), genus), gen, 1)])
+            self.sections = (-3,)
+        self.name = kind
+        self.genus_param = g
+        self.surface_genus = genus
+        self.base_letters = letters
+        # the literal twist word: each bounding pair as T_x T_y^-1
+        self.twist_word = Word(pair, genus)
+        self._seed_cache = {}
+        if not sp_image(Word(letters, genus)).commutes_with(sp_image(self.twist_word)):
+            raise ScenarioValidationError(
+                "prefix product does not commute with the twist at Sp level"
+            )
+
+    @functools.cached_property
+    def base(self):
+        """The validated identity factorization of parameter 0."""
+        return PositiveFactorization(self.base_word)
+
+    @functools.cached_property
+    def base_spec(self):
+        return FibrationSpec(self.surface_genus, self.base.letters, self.sections,
+                             hyperelliptic=True)
+
+    def factorization(self, n):
+        if n < 0:
+            raise ValueError("need n >= 0")
+        if n == 0:
+            return self.base
+        return partial_conjugation(self.base, self.prefix_length, self.twist_word.power(n))
+
+    def spec(self, n):
+        """Member n; twisted members are not marked hyperelliptic and carry
+        the base spec as signature reference."""
+        fact = self.factorization(n)
+        if n == 0:
+            return self.base_spec
+        return FibrationSpec(self.surface_genus, fact.letters, self.sections,
+                             hyperelliptic=False, signature_reference=self.base_spec)
+
+    def seed_classes(self, n):
+        n = int(n)
+        if n not in self._seed_cache:
+            self._seed_cache[n] = [
+                commutator_tau(Word([l], self.surface_genus), self.twist, n)
+                for l in self.base_letters
+            ]
+        return list(self._seed_cache[n])
+
+    def action_generators(self):
+        return list(self.base_letters)
+
+    def witness_class(self):
+        """The primitive class whose n-th multiple is a seed.
+
+        Computed two independent ways, which must agree exactly: a closed
+        form, and the commutator value tau([T_k^-1, f]) for one base letter
+        k.  For mck the closed form is (a_1 ^ c_1 + a_2g ^ c_2g-1) ^ B_0
+        and k = B_0; for chain it is w = a_1 ^ a_2 ^ b_1, k = c_4, and the
+        commutator value carries CHAIN_TAU_SIGN.
+        """
+        t, genus = self.table, self.surface_genus
+        if self.name == "mck":
+            closed = reduce_to_quotient(wedge3(t.a[1], t.c[1], t.B[0])
+                                        + wedge3(t.a[genus], t.c[genus - 1], t.B[0]))
+            letter, sign = t.B[0], 1
+        else:
+            closed = reduce_to_quotient(wedge3(t.a[1], t.a[2], t.b[1]))
+            letter, sign = t.chain[4], CHAIN_TAU_SIGN
+        if commutator_tau(Word([TwistLetter(letter)], genus), self.twist, 1) != sign * closed:
+            raise ScenarioValidationError(
+                "closed form and commutator pipeline disagree for the witness class"
+            )
+        if not is_primitive_quotient(closed):
+            raise ScenarioValidationError("witness class is not primitive")
+        return closed
+
+
+def family(kind, g):
+    return FamilySpec(kind, g)
+
+
+# --------------------------------------------------------------------------
+# named members of the families
 
 
 def mck_factorization(g):
     """The length-(4g+4) identity factorization on the genus-2g surface."""
-    table = CurveTable("mck", g)
-    half = _mck_half_letters(table)
-    word = Word(half + half, table.genus)
-    return PositiveFactorization(word)
-
-
-def _f_word(table):
-    """The literal four-twist word of the Torelli twist (two bounding pairs)."""
-    return Word(
-        (
-            TwistLetter(table.x, 1),
-            TwistLetter(table.y, -1),
-            TwistLetter(table.hx, 1),
-            TwistLetter(table.hy, -1),
-        ),
-        table.genus,
-    )
-
-
-def _chain_f_word(table):
-    return Word((TwistLetter(table.x, 1), TwistLetter(table.y, -1)), table.genus)
+    return family("mck", g).base
 
 
 def torelli_f(g, context="mck"):
     """The twisting Torelli word: a genus-1 bounding pair, and in the
     involution context also its conjugate by the half word."""
-    if g < 2:
-        raise ValueError("need g >= 2")
-    table = CurveTable(context, g)
-    gen = BoundingPairGen(table.b[2], [(table.a[1], table.b[1])])
-    if context == "chain":
-        return TorelliWord([(Word((), table.genus), gen, 1)])
-    half = Word(_mck_half_letters(table), table.genus)
-    return TorelliWord(
-        [
-            (Word((), table.genus), gen, 1),
-            (half, gen, 1),
-        ]
-    )
+    return family(context, g).twist
 
 
 def mck(g):
     """The base fibration of the involution family: genus 2g, 4g+4 cycles,
     four (-1)-sections, hyperelliptic."""
-    if g < 2:
-        raise ValueError("need g >= 2")
-    fact = mck_factorization(g)
-    return FibrationSpec(2 * g, fact.letters, (-1, -1, -1, -1), hyperelliptic=True)
+    return family("mck", g).base_spec
 
 
 def twisted_mck(g, n):
     """Partial conjugation of the base family by the n-th power of the twist.
 
     The conjugator is Torelli, so the letter classes are unchanged here; n
-    lives entirely in the Johnson certificates.  The twisted spec is not
-    marked hyperelliptic; it carries the base spec as signature reference.
+    lives entirely in the Johnson certificates.
     """
-    if g < 2:
-        raise ValueError("need g >= 2")
-    if n < 0:
-        raise ValueError("need n >= 0")
-    base = mck_factorization(g)
-    table = CurveTable("mck", g)
-    conj = _f_word(table).power(n)
-    twisted = partial_conjugation(base, 2 * g + 2, conj)
-    if n == 0:
-        return FibrationSpec(2 * g, twisted.letters, (-1,) * 4, hyperelliptic=True)
-    return FibrationSpec(
-        2 * g,
-        twisted.letters,
-        (-1,) * 4,
-        hyperelliptic=False,
-        signature_reference=mck(g),
-    )
-
-
-def chain_letters(g):
-    table = CurveTable("chain", g)
-    return tuple(TwistLetter(table.chain[i]) for i in range(1, 2 * g + 1))
+    return family("mck", g).spec(n)
 
 
 def chain_factorization(g, n=0):
     """The identity factorization with 12g(2g+1) letters: three chain-power
     blocks, the first-acting one conjugated by the n-th twist power."""
-    if g < 3:
-        raise ValueError("need g >= 3")
-    if n < 0:
-        raise ValueError("need n >= 0")
-    table = CurveTable("chain", g)
-    block = Word(chain_letters(g) * (4 * g + 2), g)
-    base = PositiveFactorization(block.power(3))
-    conj = _chain_f_word(table).power(n)
-    return partial_conjugation(base, len(block.letters), conj)
+    return family("chain", g).factorization(n)
 
 
 def chain_family(g, n):
     """The chain-relation family: genus g, one (-3)-section."""
-    fact = chain_factorization(g, n)
-    if n == 0:
-        return FibrationSpec(g, fact.letters, (-3,), hyperelliptic=True)
-    base = FibrationSpec(g, chain_factorization(g, 0).letters, (-3,), hyperelliptic=True)
-    return FibrationSpec(g, fact.letters, (-3,), hyperelliptic=False,
-                         signature_reference=base)
+    return family("chain", g).spec(n)
+
+
+def v_class(g):
+    """The primitive witness of the involution family, cross-checked."""
+    return family("mck", g).witness_class()
+
+
+def w_class(g):
+    """The primitive witness of the chain family, w = a_1 ^ a_2 ^ b_1;
+    the commutator value is CHAIN_TAU_SIGN * n * w, checked."""
+    return family("chain", g).witness_class()
 
 
 def mck_section_incidence(variant):
@@ -410,116 +472,3 @@ def mck_section_incidence(variant):
     if variant == 2:
         return ((0, 0, 0, 0), (1, 1, 1, 1))
     raise ValueError("variant must be 1 or 2")
-
-
-# --------------------------------------------------------------------------
-# distinguished Johnson classes
-
-
-def v_class(g):
-    """The primitive witness of the involution family.
-
-    Computed two independent ways, which must agree exactly: the closed
-    form (a_1 ^ c_1 + a_2g ^ c_2g-1) ^ B_0, and the commutator value
-    tau([T_B0^-1, f]).
-    """
-    if g < 2:
-        raise ValueError("need g >= 2")
-    table = CurveTable("mck", g)
-    genus = table.genus
-    closed = reduce_to_quotient(
-        wedge3(table.a[1], table.c[1], table.B[0])
-        + wedge3(table.a[genus], table.c[genus - 1], table.B[0])
-    )
-    f = torelli_f(g, "mck")
-    pipeline = commutator_tau(Word([TwistLetter(table.B[0])], genus), f, 1)
-    if closed != pipeline:
-        raise ScenarioValidationError(
-            "closed form and commutator pipeline disagree for the witness class"
-        )
-    if not is_primitive_quotient(closed):
-        raise ScenarioValidationError("witness class is not primitive")
-    return closed
-
-
-def w_class(g):
-    """The primitive witness of the chain family: w = a_1 ^ a_2 ^ b_1.
-
-    The commutator pipeline evaluates to CHAIN_TAU_SIGN * n * w in the fixed
-    orientation gauge; the sign's coherence is validated here.
-    """
-    if g < 3:
-        raise ValueError("need g >= 3")
-    table = CurveTable("chain", g)
-    w = reduce_to_quotient(wedge3(table.a[1], table.a[2], table.b[1]))
-    f = torelli_f(g, "chain")
-    pipeline = commutator_tau(Word([TwistLetter(table.chain[4])], g), f, 1)
-    if pipeline != CHAIN_TAU_SIGN * w:
-        raise ScenarioValidationError(
-            "chain commutator value is not the recorded global sign times w"
-        )
-    if not is_primitive_quotient(w):
-        raise ScenarioValidationError("w is not primitive")
-    return w
-
-
-# --------------------------------------------------------------------------
-# family handle used by the distinguishing machinery
-
-
-class FamilySpec:
-    """Everything the certificate machinery needs about one twisted family."""
-
-    def __init__(self, kind, g):
-        if kind == "mck":
-            if g < 2:
-                raise ValueError("need g >= 2")
-            self.table = CurveTable("mck", g)
-            self.surface_genus = 2 * g
-            letters = _mck_half_letters(self.table)
-            self.twist = torelli_f(g, "mck")
-            self.twist_word = _f_word(self.table)
-            self.prefix_length = 2 * g + 2
-            self._witness = v_class(g)
-        elif kind == "chain":
-            if g < 3:
-                raise ValueError("need g >= 3")
-            self.table = CurveTable("chain", g)
-            self.surface_genus = g
-            letters = chain_letters(g)
-            self.twist = torelli_f(g, "chain")
-            self.twist_word = _chain_f_word(self.table)
-            self.prefix_length = 2 * g * (4 * g + 2)
-            self._witness = w_class(g)
-        else:
-            raise ValueError("kind must be 'mck' or 'chain'")
-        self.name = kind
-        self.genus_param = g
-        self.base_letters = letters
-        self._seed_cache = {}
-        prefix = Word(letters, self.surface_genus)
-        if not sp_image(prefix).commutes_with(sp_image(self.twist_word)):
-            raise ScenarioValidationError(
-                "prefix product does not commute with the twist at Sp level"
-            )
-
-    def letter_words(self):
-        return [Word([l], self.surface_genus) for l in self.base_letters]
-
-    def seed_classes(self, n):
-        n = int(n)
-        if n not in self._seed_cache:
-            self._seed_cache[n] = [
-                commutator_tau(w, self.twist, n) for w in self.letter_words()
-            ]
-        return list(self._seed_cache[n])
-
-    def action_generators(self):
-        return list(self.base_letters)
-
-    def witness_class(self):
-        return self._witness
-
-
-def family(kind, g):
-    return FamilySpec(kind, g)

@@ -15,6 +15,11 @@ from .words import TwistLetter, Word
 
 SCHEMA = "monolab/1"
 
+# Largest genus a document may name.  Ten times the largest surface genus
+# the families reach at desk scale (10); a genus-MAX_GENUS map is a
+# 200 x 200 matrix, so a wild genus is refused before anything is built.
+MAX_GENUS = 100
+
 
 class SchemaError(ValueError):
     pass
@@ -29,6 +34,13 @@ def _expect_int(doc, key, path):
     if not isinstance(v, int) or isinstance(v, bool):
         _fail("%s.%s" % (path, key), "expected an integer")
     return v
+
+
+def _expect_genus(doc, key, path):
+    genus = _expect_int(doc, key, path)
+    if not 0 <= genus <= MAX_GENUS:
+        _fail("%s.%s" % (path, key), "expected a genus in 0..%d" % MAX_GENUS)
+    return genus
 
 
 def _expect_int_list(value, path):
@@ -73,20 +85,10 @@ def dumps(doc):
 # -- homology classes and maps ----------------------------------------------
 
 
-def encode_homology_class(c):
-    return {"schema": SCHEMA, "type": "homology_class",
-            "genus": c.genus, "coords": list(c.coords)}
-
-
 def decode_homology_class(doc, path="homology_class"):
     check_version(doc, path)
-    genus = _expect_int(doc, "genus", path)
+    genus = _expect_genus(doc, "genus", path)
     return HomologyClass(genus, _expect_coords(doc.get("coords"), genus, path + ".coords"))
-
-
-def encode_sp_map(m):
-    return {"schema": SCHEMA, "type": "sp_map",
-            "genus": m.genus, "matrix": [list(r) for r in m.rows]}
 
 
 def _decode_matrix(matrix, genus, path):
@@ -97,7 +99,7 @@ def _decode_matrix(matrix, genus, path):
 
 def decode_sp_map(doc, path="sp_map"):
     check_version(doc, path)
-    genus = _expect_int(doc, "genus", path)
+    genus = _expect_genus(doc, "genus", path)
     return _decode_matrix(doc.get("matrix"), genus, path + ".matrix")
 
 
@@ -126,6 +128,8 @@ def _decode_letter(doc, genus, path):
     split = doc.get("split")
     if split is not None:
         split = tuple(_expect_int_list(split, path + ".split"))
+        if len(split) != 2:
+            _fail(path + ".split", "expected two integers")
     try:
         return TwistLetter(HomologyClass(genus, coords), power, separating, split)
     except ValueError as exc:
@@ -143,7 +147,7 @@ def encode_word(word):
 
 def decode_word(doc, path="word"):
     check_version(doc, path)
-    genus = _expect_int(doc, "genus", path)
+    genus = _expect_genus(doc, "genus", path)
     letters_doc = doc.get("letters")
     if not isinstance(letters_doc, list):
         _fail(path + ".letters", "expected a list")
@@ -197,7 +201,7 @@ def encode_torelli_word(tw):
 
 def decode_torelli_word(doc, path="torelli_word"):
     check_version(doc, path)
-    genus = _expect_int(doc, "genus", path)
+    genus = _expect_genus(doc, "genus", path)
     factors_doc = doc.get("factors")
     if not isinstance(factors_doc, list):
         _fail(path + ".factors", "expected a list")
@@ -253,7 +257,7 @@ def encode_fibration_spec(spec):
 
 def decode_fibration_spec(doc, path="fibration_spec"):
     check_version(doc, path)
-    h = _expect_int(doc, "fiber_genus", path)
+    h = _expect_genus(doc, "fiber_genus", path)
     cycles_doc = doc.get("cycles")
     if not isinstance(cycles_doc, list):
         _fail(path + ".cycles", "expected a list")
@@ -276,11 +280,6 @@ def decode_fibration_spec(doc, path="fibration_spec"):
 
 
 # -- Gram matrices ------------------------------------------------------------
-
-
-def encode_gram(lattice):
-    return {"schema": SCHEMA, "type": "gram",
-            "matrix": [list(r) for r in lattice.gram]}
 
 
 def decode_gram(doc, path="gram"):

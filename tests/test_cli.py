@@ -1,7 +1,9 @@
 import hashlib
 import json
 
-from monolab import cli, johnson, schemas
+import pytest
+
+from monolab import cli, johnson, scenarios, schemas, words
 from monolab.homology import basis_a, basis_b
 from monolab.scenarios import mck, torelli_f, twisted_mck
 from monolab.words import TwistLetter, Word, sp_image
@@ -389,3 +391,88 @@ def test_hurwitz_stdout_is_pinned(tmp_path, capsys):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0, name
         assert hashlib.sha256(out.encode()).hexdigest() == HURWITZ_STDOUT_SHA256[name], name
+
+
+# sha256 of the --csv stdout, recorded from the builders that made a new
+# curve table and base factorization for every grid row
+GRID_STDOUT_SHA256 = {
+    ("mck", "2..5,0..10"): "bc74e91f0a908ff97a2b21f4c221d37a81aa9839a3df979d72e033da1a77b185",
+    ("chain", "3..5,0..10"): "8f538c29110ba3adb5e87c422837b2a1c000c3f83df77441a0102ec4c824569b",
+}
+
+
+def test_invariant_grids_are_pinned(capsys):
+    for (fam, grid), digest in GRID_STDOUT_SHA256.items():
+        code, out, _ = run_cli(["invariants", "--family", fam, "--grid", grid, "--csv"],
+                               capsys)
+        assert code == 0, fam
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fam
+
+
+def test_invariant_grid_builds_each_family_once(monkeypatch, capsys):
+    counts = {}
+
+    def count_inits(cls, key):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            counts[key] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    count_inits(scenarios.CurveTable, "tables")
+    count_inits(words.PositiveFactorization, "validations")
+    for fam, grid, genera, n_values in (("mck", "2..3,0..4", 2, 5),
+                                        ("chain", "3..4,0..2", 2, 3)):
+        counts.update(tables=0, validations=0)
+        code, _, _ = run_cli(["invariants", "--family", fam, "--grid", grid, "--csv"],
+                             capsys)
+        assert code == 0, fam
+        # one table per g; one base validation per g and one per member n > 0
+        assert counts == {"tables": genera, "validations": genera * n_values}, fam
+
+
+def test_lattice_complement_of_no_classes_is_the_whole_lattice(tmp_path, capsys):
+    path = _gram_path(tmp_path)
+    classes = write_json(tmp_path, "c.json", {"vectors": []})
+    code, out, _ = run_cli(["lattice", "complement", path, "--classes", classes], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["basis"] == [[1, 0], [0, 1]]
+    assert doc["gram"] == [[0, 1], [1, 0]]
+
+
+def _with(doc, **changes):
+    doc.update(changes)
+    return doc
+
+
+def _split_of_one():
+    doc = mck_fact_doc()
+    next(l for l in doc["letters"] if l["separating"])["split"] = [1]
+    return doc
+
+
+@pytest.mark.parametrize("command, make_doc, field", [
+    ("invariants", lambda: _with(schemas.encode_fibration_spec(mck(2)), fiber_genus=-2),
+     "fibration_spec.fiber_genus"),
+    ("verify", lambda: _with(mck_fact_doc(), genus=-1), "factorization.genus"),
+    ("verify", lambda: _with(mck_fact_doc(), genus=10000000), "factorization.genus"),
+    ("verify", _split_of_one, "factorization.letters[5].split"),
+], ids=["fiber_genus_negative", "genus_negative", "genus_huge", "split_of_one"])
+def test_genus_and_split_are_checked_at_the_schema(tmp_path, capsys, command, make_doc,
+                                                   field):
+    path = write_json(tmp_path, "doc.json", make_doc())
+    code, out, err = run_cli([command, path], capsys)
+    assert code == cli.EX_SCHEMA
+    assert "error: %s:" % field in err
+    assert out == ""
+
+
+def test_failed_self_check_exits_70(monkeypatch, capsys):
+    monkeypatch.setattr(johnson, "is_primitive_quotient", lambda q: False)
+    code, out, err = run_cli(["distinguish", "--family", "mck", "--genus", "2",
+                              "--n", "1", "--m", "2"], capsys)
+    assert code == cli.EX_SOFTWARE == 70
+    assert "internal self-check failed: family witness class is not primitive" in err
+    assert out == ""

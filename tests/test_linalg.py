@@ -6,6 +6,7 @@ from monolab._linalg import (
     EchelonLattice,
     det,
     hnf,
+    identity_matrix,
     kernel_basis,
     rank,
     smith_normal_form,
@@ -71,10 +72,15 @@ def test_kernel_basis():
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         a = random_matrix(rng, m, n, -4, 4)
-        ker = kernel_basis(a)
+        ker = kernel_basis(a, n)
         assert len(ker) == n - rank(a)
         for vec in ker:
             assert all(sum(a[i][j] * vec[j] for j in range(n)) == 0 for i in range(m))
+
+
+def test_kernel_basis_of_no_rows_is_everything():
+    assert kernel_basis([], 3) == identity_matrix(3)
+    assert kernel_basis([], 0) == ()
 
 
 def test_rank_against_det():

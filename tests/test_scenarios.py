@@ -26,7 +26,6 @@ from monolab.scenarios import (
     twisted_mck,
     v_class,
     w_class,
-    _f_word,
     _mck_vectors,
 )
 from monolab.words import TwistLetter, Word, sp_image, verify_factorization
@@ -120,8 +119,7 @@ def test_torelli_f_values():
 
 def test_torelli_f_literal_word_is_sp_trivial():
     for g in (2, 3):
-        table = CurveTable("mck", g)
-        assert sp_image(_f_word(table)).is_identity()
+        assert sp_image(family("mck", g).twist_word).is_identity()
         assert sp_image(torelli_f(g, "mck").twist_word()).is_identity()
 
 
@@ -140,7 +138,7 @@ def test_twisted_mck_letters_equal_base():
 def test_f_power_fixes_letter_classes():
     g = 2
     table = CurveTable("mck", g)
-    m = sp_image(_f_word(table).power(5))
+    m = sp_image(family("mck", g).twist_word.power(5))
     assert m.is_identity()
     assert m.apply(table.B[0]) == table.B[0]
 
@@ -249,7 +247,7 @@ def test_single_seed_orbit_lattice_content():
 def test_global_conjugation_of_base_by_twist():
     g = 2
     fact = mck_factorization(g)
-    conj = _f_word(CurveTable("mck", g))
+    conj = family("mck", g).twist_word
     from monolab.words import global_conjugation
     out = global_conjugation(fact, conj)
     assert sp_image(out.word) == fact.claimed_target
