@@ -129,37 +129,6 @@ def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
-def rank(rows):
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rk = 0
-    col = 0
-    while rk < len(work) and col < ncols:
-        piv = None
-        for r in range(rk, len(work)):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        work[rk], work[piv] = work[piv], work[rk]
-        prow = work[rk]
-        for r in range(rk + 1, len(work)):
-            if work[r][col]:
-                f, p = work[r][col], prow[col]
-                work[r] = [p * x - f * y for x, y in zip(work[r], prow)]
-                g = gcd_all(work[r])
-                if g > 1:
-                    work[r] = [x // g for x in work[r]]
-        rk += 1
-        col += 1
-    return rk
-
-
 def det(a):
     """Exact determinant by fraction-free Bareiss elimination."""
     n = len(a)
@@ -184,18 +153,23 @@ def det(a):
 
 
 class EchelonLattice:
-    """A sublattice of Z^dim kept as an integer row-echelon basis.
+    """A sublattice of Z^dim kept as an integer row-echelon basis, starting
+    as the span of ``rows``.
 
-    Rows are indexed by their pivot column.  Insertion uses gcd exchanges,
-    so the represented lattice only ever grows; ``insert`` reports whether
-    it actually grew.  ``hnf_rows`` returns the canonical Hermite basis
-    (positive pivots, entries above each pivot reduced into [0, pivot)),
-    which is unique for the lattice and therefore reproducible bit for bit.
+    This is the package's one integer row reduction: ``rank``, ``hnf`` and
+    lattice membership all go through it.  Rows are indexed by their pivot
+    column.  Insertion uses gcd exchanges, so the represented lattice only
+    ever grows; ``insert`` reports whether it actually grew.  ``hnf_rows``
+    returns the canonical Hermite basis (positive pivots, entries above each
+    pivot reduced into [0, pivot)), which is unique for the lattice and
+    therefore reproducible bit for bit.
     """
 
-    def __init__(self, dim):
+    def __init__(self, dim, rows=()):
         self.dim = dim
         self.pivot_rows = {}
+        for r in rows:
+            self.insert(r)
 
     @property
     def rank(self):
@@ -251,15 +225,6 @@ class EchelonLattice:
     def member(self, vec):
         return not any(self.reduce(vec))
 
-    def content(self):
-        """gcd of all basis entries; 0 for the zero lattice."""
-        g = 0
-        for row in self.pivot_rows.values():
-            g = gcd(g, gcd_all(row))
-            if g == 1:
-                return 1
-        return g
-
     def hnf_rows(self):
         # increasing pivot order: row i has zeros left of its pivot, so
         # reducing with it never disturbs columns fixed earlier
@@ -276,10 +241,16 @@ class EchelonLattice:
 
 def hnf(rows, dim):
     """Canonical Hermite row basis of the lattice spanned by the rows."""
-    lat = EchelonLattice(dim)
-    for r in rows:
-        lat.insert(r)
-    return lat.hnf_rows()
+    return EchelonLattice(dim, rows).hnf_rows()
+
+
+def rank(rows):
+    """Rank over Q of an integer matrix.
+
+    The Q-rank of a row space equals the Z-rank of the lattice its rows
+    span, so this is the pivot count of that lattice's echelon basis.
+    """
+    return EchelonLattice(len(rows[0]), rows).rank if rows else 0
 
 
 def smith_normal_form(mat):

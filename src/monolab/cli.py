@@ -109,12 +109,22 @@ def _check_family(fam):
         raise UsageError("unknown family %r" % fam)
 
 
+def _check_genus(kind, g, flag="--genus"):
+    """Refuse, before anything is built, a g whose surface genus exceeds
+    schemas.MAX_GENUS, the bound the document decoders apply."""
+    genus = scenarios.surface_genus(kind, g)
+    if genus > schemas.MAX_GENUS:
+        raise UsageError("%s: g = %d gives surface genus %d, above MAX_GENUS = %d"
+                         % (flag, g, genus, schemas.MAX_GENUS))
+
+
 def _spec_from_args(args):
     fam = args.get("family")
     if fam is None:
         raise UsageError("need a spec file or --family mck|chain")
     _check_family(fam)
     g, n = args.get_int("genus"), args.get_int("n", 0)
+    _check_genus(fam, g)
     return scenarios.family(fam, g).spec(n)
 
 
@@ -133,6 +143,8 @@ def _cmd_invariants(argv):
             n0, n1 = (int(x) for x in n_part.split(".."))
         except ValueError:
             raise UsageError("--grid expects g0..g1,n0..n1")
+        if g0 <= g1:
+            _check_genus(fam, g1, "--grid")
         # every row is built before anything is printed, so a failure
         # part-way leaves stdout empty
         lines = ["family,g,n,chi,sigma,b1,b2_plus,b2_minus"]
@@ -199,6 +211,7 @@ def _cmd_distinguish(argv):
     if fam_name not in scenarios.FAMILY_KINDS:
         raise UsageError("--family must be mck or chain")
     g = args.get_int("genus")
+    _check_genus(fam_name, g)
     n = args.get_int("n")
     m = args.get_int("m")
     fam = scenarios.family(fam_name, g)
@@ -361,11 +374,15 @@ def _cmd_scenario(argv):
     args = _Args(rest, flags_with_value=("genus", "n", "context"))
     g = args.get_int("genus")
     if sub in scenarios.FAMILY_KINDS:
+        _check_genus(sub, g)
         n = args.get_int("n", 0)
         _emit(schemas.encode_fibration_spec(scenarios.family(sub, g).spec(n)))
         return EX_OK
     if sub == "curves":
         context = args.get("context", "mck")
+        if context not in scenarios.FAMILY_KINDS:
+            raise UsageError("unknown --context %r; expected mck or chain" % context)
+        _check_genus(context, g)
         table = scenarios.CurveTable(context, g)
         _emit({"schema": schemas.SCHEMA, "type": "curve_table", **table.as_dict()})
         return EX_OK

@@ -31,7 +31,6 @@ shape, to saturate and replay; the dense action by 3x3 minors,
 """
 
 import itertools
-from math import gcd
 
 from . import _linalg
 from ._linalg import Frozen, IntVector
@@ -151,7 +150,8 @@ class Wedge3(IntVector):
 
 
 class QuotientClass(IntVector):
-    """An element of (wedge^3 H)/H in the retained-triple basis."""
+    """An element of (wedge^3 H)/H in the retained-triple basis.  That is a
+    true Z-basis, so ``homology.is_primitive`` is basis-independent here."""
 
     __slots__ = ()
     _dim_error = "expected %(dim)d quotient coordinates, got %(got)d"
@@ -231,14 +231,6 @@ def reduce_to_quotient(w):
             for ret_idx, coef in tab.expansions[trip]:
                 out[ret_idx] += c * coef
     return QuotientClass(w.genus, out)
-
-
-def is_primitive_quotient(q):
-    """gcd of the coordinates is 1; defined in the retained basis, which is a
-    genuine Z-basis of the quotient, so the answer is basis-independent."""
-    if q.is_zero():
-        raise ValueError("primitivity is undefined for the zero class")
-    return _linalg.gcd_all(q.coords) == 1
 
 
 # --------------------------------------------------------------------------
@@ -560,9 +552,7 @@ def saturate(seeds, action_gens, max_steps=200000):
         if s.genus != genus:
             raise GenusMismatchError("seeds must share a genus")
     dim = _table(genus).dim_quot
-    scale = 0
-    for s in seeds:
-        scale = gcd(scale, _linalg.gcd_all(s.coords))
+    scale = _linalg.gcd_all(x for s in seeds for x in s.coords)
     if scale == 0:
         return SublatticeBasis(dim, ())
     reduced = [tuple(x // scale for x in s.coords) for s in seeds]
@@ -599,11 +589,6 @@ def _closure(dim, seed_vectors, directed_columns, max_steps):
         for cols in directed_columns:
             queue.append(_act(cols, vec))
     return lat.hnf_rows()
-
-
-def content(basis):
-    """Largest d with the lattice inside d times the ambient; 0 if trivial."""
-    return basis.content()
 
 
 class Certificate(Frozen):
@@ -677,7 +662,7 @@ def distinguish(n, m, family):
     if n == m:
         return None
     witness = family.witness_class()
-    if not is_primitive_quotient(witness):
+    if not is_primitive(witness):
         raise AssertionError("family witness class is not primitive")
     gens = family.action_generators()
     basis_n = saturate(family.seed_classes(n), gens)
@@ -717,7 +702,7 @@ def check_certificate(cert_dict, family, deep=True):
 
     record("parameters differ", n != m)
     witness = QuotientClass(genus, cert_dict["witness_class"])
-    record("witness primitive", is_primitive_quotient(witness))
+    record("witness primitive", is_primitive(witness))
     for param, key_b, key_c in ((n, "basis_n", "content_n"), (m, "basis_m", "content_m")):
         basis = SublatticeBasis(dim, cert_dict[key_b])
         record(

@@ -40,28 +40,12 @@ class SublatticeBasis(Frozen):
 
     def member(self, vec):
         if self._lat is None:
-            lat = _linalg.EchelonLattice(self.dim)
-            for r in self.rows:
-                lat.insert(r)
-            self._init(_lat=lat)
+            self._init(_lat=_linalg.EchelonLattice(self.dim, self.rows))
         return self._lat.member(vec)
 
     def content(self):
         """Largest d with the lattice inside d * Z^dim; 0 for the zero lattice."""
-        g = 0
-        for row in self.rows:
-            g = gcd_all((g,) + row)
-            if g == 1:
-                return 1
-        return g
-
-    def scaled(self, k):
-        k = int(k)
-        if k == 0:
-            return SublatticeBasis(self.dim, ())
-        return SublatticeBasis._from_hnf(
-            self.dim, tuple(tuple(abs(k) * x for x in r) for r in self.rows)
-        )
+        return gcd_all(x for row in self.rows for x in row)
 
     def __repr__(self):
         return "SublatticeBasis(dim=%d, rank=%d)" % (self.dim, self.rank)

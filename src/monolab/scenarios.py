@@ -2,9 +2,11 @@
 twists, and the chain-relation family.
 
 ``FamilySpec(kind, g)`` is the one place that knows a family: one
-validated ``CurveTable``, one base word, one twist word and one prefix.
-Member n is the base with its first-acting prefix partially conjugated by
-the n-th twist power; the named builders below all delegate to it.
+validated ``CurveTable``, one base word and one twist word.  Member n is
+the base with its first-acting prefix partially conjugated by the n-th
+twist power; the twist word is the identity at Sp level (checked once), so
+every member's factorization is the base itself and n lives only in the
+Johnson seeds.  The named builders below all delegate to it.
 
 Transcription policy.  The homology classes of the drawn curves cannot be
 read off a picture by a program, so they are transcribed as a closed
@@ -52,7 +54,6 @@ from .johnson import (
     BoundingPairGen,
     TorelliWord,
     commutator_tau,
-    is_primitive_quotient,
     reduce_to_quotient,
     wedge3,
 )
@@ -61,7 +62,6 @@ from .words import (
     PositiveFactorization,
     TwistLetter,
     Word,
-    partial_conjugation,
     sp_image,
 )
 from . import _linalg
@@ -72,8 +72,19 @@ from . import _linalg
 CHAIN_TAU_SIGN = -1
 
 
+FAMILY_KINDS = ("mck", "chain")
+
+
 class ScenarioValidationError(AssertionError):
     """A transcription constraint failed; the message names the constraint."""
+
+
+def surface_genus(kind, g):
+    """Genus of the surface that the family or curve table of parameter g
+    lives on: 2g for the involution family, g for the chain family."""
+    if kind not in FAMILY_KINDS:
+        raise ValueError("kind must be 'mck' or 'chain'")
+    return 2 * g if kind == "mck" else g
 
 
 # --------------------------------------------------------------------------
@@ -141,18 +152,15 @@ class CurveTable:
     def __init__(self, context, g):
         self.context = context
         self.g = g
+        self.genus = surface_genus(context, g)
         if context == "mck":
             if g < 2:
                 raise ValueError("the twisted involution family needs g >= 2")
-            self.genus = 2 * g
             self._build_mck()
-        elif context == "chain":
+        else:
             if g < 2:
                 raise ValueError("the chain table needs g >= 2")
-            self.genus = g
             self._build_chain()
-        else:
-            raise ValueError("context must be 'mck' or 'chain'")
         self.checks = self.validate()
 
     def _build_mck(self):
@@ -292,21 +300,16 @@ def _extends_to_symplectic(vectors, pairs):
 # the families
 
 
-FAMILY_KINDS = ("mck", "chain")
-
-
 class FamilySpec:
     """One twisted family at one parameter g, built and validated once;
     the base factorization and its spec are built on first use."""
 
     def __init__(self, kind, g):
-        if kind not in FAMILY_KINDS:
-            raise ValueError("kind must be 'mck' or 'chain'")
+        genus = surface_genus(kind, g)
         least = 2 if kind == "mck" else 3
         if g < least:
             raise ValueError("need g >= %d" % least)
         table = self.table = CurveTable(kind, g)
-        genus = table.genus
         gen = BoundingPairGen(table.b[2], [(table.a[1], table.b[1])])
         pair = (TwistLetter(table.x, 1), TwistLetter(table.y, -1))
         if kind == "mck":
@@ -314,7 +317,6 @@ class FamilySpec:
             # is the bounding pair and its conjugate by the half word
             letters = tuple(TwistLetter(table.B[j]) for j in range(2 * g + 1)) + (table.C,)
             self.base_word = Word(letters * 2, genus)
-            self.prefix_length = len(letters)
             self.twist = TorelliWord([(Word((), genus), gen, 1),
                                       (Word(letters, genus), gen, 1)])
             pair += (TwistLetter(table.hx, 1), TwistLetter(table.hy, -1))
@@ -323,7 +325,6 @@ class FamilySpec:
             # the block (c_1 ... c_2g)^(4g+2), cubed
             letters = tuple(TwistLetter(table.chain[i]) for i in range(1, 2 * g + 1))
             block = letters * (4 * g + 2)
-            self.prefix_length = len(block)
             self.base_word = Word(block * 3, genus)
             self.twist = TorelliWord([(Word((), genus), gen, 1)])
             self.sections = (-3,)
@@ -334,10 +335,8 @@ class FamilySpec:
         # the literal twist word: each bounding pair as T_x T_y^-1
         self.twist_word = Word(pair, genus)
         self._seed_cache = {}
-        if not sp_image(Word(letters, genus)).commutes_with(sp_image(self.twist_word)):
-            raise ScenarioValidationError(
-                "prefix product does not commute with the twist at Sp level"
-            )
+        if not sp_image(self.twist_word).is_identity():
+            raise ScenarioValidationError("the twist word is not the identity at Sp level")
 
     @functools.cached_property
     def base(self):
@@ -350,11 +349,12 @@ class FamilySpec:
                              hyperelliptic=True)
 
     def factorization(self, n):
+        """Member n, which is the validated base itself: the twist word is
+        the identity at Sp level (checked on construction), so partially
+        conjugating the prefix by its n-th power moves no letter."""
         if n < 0:
             raise ValueError("need n >= 0")
-        if n == 0:
-            return self.base
-        return partial_conjugation(self.base, self.prefix_length, self.twist_word.power(n))
+        return self.base
 
     def spec(self, n):
         """Member n; twisted members are not marked hyperelliptic and carry
@@ -398,7 +398,7 @@ class FamilySpec:
             raise ScenarioValidationError(
                 "closed form and commutator pipeline disagree for the witness class"
             )
-        if not is_primitive_quotient(closed):
+        if not is_primitive(closed):
             raise ScenarioValidationError("witness class is not primitive")
         return closed
 

@@ -10,7 +10,7 @@ import re
 import pytest
 
 from monolab import schemas
-from monolab.homology import basis_a, basis_b, fixed_subspace_dim
+from monolab.homology import basis_a, basis_b, fixed_subspace_dim, is_primitive
 from monolab.invariants import (
     b1_homological,
     blowdown_parity_report,
@@ -22,7 +22,6 @@ from monolab.johnson import (
     commutator_tau,
     distinguish,
     embed_h,
-    is_primitive_quotient,
     reduce_to_quotient,
     sp_action_quotient,
     tau_word,
@@ -99,7 +98,7 @@ def test_criterion_04_johnson_pipeline():
         table = CurveTable("mck", g)
         genus = 2 * g
         v = v_class(g)  # internally cross-checks closed form vs pipeline
-        assert is_primitive_quotient(v)
+        assert is_primitive(v)
         from monolab.johnson import wedge3
         closed = reduce_to_quotient(
             wedge3(table.a[1], table.c[1], table.B[0])
@@ -131,7 +130,7 @@ def test_criterion_05_distinguishing_certificates(families):
 def test_criterion_06_chain_family(families):
     for g in (3, 4):
         w = w_class(g)
-        assert is_primitive_quotient(w)
+        assert is_primitive(w)
         table = CurveTable("chain", g)
         f = torelli_f(g, "chain")
         k4 = Word([TwistLetter(table.chain[4])], g)

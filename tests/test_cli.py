@@ -422,14 +422,13 @@ def test_invariant_grid_builds_each_family_once(monkeypatch, capsys):
 
     count_inits(scenarios.CurveTable, "tables")
     count_inits(words.PositiveFactorization, "validations")
-    for fam, grid, genera, n_values in (("mck", "2..3,0..4", 2, 5),
-                                        ("chain", "3..4,0..2", 2, 3)):
+    for fam, grid, genera in (("mck", "2..3,0..4", 2), ("chain", "3..4,0..2", 2)):
         counts.update(tables=0, validations=0)
         code, _, _ = run_cli(["invariants", "--family", fam, "--grid", grid, "--csv"],
                              capsys)
         assert code == 0, fam
-        # one table per g; one base validation per g and one per member n > 0
-        assert counts == {"tables": genera, "validations": genera * n_values}, fam
+        # one table and one base validation per g; every member n is that base
+        assert counts == {"tables": genera, "validations": genera}, fam
 
 
 def test_lattice_complement_of_no_classes_is_the_whole_lattice(tmp_path, capsys):
@@ -469,8 +468,50 @@ def test_genus_and_split_are_checked_at_the_schema(tmp_path, capsys, command, ma
     assert out == ""
 
 
+def _refuse_to_build(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a curve table was built")
+    monkeypatch.setattr(scenarios.CurveTable, "__init__", refuse)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["invariants", "--family", "mck", "--genus", "51"], "--genus"),
+    (["invariants", "--family", "chain", "--grid", "3..101,0..0", "--csv"], "--grid"),
+    (["scenario", "mck", "--genus", "51"], "--genus"),
+    (["scenario", "chain", "--genus", "101"], "--genus"),
+    (["scenario", "curves", "--context", "chain", "--genus", "101"], "--genus"),
+    (["distinguish", "--family", "mck", "--genus", "51", "--n", "1", "--m", "2"],
+     "--genus"),
+], ids=["invariants", "invariants_grid", "scenario_mck", "scenario_chain",
+        "scenario_curves", "distinguish"])
+def test_genus_flags_are_bounded_by_max_genus(monkeypatch, capsys, argv, flag):
+    _refuse_to_build(monkeypatch)
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EX_SCHEMA
+    assert "error: %s:" % flag in err and "MAX_GENUS = %d" % schemas.MAX_GENUS in err
+    assert out == ""
+
+
+def test_genus_bound_admits_surface_genus_max_genus(monkeypatch, capsys):
+    # mck g=50 is surface genus 100: past the check, it reaches the build
+    _refuse_to_build(monkeypatch)
+    code, out, err = run_cli(["scenario", "mck", "--genus", "50"], capsys)
+    assert code == cli.EX_SOFTWARE
+    assert "a curve table was built" in err and out == ""
+
+
+def test_unknown_curves_context_is_a_usage_error(capsys):
+    code, out, err = run_cli(["scenario", "curves", "--context", "foo", "--genus", "2"],
+                             capsys)
+    assert code == cli.EX_SCHEMA
+    assert "error: unknown --context 'foo'" in err
+    assert out == ""
+
+
 def test_failed_self_check_exits_70(monkeypatch, capsys):
-    monkeypatch.setattr(johnson, "is_primitive_quotient", lambda q: False)
+    witness_class = scenarios.FamilySpec.witness_class
+    monkeypatch.setattr(scenarios.FamilySpec, "witness_class",
+                        lambda self: 2 * witness_class(self))
     code, out, err = run_cli(["distinguish", "--family", "mck", "--genus", "2",
                               "--n", "1", "--m", "2"], capsys)
     assert code == cli.EX_SOFTWARE == 70

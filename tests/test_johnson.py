@@ -9,6 +9,7 @@ from monolab.homology import (
     SpMap,
     basis_a,
     basis_b,
+    is_primitive,
     twist_matrix,
     zero_class,
 )
@@ -20,9 +21,7 @@ from monolab.johnson import (
     Wedge3,
     _table,
     commutator_tau,
-    content,
     embed_h,
-    is_primitive_quotient,
     reduce_to_quotient,
     saturate,
     sp_action_quotient,
@@ -374,10 +373,10 @@ def test_commutator_tau_linear_in_n():
 def test_is_primitive_quotient():
     g = 3
     w = reduce_to_quotient(wedge3(basis_a(g, 1), basis_a(g, 2), basis_b(g, 1)))
-    assert is_primitive_quotient(w)
-    assert not is_primitive_quotient(2 * w)
+    assert is_primitive(w)
+    assert not is_primitive(2 * w)
     with pytest.raises(ValueError):
-        is_primitive_quotient(QuotientClass.zero(g))
+        is_primitive(QuotientClass.zero(g))
 
 
 # -- saturation ---------------------------------------------------------------
@@ -395,12 +394,12 @@ def test_saturate_trivials():
     zero = QuotientClass.zero(g)
     basis = saturate([zero], [])
     assert basis.rank == 0
-    assert content(basis) == 0
+    assert basis.content() == 0
     seed = _simple_seed(g, 2, 3)
     basis = saturate([seed], [])
     assert basis.rank == 1
     assert list(basis.rows[0]) == list(seed.coords)
-    assert content(basis) == 3
+    assert basis.content() == 3
 
 
 def test_saturate_monotone_idempotent_scaling():
@@ -420,7 +419,7 @@ def test_saturate_monotone_idempotent_scaling():
     # scaling commutes with closure
     scaled = saturate([3 * s for s in seeds], gens)
     assert scaled.rows == tuple(tuple(3 * x for x in r) for r in basis.rows)
-    assert content(scaled) == 3 * content(basis)
+    assert scaled.content() == 3 * basis.content()
 
 
 def test_saturate_invariance_postcondition():
@@ -443,6 +442,6 @@ def test_content_examples():
     g = 3
     tab = _table(g)
     one = _simple_seed(g, 0)
-    assert content(saturate([one], [])) == 1
+    assert saturate([one], []).content() == 1
     two = [_simple_seed(g, 0, 2), _simple_seed(g, 1, 4)]
-    assert content(saturate(two, [])) == 2
+    assert saturate(two, []).content() == 2

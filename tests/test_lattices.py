@@ -187,6 +187,11 @@ def test_sublattice_basis_roundtrip():
     assert SublatticeBasis(3, basis.rows).rows == basis.rows
 
 
+def test_sublattice_content():
+    assert SublatticeBasis(3, ()).content() == 0
+    assert SublatticeBasis(3, [(2, 4, 0), (0, 0, 6)]).content() == 2
+
+
 def test_smith_normal_form_public_contract():
     u, d, v = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     diag = [d[i][i] for i in range(3)]

@@ -126,11 +126,3 @@ def test_hnf_canonical_and_idempotent():
         shuffled = list(rows)
         rng.shuffle(shuffled)
         assert hnf(shuffled, dim) == h1
-
-
-def test_content():
-    lat = EchelonLattice(3)
-    assert lat.content() == 0
-    lat.insert((2, 4, 0))
-    lat.insert((0, 0, 6))
-    assert lat.content() == 2

@@ -2,11 +2,9 @@ import json
 
 import pytest
 
-from monolab.homology import basis_a, basis_b, fixed_subspace_dim
+from monolab.homology import basis_a, basis_b, fixed_subspace_dim, is_primitive
 from monolab.johnson import (
     commutator_tau,
-    content,
-    is_primitive_quotient,
     reduce_to_quotient,
     saturate,
     tau_word,
@@ -161,7 +159,7 @@ def test_eta_action_example():
 def test_v_class_primitive_and_linear():
     for g in (2, 3):
         v = v_class(g)
-        assert is_primitive_quotient(v)
+        assert is_primitive(v)
         table = CurveTable("mck", g)
         f = torelli_f(g, "mck")
         k = Word([TwistLetter(table.B[0])], 2 * g)
@@ -172,7 +170,7 @@ def test_v_class_primitive_and_linear():
 def test_w_class_primitive_and_linear_up_to_recorded_sign():
     for g in (3, 4):
         w = w_class(g)
-        assert is_primitive_quotient(w)
+        assert is_primitive(w)
         table = CurveTable("chain", g)
         f = torelli_f(g, "chain")
         k4 = Word([TwistLetter(table.chain[4])], g)
@@ -210,7 +208,7 @@ def test_family_seed_lattices():
     for n in (1, 2, 3):
         seeds = fam.seed_classes(n)
         basis = saturate(seeds, gens)
-        assert content(basis) == n
+        assert basis.content() == n
         # containment of n * v, and seeds are n times integer classes
         v = fam.witness_class()
         assert basis.member(tuple(n * x for x in v.coords))
@@ -218,7 +216,7 @@ def test_family_seed_lattices():
             assert all(c % n == 0 for c in s.coords)
     chain_fam = family("chain", 3)
     basis = saturate(chain_fam.seed_classes(2), chain_fam.action_generators())
-    assert content(basis) == 2
+    assert basis.content() == 2
 
 
 def test_saturation_scaling_oracle():
@@ -237,10 +235,10 @@ def test_single_seed_orbit_lattice_content():
     gens = fam.action_generators()
     v = fam.witness_class()
     base = saturate([v], gens)
-    assert content(base) == 1
+    assert base.content() == 1
     for n in (2, 3, 7):
         scaled = saturate([n * v], gens)
-        assert content(scaled) == n
+        assert scaled.content() == n
         assert scaled.rows == tuple(tuple(n * x for x in r) for r in base.rows)
 
 
