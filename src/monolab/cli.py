@@ -12,9 +12,10 @@ import json
 import sys
 
 from . import hurwitz, invariants, johnson, lattices, scenarios, schemas
+from ._linalg import gcd_all
 from .homology import GenusMismatchError
 from .schemas import SchemaError
-from .words import ConjugationError, FactorizationError
+from .words import ConjugationError, FactorizationError, PositiveFactorization
 from .words import partial_conjugation, global_conjugation, verify_factorization
 
 EX_OK = 0
@@ -130,7 +131,7 @@ def _spec_from_args(args):
 
 def _cmd_invariants(argv):
     args = _Args(argv, flags_with_value=("family", "genus", "n", "grid"),
-                 switches=("json", "table", "csv"))
+                 switches=("json", "csv"))
     grid = args.get("grid")
     if grid is not None:
         fam = args.get("family")
@@ -145,13 +146,17 @@ def _cmd_invariants(argv):
             raise UsageError("--grid expects g0..g1,n0..n1")
         if g0 <= g1:
             _check_genus(fam, g1, "--grid")
-        # every row is built before anything is printed, so a failure
-        # part-way leaves stdout empty
+        # every row is built before anything is printed, so a failure part-way
+        # leaves stdout empty; members sharing a spec object share its report
         lines = ["family,g,n,chi,sigma,b1,b2_plus,b2_minus"]
         for g in range(g0, g1 + 1):
             family = scenarios.family(fam, g)
+            reports = {}
             for n in range(n0, n1 + 1):
-                r = invariants.full_report(family.spec(n))
+                spec = family.spec(n)
+                if id(spec) not in reports:
+                    reports[id(spec)] = invariants.full_report(spec)
+                r = reports[id(spec)]
                 lines.append("%s,%d,%d,%d,%d,%d,%d,%d"
                              % (fam, g, n, r.chi, r.sigma, r.b1, r.b2_plus, r.b2_minus))
         print("\n".join(lines))
@@ -180,7 +185,6 @@ def _cmd_johnson(argv):
         raise UsageError("usage: johnson <torelli_word.json> [--json]")
     tw = schemas.decode_torelli_word(_load_json(args.positional[0]))
     value = johnson.tau_word(tw)
-    from ._linalg import gcd_all
     content = gcd_all(value.coords)
     primitive = (content == 1)
     doc = {
@@ -250,7 +254,6 @@ def _cmd_conjugate(argv):
         raise UsageError("usage: conjugate <factorization.json> --word <word.json> [--prefix K]")
     word, target = schemas.decode_factorization(_load_json(args.positional[0]))
     conj = schemas.decode_word(_load_json(args.get("word")))
-    from .words import PositiveFactorization
     fact = PositiveFactorization(word, target)
     if args.get("prefix") is None:
         out = global_conjugation(fact, conj)
@@ -271,7 +274,6 @@ def _cmd_hurwitz(argv):
         if len(args.positional) != 1:
             raise UsageError("usage: hurwitz explore <factorization.json> --mod M [--budget B]")
         word, target = schemas.decode_factorization(_load_json(args.positional[0]))
-        from .words import PositiveFactorization
         fact = PositiveFactorization(word, target)
         cfg = hurwitz.QuotientConfig(mod, word.genus)
         report = hurwitz.orbit_explore(fact, cfg, budget)
@@ -285,7 +287,6 @@ def _cmd_hurwitz(argv):
         if len(args.positional) != 2:
             raise UsageError("usage: hurwitz compare <f1.json> <f2.json> --mod M [--budget B]")
         facts = []
-        from .words import PositiveFactorization
         for p in args.positional:
             word, target = schemas.decode_factorization(_load_json(p))
             facts.append(PositiveFactorization(word, target))
@@ -404,8 +405,9 @@ _COMMANDS = {
 def run(argv):
     """Dispatch one invocation; returns the exit code."""
     if not argv or argv[0] in ("-h", "--help", "help"):
-        print("usage: monolab <command> [options]")
-        print("commands: " + " | ".join(sorted(_COMMANDS)))
+        out = sys.stdout if argv else sys.stderr
+        print("usage: monolab <command> [options]", file=out)
+        print("commands: " + " | ".join(sorted(_COMMANDS)), file=out)
         return EX_OK if argv else EX_UNKNOWN_COMMAND
     command = argv[0]
     handler = _COMMANDS.get(command)

@@ -47,6 +47,11 @@ class SaturationBudgetError(RuntimeError):
 # index bookkeeping, cached per genus
 
 
+# The quotient, and the dense lattice rows saturated in it, have C(2G, 3) - 2G
+# coordinates: 1120 at G = 10 (mck g = 5, about 9 s to distinguish), 2000 at
+# G = 12, 1313200 at schemas.MAX_GENUS.  12 admits every desk-scale input.
+MAX_QUOTIENT_GENUS = 12
+
 _tables = {}
 
 
@@ -62,6 +67,9 @@ class _BasisTable:
     def __init__(self, genus):
         if genus < 2:
             raise ValueError("the quotient construction needs genus >= 2")
+        if genus > MAX_QUOTIENT_GENUS:
+            raise ValueError("the quotient construction at genus %d exceeds "
+                             "MAX_QUOTIENT_GENUS = %d" % (genus, MAX_QUOTIENT_GENUS))
         self.genus = genus
         n = 2 * genus
         self.n = n

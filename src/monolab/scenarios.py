@@ -1,20 +1,20 @@
 """Concrete twist data: the genus-2g involution factorization, its Torelli
 twists, and the chain-relation family.
 
-``FamilySpec(kind, g)`` is the one place that knows a family: one
-validated ``CurveTable``, one base word and one twist word.  Member n is
-the base with its first-acting prefix partially conjugated by the n-th
-twist power; the twist word is the identity at Sp level (checked once), so
-every member's factorization is the base itself and n lives only in the
-Johnson seeds.  The named builders below all delegate to it.
+``FamilySpec(kind, g)`` is the family: one validated ``CurveTable``, one
+base word and one Torelli twist f, each derived value built once.  Member
+n is the base with its first-acting prefix partially conjugated by f^n.  f
+is the identity at Sp level (checked once), so every member's
+factorization is the base, the members n > 0 share one spec, and n lives
+only in the Johnson seeds tau([T_l^-1, f^n]) = n tau([T_l^-1, f]) (tau is
+a homomorphism on the Torelli group).
 
 Transcription policy.  The homology classes of the drawn curves cannot be
 read off a picture by a program, so they are transcribed as a closed
-formula; a directory named by the ``MONOLAB_DATA`` environment variable may
-replace it with an ``mck_classes.json`` of its own.  *Nothing trusts the
-transcription directly*, whichever was loaded: every constructor runs the
-full battery of validation constraints below, which are exactly the facts
-the computations depend on.  A failed constraint aborts with its name.
+formula.  *Nothing trusts the transcription directly*: every constructor
+runs the full battery of validation constraints below, which are exactly
+the facts the computations depend on.  A failed constraint aborts with its
+name.
 
 For the involution family with parameter g (surface genus 2g), the
 formula's classes are, in the basis a_1..a_2g, b_1..b_2g:
@@ -36,8 +36,6 @@ validated for coherence rather than assumed.
 """
 
 import functools
-import json
-import os
 
 from .homology import (
     HomologyClass,
@@ -116,20 +114,6 @@ def _mck_vectors(g):
     return vecs
 
 
-def _load_mck_vectors(g):
-    """The formula's vectors, unless ``MONOLAB_DATA`` names a directory whose
-    ``mck_classes.json`` lists vectors for this g."""
-    override = os.environ.get("MONOLAB_DATA")
-    if not override:
-        return _mck_vectors(g)
-    with open(os.path.join(override, "mck_classes.json"), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    entry = doc.get("mck", {}).get(str(g))
-    if entry is None:
-        return _mck_vectors(g)
-    return [[int(x) for x in row] for row in entry["B"]]
-
-
 def eta_matrix(g):
     """The involution a_i -> -a_{2g+1-i}, b_i -> -b_{2g+1-i} on genus 2g."""
     if g < 1:
@@ -168,8 +152,7 @@ class CurveTable:
         self.a = {i: basis_a(genus, i) for i in range(1, genus + 1)}
         self.b = {i: basis_b(genus, i) for i in range(1, genus + 1)}
         self.c = {i: self.b[i + 1] - self.b[i] for i in range(1, genus)}
-        vecs = _load_mck_vectors(g)
-        self.B = {j: HomologyClass(genus, v) for j, v in enumerate(vecs)}
+        self.B = {j: HomologyClass(genus, v) for j, v in enumerate(_mck_vectors(g))}
         self.C = TwistLetter(zero_class(genus), 1, separating=True, split=(g, g))
         self.x = self.b[2]
         self.y = self.b[2]
@@ -302,7 +285,8 @@ def _extends_to_symplectic(vectors, pairs):
 
 class FamilySpec:
     """One twisted family at one parameter g, built and validated once;
-    the base factorization and its spec are built on first use."""
+    the base factorization, both specs and the unit seeds are built on
+    first use and kept."""
 
     def __init__(self, kind, g):
         genus = surface_genus(kind, g)
@@ -334,7 +318,6 @@ class FamilySpec:
         self.base_letters = letters
         # the literal twist word: each bounding pair as T_x T_y^-1
         self.twist_word = Word(pair, genus)
-        self._seed_cache = {}
         if not sp_image(self.twist_word).is_identity():
             raise ScenarioValidationError("the twist word is not the identity at Sp level")
 
@@ -357,22 +340,26 @@ class FamilySpec:
         return self.base
 
     def spec(self, n):
-        """Member n; twisted members are not marked hyperelliptic and carry
-        the base spec as signature reference."""
-        fact = self.factorization(n)
-        if n == 0:
-            return self.base_spec
-        return FibrationSpec(self.surface_genus, fact.letters, self.sections,
+        """Member n: the base spec for n = 0, the one twisted spec for n > 0."""
+        if n < 0:
+            raise ValueError("need n >= 0")
+        return self.twisted_spec if n else self.base_spec
+
+    @functools.cached_property
+    def twisted_spec(self):
+        """Every member n > 0: not hyperelliptic, base spec as signature reference."""
+        return FibrationSpec(self.surface_genus, self.base.letters, self.sections,
                              hyperelliptic=False, signature_reference=self.base_spec)
 
+    @functools.cached_property
+    def unit_seeds(self):
+        """tau([T_l^-1, f]) per base letter l, each checked on its literal word."""
+        return [commutator_tau(Word([l], self.surface_genus), self.twist, 1)
+                for l in self.base_letters]
+
     def seed_classes(self, n):
-        n = int(n)
-        if n not in self._seed_cache:
-            self._seed_cache[n] = [
-                commutator_tau(Word([l], self.surface_genus), self.twist, n)
-                for l in self.base_letters
-            ]
-        return list(self._seed_cache[n])
+        """tau([T_l^-1, f^n]) = n tau([T_l^-1, f]) for each base letter l."""
+        return [int(n) * s for s in self.unit_seeds]
 
     def action_generators(self):
         return list(self.base_letters)
@@ -381,20 +368,20 @@ class FamilySpec:
         """The primitive class whose n-th multiple is a seed.
 
         Computed two independent ways, which must agree exactly: a closed
-        form, and the commutator value tau([T_k^-1, f]) for one base letter
-        k.  For mck the closed form is (a_1 ^ c_1 + a_2g ^ c_2g-1) ^ B_0
-        and k = B_0; for chain it is w = a_1 ^ a_2 ^ b_1, k = c_4, and the
-        commutator value carries CHAIN_TAU_SIGN.
+        form, and the unit seed tau([T_k^-1, f]) of one base letter k.  For
+        mck the closed form is (a_1 ^ c_1 + a_2g ^ c_2g-1) ^ B_0 and k = B_0
+        (letter 0); for chain it is w = a_1 ^ a_2 ^ b_1, k = c_4 (letter 3),
+        and the commutator value carries CHAIN_TAU_SIGN.
         """
         t, genus = self.table, self.surface_genus
         if self.name == "mck":
             closed = reduce_to_quotient(wedge3(t.a[1], t.c[1], t.B[0])
                                         + wedge3(t.a[genus], t.c[genus - 1], t.B[0]))
-            letter, sign = t.B[0], 1
+            k, sign = 0, 1
         else:
             closed = reduce_to_quotient(wedge3(t.a[1], t.a[2], t.b[1]))
-            letter, sign = t.chain[4], CHAIN_TAU_SIGN
-        if commutator_tau(Word([TwistLetter(letter)], genus), self.twist, 1) != sign * closed:
+            k, sign = 3, CHAIN_TAU_SIGN
+        if self.unit_seeds[k] != sign * closed:
             raise ScenarioValidationError(
                 "closed form and commutator pipeline disagree for the witness class"
             )
@@ -405,58 +392,6 @@ class FamilySpec:
 
 def family(kind, g):
     return FamilySpec(kind, g)
-
-
-# --------------------------------------------------------------------------
-# named members of the families
-
-
-def mck_factorization(g):
-    """The length-(4g+4) identity factorization on the genus-2g surface."""
-    return family("mck", g).base
-
-
-def torelli_f(g, context="mck"):
-    """The twisting Torelli word: a genus-1 bounding pair, and in the
-    involution context also its conjugate by the half word."""
-    return family(context, g).twist
-
-
-def mck(g):
-    """The base fibration of the involution family: genus 2g, 4g+4 cycles,
-    four (-1)-sections, hyperelliptic."""
-    return family("mck", g).base_spec
-
-
-def twisted_mck(g, n):
-    """Partial conjugation of the base family by the n-th power of the twist.
-
-    The conjugator is Torelli, so the letter classes are unchanged here; n
-    lives entirely in the Johnson certificates.
-    """
-    return family("mck", g).spec(n)
-
-
-def chain_factorization(g, n=0):
-    """The identity factorization with 12g(2g+1) letters: three chain-power
-    blocks, the first-acting one conjugated by the n-th twist power."""
-    return family("chain", g).factorization(n)
-
-
-def chain_family(g, n):
-    """The chain-relation family: genus g, one (-3)-section."""
-    return family("chain", g).spec(n)
-
-
-def v_class(g):
-    """The primitive witness of the involution family, cross-checked."""
-    return family("mck", g).witness_class()
-
-
-def w_class(g):
-    """The primitive witness of the chain family, w = a_1 ^ a_2 ^ b_1;
-    the commutator value is CHAIN_TAU_SIGN * n * w, checked."""
-    return family("chain", g).witness_class()
 
 
 def mck_section_incidence(variant):

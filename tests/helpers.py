@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from monolab.homology import HomologyClass
-from monolab.scenarios import mck_factorization
+from monolab.scenarios import family
 from monolab.words import (
     PositiveFactorization, TwistLetter, Word, elementary_transformation, sp_image,
 )
@@ -130,7 +130,7 @@ def random_positive_factorization(rng, genus, length, with_separating=True):
 def mck_depth3_inputs():
     """mck g=2 and the result of three seeded Hurwitz moves on it."""
     rng = random.Random(5)
-    start = end = mck_factorization(2)
+    start = end = family("mck", 2).base
     for _ in range(3):
         end = elementary_transformation(end, rng.randrange(len(end.letters) - 1),
                                         rng.choice(("left", "right")))

@@ -32,17 +32,9 @@ from monolab.lattices import IntLattice, enumerate_pattern, smith_normal_form
 from monolab.scenarios import (
     CHAIN_TAU_SIGN,
     CurveTable,
-    chain_factorization,
-    chain_family,
     eta_matrix,
     family,
-    mck,
-    mck_factorization,
     mck_section_incidence,
-    torelli_f,
-    twisted_mck,
-    v_class,
-    w_class,
 )
 from monolab.words import (
     TwistLetter,
@@ -66,7 +58,7 @@ def families():
 
 def test_criterion_01_mck_verification():
     for g in range(2, 7):
-        fact = mck_factorization(g)
+        fact = family("mck", g).base
         assert sp_image(fact.word).is_identity()
         half = Word(fact.letters[: 2 * g + 2], 2 * g)
         eta = eta_matrix(g)
@@ -78,8 +70,9 @@ def test_criterion_01_mck_verification():
 
 def test_criterion_02_invariant_table():
     for g in range(2, 6):
+        fam = family("mck", g)
         for n in range(0, 11):
-            rep = full_report(twisted_mck(g, n))
+            rep = full_report(fam.spec(n))
             assert (rep.chi, rep.sigma, rep.b1, rep.b2_plus, rep.b2) == (
                 8 - 4 * g, -4, 2 * g, 1, 6)
     print("ACCEPTANCE 2 (invariant table, g=2..5, n=0..10): PASS")
@@ -87,7 +80,7 @@ def test_criterion_02_invariant_table():
 
 def test_criterion_03_blowdown_parity():
     for g in (2, 3):
-        spec = mck(g)
+        spec = family("mck", g).base_spec
         assert blowdown_parity_report(spec, mck_section_incidence(1)) == "even"
         assert blowdown_parity_report(spec, mck_section_incidence(2)) == "odd"
     print("ACCEPTANCE 3 (blowdown parity, both section systems, g=2,3): PASS")
@@ -97,7 +90,8 @@ def test_criterion_04_johnson_pipeline():
     for g in (2, 3):
         table = CurveTable("mck", g)
         genus = 2 * g
-        v = v_class(g)  # internally cross-checks closed form vs pipeline
+        fam = family("mck", g)
+        v = fam.witness_class()  # internally cross-checks closed form vs pipeline
         assert is_primitive(v)
         from monolab.johnson import wedge3
         closed = reduce_to_quotient(
@@ -105,7 +99,7 @@ def test_criterion_04_johnson_pipeline():
             + wedge3(table.a[genus], table.c[genus - 1], table.B[0])
         )
         assert closed == v
-        f = torelli_f(g, "mck")
+        f = fam.twist
         k = Word([TwistLetter(table.B[0])], genus)
         for n in range(1, 9):
             assert commutator_tau(k, f, n) == n * v
@@ -129,15 +123,16 @@ def test_criterion_05_distinguishing_certificates(families):
 
 def test_criterion_06_chain_family(families):
     for g in (3, 4):
-        w = w_class(g)
+        fam = family("chain", g)
+        w = fam.witness_class()
         assert is_primitive(w)
         table = CurveTable("chain", g)
-        f = torelli_f(g, "chain")
+        f = fam.twist
         k4 = Word([TwistLetter(table.chain[4])], g)
         for n in range(0, 6):
-            fact = chain_factorization(g, n)
+            fact = fam.factorization(n)
             assert sp_image(fact.word).is_identity()
-            spec = chain_family(g, n)
+            spec = fam.spec(n)
             assert endo_signature(spec) == -12 * g * (g + 1)
             assert b1_homological(spec) == 0
             rep = full_report(spec)
@@ -218,7 +213,7 @@ def test_criterion_09_property_suites():
             assert sp_image(out.word) == fact.claimed_target
     # naturality of tau under randomized conjugators
     g = 2
-    f = torelli_f(g, "mck")
+    f = family("mck", g).twist
     for _ in range(60):
         letters = [TwistLetter(random_class(rng, 2 * g), rng.choice((1, -1)))
                    for _ in range(rng.randint(1, 3))]
@@ -268,17 +263,17 @@ def test_criterion_10_honest_verdicts(families):
     docs = []
     fam = families[("mck", 2)]
     docs.append(distinguish(1, 2, fam).as_dict())
-    docs.append(full_report(twisted_mck(2, 3)).as_dict())
-    docs.append(verify_factorization(mck_factorization(2)))
+    docs.append(full_report(family("mck", 2).spec(3)).as_dict())
+    docs.append(verify_factorization(family("mck", 2).base))
     g = 2
     bad = Word([TwistLetter(basis_a(g, 1))], g)
     docs.append(verify_factorization(bad))
     from monolab.hurwitz import QuotientConfig, same_orbit, orbit_explore
     cfg = QuotientConfig(2, 4)
-    f = mck_factorization(2)
+    f = family("mck", 2).base
     docs.append(same_orbit(f, f, cfg, 10).as_dict())
     docs.append(orbit_explore(f, cfg, 50).as_dict())
-    spec = twisted_mck(2, 1)
+    spec = family("mck", 2).spec(1)
     docs.append(schemas.encode_fibration_spec(spec))
     for doc in docs:
         for path, text in _computed_strings(doc):

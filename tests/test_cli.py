@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from monolab import cli, johnson, scenarios, schemas, words
+from monolab import cli, invariants, johnson, scenarios, schemas, words
 from monolab.homology import basis_a, basis_b
-from monolab.scenarios import mck, torelli_f, twisted_mck
+from monolab.scenarios import family
 from monolab.words import TwistLetter, Word, sp_image
 from helpers import mck_depth3_inputs
 
@@ -23,7 +23,7 @@ def write_json(tmp_path, name, doc):
 
 
 def mck_fact_doc(g=2, n=0):
-    spec = twisted_mck(g, n)
+    spec = family("mck", g).spec(n)
     word = Word(spec.cycles, 2 * g)
     return schemas.encode_factorization(word)
 
@@ -32,6 +32,10 @@ def test_unknown_subcommand(capsys):
     code, _, err = run_cli(["frobnicate"], capsys)
     assert code == cli.EX_UNKNOWN_COMMAND
     assert "unknown subcommand" in err
+    # no subcommand at all: the usage goes to stderr, stdout stays empty
+    code, out, err = run_cli([], capsys)
+    assert code == cli.EX_UNKNOWN_COMMAND
+    assert "usage: monolab" in err and out == ""
 
 
 def test_missing_file(capsys):
@@ -75,7 +79,8 @@ def test_verify_fail_still_exit_zero(tmp_path, capsys):
 
 
 def test_invariants_file_and_flags(tmp_path, capsys):
-    path = write_json(tmp_path, "spec.json", schemas.encode_fibration_spec(mck(2)))
+    spec_doc = schemas.encode_fibration_spec(family("mck", 2).base_spec)
+    path = write_json(tmp_path, "spec.json", spec_doc)
     code, out, _ = run_cli(["invariants", path], capsys)
     assert code == 0
     assert "b2_plus   1" in out
@@ -83,6 +88,11 @@ def test_invariants_file_and_flags(tmp_path, capsys):
                              "--n", "0"], capsys)
     assert code == 0
     assert out2 == out
+    # --table was never read, and is gone
+    code, out, err = run_cli(["invariants", "--family", "mck", "--genus", "2",
+                              "--table"], capsys)
+    assert code == cli.EX_SCHEMA
+    assert "unknown flag --table" in err and out == ""
 
 
 def test_invariants_grid_csv(capsys):
@@ -120,7 +130,7 @@ def test_distinguish_text_and_json(capsys):
 def test_conjugate_partial(tmp_path, capsys):
     g = 2
     fact_path = write_json(tmp_path, "fact.json", mck_fact_doc())
-    table_word = torelli_f(g, "mck").twist_word()
+    table_word = family("mck", g).twist.twist_word()
     word_path = write_json(tmp_path, "word.json", schemas.encode_word(table_word))
     code, out, _ = run_cli(["conjugate", fact_path, "--word", word_path,
                             "--prefix", str(2 * g + 2)], capsys)
@@ -206,7 +216,7 @@ def test_deterministic_output(capsys):
 
 
 def test_johnson_cli(tmp_path, capsys):
-    tw = torelli_f(2, "mck")
+    tw = family("mck", 2).twist
     path = write_json(tmp_path, "tw.json", schemas.encode_torelli_word(tw))
     code, out, _ = run_cli(["johnson", path], capsys)
     assert code == 0
@@ -217,9 +227,9 @@ def test_johnson_cli(tmp_path, capsys):
 
 
 def test_roundtrips():
-    tw = torelli_f(2, "mck")
+    tw = family("mck", 2).twist
     assert schemas.decode_torelli_word(schemas.encode_torelli_word(tw)).factors == tw.factors
-    spec = twisted_mck(2, 1)
+    spec = family("mck", 2).spec(1)
     spec2 = schemas.decode_fibration_spec(schemas.encode_fibration_spec(spec))
     assert spec2.cycles == spec.cycles
     assert spec2.signature_reference.cycles == spec.signature_reference.cycles
@@ -237,8 +247,28 @@ def test_hurwitz_jobs_flag_is_unknown(tmp_path, capsys):
     assert out == ""
 
 
+def test_quotient_genus_is_bounded(tmp_path, capsys):
+    # refused before the quotient table is built: C(2G, 3) triples at genus G
+    bound = johnson.MAX_QUOTIENT_GENUS
+    g = bound // 2 + 1  # the smallest mck parameter past the bound
+    code, out, err = run_cli(["distinguish", "--family", "mck", "--genus", str(g),
+                              "--n", "1", "--m", "2"], capsys)
+    assert code == cli.EX_PRECONDITION
+    assert "genus %d exceeds MAX_QUOTIENT_GENUS = %d" % (2 * g, bound) in err
+    assert out == ""
+    genus = bound + 1
+    gen = johnson.BoundingPairGen(basis_b(genus, 2),
+                                  [(basis_a(genus, 1), basis_b(genus, 1))])
+    tw = johnson.TorelliWord([(Word((), genus), gen, 1)])
+    path = write_json(tmp_path, "tw.json", schemas.encode_torelli_word(tw))
+    code, out, err = run_cli(["johnson", path, "--json"], capsys)
+    assert code == cli.EX_PRECONDITION
+    assert "genus %d exceeds MAX_QUOTIENT_GENUS" % genus in err
+    assert out == ""
+
+
 def test_torelli_side_vector_of_wrong_length_is_named(tmp_path, capsys):
-    doc = schemas.encode_torelli_word(torelli_f(2, "mck"))
+    doc = schemas.encode_torelli_word(family("mck", 2).twist)
     doc["factors"][0]["generator"]["side"][0][1] = [0, 1, 0]
     path = write_json(tmp_path, "tw.json", doc)
     code, out, err = run_cli(["johnson", path], capsys)
@@ -318,7 +348,7 @@ def test_factorization_target_matrix_must_be_2g_square(tmp_path, capsys):
 def test_conjugate_prefix_must_be_an_integer(tmp_path, capsys):
     fact_path = write_json(tmp_path, "fact.json", mck_fact_doc())
     word_path = write_json(tmp_path, "word.json",
-                           schemas.encode_word(torelli_f(2, "mck").twist_word()))
+                           schemas.encode_word(family("mck", 2).twist.twist_word()))
     code, out, err = run_cli(["conjugate", fact_path, "--word", word_path,
                               "--prefix", "x"], capsys)
     assert code == cli.EX_SCHEMA
@@ -422,13 +452,22 @@ def test_invariant_grid_builds_each_family_once(monkeypatch, capsys):
 
     count_inits(scenarios.CurveTable, "tables")
     count_inits(words.PositiveFactorization, "validations")
+    count_inits(invariants.FibrationSpec, "specs")
+    full_report = invariants.full_report
+
+    def counted_report(spec):
+        counts["reports"] += 1
+        return full_report(spec)
+    monkeypatch.setattr(invariants, "full_report", counted_report)
     for fam, grid, genera in (("mck", "2..3,0..4", 2), ("chain", "3..4,0..2", 2)):
-        counts.update(tables=0, validations=0)
+        counts.update(tables=0, validations=0, specs=0, reports=0)
         code, _, _ = run_cli(["invariants", "--family", fam, "--grid", grid, "--csv"],
                              capsys)
         assert code == 0, fam
-        # one table and one base validation per g; every member n is that base
-        assert counts == {"tables": genera, "validations": genera}, fam
+        # one table and one base validation per g; every member n is that
+        # base, and the members n > 0 share one twisted spec and its report
+        assert counts == {"tables": genera, "validations": genera,
+                          "specs": 2 * genera, "reports": 2 * genera}, fam
 
 
 def test_lattice_complement_of_no_classes_is_the_whole_lattice(tmp_path, capsys):
@@ -453,7 +492,8 @@ def _split_of_one():
 
 
 @pytest.mark.parametrize("command, make_doc, field", [
-    ("invariants", lambda: _with(schemas.encode_fibration_spec(mck(2)), fiber_genus=-2),
+    ("invariants", lambda: _with(schemas.encode_fibration_spec(family("mck", 2).base_spec),
+                                 fiber_genus=-2),
      "fibration_spec.fiber_genus"),
     ("verify", lambda: _with(mck_fact_doc(), genus=-1), "factorization.genus"),
     ("verify", lambda: _with(mck_fact_doc(), genus=10000000), "factorization.genus"),

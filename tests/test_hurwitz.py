@@ -15,7 +15,7 @@ from monolab.hurwitz import (
     reduce_factorization,
     same_orbit,
 )
-from monolab.scenarios import mck_factorization
+from monolab.scenarios import family
 from monolab.words import (
     PositiveFactorization, TwistLetter, Word, elementary_transformation, sp_image,
 )
@@ -151,7 +151,7 @@ def test_orbit_closure_members_stay_inside():
 
 def test_budget_truncation():
     cfg = QuotientConfig(3, 4)
-    fact = mck_factorization(2)
+    fact = family("mck", 2).base
     report = orbit_explore(fact, cfg, 50)
     assert not report.complete
     assert report.explored == 50
@@ -162,7 +162,7 @@ def test_truncated_explore_stops_at_the_first_state_that_does_not_fit(monkeypatc
     # the report, so the search makes no further move
     from collections import deque
     cfg = QuotientConfig(3, 4)
-    fact = mck_factorization(2)
+    fact = family("mck", 2).base
     budget = 300
     calls = []
 
@@ -198,7 +198,7 @@ def test_truncated_explore_stops_at_the_first_state_that_does_not_fit(monkeypatc
 
 def test_explore_deterministic():
     cfg = QuotientConfig(3, 4)
-    fact = mck_factorization(2)
+    fact = family("mck", 2).base
     a = orbit_explore(fact, cfg, 300)
     b = orbit_explore(fact, cfg, 300)
     assert a.forms == b.forms
@@ -207,7 +207,7 @@ def test_explore_deterministic():
 def test_mck_mod3_orbit_snapshot():
     # frozen regression numbers for a deterministic truncated exploration
     cfg = QuotientConfig(3, 4)
-    report = orbit_explore(mck_factorization(2), cfg, 2000)
+    report = orbit_explore(family("mck", 2).base, cfg, 2000)
     assert (report.explored, report.complete) == (2000, False)
     forms = sorted(report.forms)
     import hashlib
@@ -262,11 +262,11 @@ def test_same_orbit_unknown_on_budget():
 
 def test_twisted_family_reduces_identically():
     # the conjugator acts trivially on homology, so the reduced words agree
-    from monolab.scenarios import twisted_mck
     g = 2
     cfg = QuotientConfig(2, 2 * g)
-    base = mck_factorization(g)
-    spec0, spec1 = twisted_mck(g, 0), twisted_mck(g, 1)
+    fam = family("mck", g)
+    base = fam.base
+    spec0, spec1 = fam.spec(0), fam.spec(1)
     f0 = fact_of(list(spec0.cycles), 2 * g)
     f1 = fact_of(list(spec1.cycles), 2 * g)
     cert = same_orbit(f0, f1, cfg, 10)
@@ -308,7 +308,7 @@ def test_budget_above_the_cap_is_refused_before_any_state(monkeypatch, search):
 
     monkeypatch.setattr(hurwitz, "reduce_factorization", no_state)
     with pytest.raises(ValueError, match=r"budget 200001 is outside 1\.\.MAX_BUDGET = 200000"):
-        search(mck_factorization(2), QuotientConfig(3, 4), hurwitz.MAX_BUDGET + 1)
+        search(family("mck", 2).base, QuotientConfig(3, 4), hurwitz.MAX_BUDGET + 1)
 
 
 def test_same_orbit_budget_counts_both_roots():

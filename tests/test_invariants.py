@@ -12,7 +12,7 @@ from monolab.invariants import (
     euler_characteristic,
     full_report,
 )
-from monolab.scenarios import chain_family, mck, mck_section_incidence, twisted_mck
+from monolab.scenarios import family, mck_section_incidence
 from monolab.words import TwistLetter, Word, elementary_transformation, PositiveFactorization, sp_image
 
 
@@ -22,17 +22,17 @@ def bundle_spec(h, sections=(0,)):
 
 def test_euler_characteristic():
     for g in range(2, 6):
-        assert euler_characteristic(mck(g)) == 8 - 4 * g
+        assert euler_characteristic(family("mck", g).base_spec) == 8 - 4 * g
     for g in (3, 4):
-        assert euler_characteristic(chain_family(g, 0)) == 24 * g * g + 8 * g + 4
+        assert euler_characteristic(family("chain", g).spec(0)) == 24 * g * g + 8 * g + 4
     assert euler_characteristic(bundle_spec(3)) == 4 - 4 * 3
 
 
 def test_endo_signature_values():
     for g in range(2, 7):
-        assert endo_signature(mck(g)) == -4
+        assert endo_signature(family("mck", g).base_spec) == -4
     for g in (3, 4):
-        assert endo_signature(chain_family(g, 0)) == -12 * g * (g + 1)
+        assert endo_signature(family("chain", g).spec(0)) == -12 * g * (g + 1)
     assert endo_signature(bundle_spec(2)) == 0
 
 
@@ -45,7 +45,7 @@ def test_endo_signature_requires_hyperelliptic_structure():
 
 
 def test_endo_signature_via_reference():
-    spec = twisted_mck(2, 3)
+    spec = family("mck", 2).spec(3)
     assert not spec.hyperelliptic
     assert spec.signature_reference is not None
     assert endo_signature(spec) == -4
@@ -66,27 +66,27 @@ def test_endo_signature_non_integrality_is_an_error():
 
 def test_b1_homological():
     for g in (2, 3, 4):
-        assert b1_homological(mck(g)) == 2 * g
+        assert b1_homological(family("mck", g).base_spec) == 2 * g
     for g in (3, 4):
-        assert b1_homological(chain_family(g, 0)) == 0
-    assert b1_homological(chain_family(4, 7)) == 0
+        assert b1_homological(family("chain", g).spec(0)) == 0
+    assert b1_homological(family("chain", 4).spec(7)) == 0
     assert b1_homological(bundle_spec(3, (0,))) == 6
     with pytest.raises(FibrationError):
         b1_homological(FibrationSpec(2, (), (), hyperelliptic=True))
 
 
 def test_full_report_mck():
-    rep = full_report(mck(2))
+    rep = full_report(family("mck", 2).base_spec)
     assert (rep.chi, rep.sigma, rep.b1, rep.b2_plus, rep.b2_minus) == (0, -4, 4, 1, 5)
     assert rep.b2 == 6
-    rep = full_report(twisted_mck(3, 4))
+    rep = full_report(family("mck", 3).spec(4))
     assert (rep.chi, rep.sigma, rep.b1, rep.b2_plus, rep.b2) == (-4, -4, 6, 1, 6)
 
 
 def test_full_report_chain():
-    rep = full_report(chain_family(3, 0))
+    rep = full_report(family("chain", 3).spec(0))
     assert (rep.b2_plus, rep.b2_minus) == (49, 193)
-    rep = full_report(chain_family(4, 2))
+    rep = full_report(family("chain", 4).spec(2))
     assert (rep.b2_plus, rep.b2_minus) == (6 * 16 - 8 + 1, 18 * 16 + 40 + 1)
 
 
@@ -99,7 +99,8 @@ def test_full_report_surface_bundle():
 
 def test_report_identities_always_hold():
     rng = random.Random(51)
-    specs = [mck(2), mck(3), chain_family(3, 1), twisted_mck(2, 7)]
+    specs = [family("mck", 2).base_spec, family("mck", 3).base_spec,
+             family("chain", 3).spec(1), family("mck", 2).spec(7)]
     for spec in specs:
         rep = full_report(spec)
         assert rep.chi == 2 - 2 * rep.b1 + rep.b2
@@ -109,7 +110,7 @@ def test_report_identities_always_hold():
 def test_signature_invariant_under_hurwitz_moves():
     rng = random.Random(53)
     g = 2
-    spec = mck(g)
+    spec = family("mck", g).base_spec
     word = Word(spec.cycles, 2 * g)
     fact = PositiveFactorization(word, sp_image(word))
     for _ in range(30):
@@ -122,7 +123,7 @@ def test_signature_invariant_under_hurwitz_moves():
 
 def test_blowdown_parity_scenarios():
     for g in (2, 3):
-        spec = mck(g)
+        spec = family("mck", g).base_spec
         assert blowdown_parity_report(spec, mck_section_incidence(1)) == "even"
         assert blowdown_parity_report(spec, mck_section_incidence(2)) == "odd"
 
@@ -136,7 +137,7 @@ def test_blowdown_parity_toy():
 
 
 def test_blowdown_parity_requires_minus_one_sections():
-    spec = chain_family(3, 0)
+    spec = family("chain", 3).spec(0)
     with pytest.raises(FibrationError):
         blowdown_parity_report(spec, [[1]])
 
@@ -147,6 +148,6 @@ def numbers(report):
 
 def test_invariants_independent_of_n():
     for g in (2, 3):
-        base = numbers(full_report(mck(g)))
+        base = numbers(full_report(family("mck", g).base_spec))
         for n in range(0, 8):
-            assert numbers(full_report(twisted_mck(g, n))) == base
+            assert numbers(full_report(family("mck", g).spec(n))) == base

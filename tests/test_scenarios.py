@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from monolab.homology import basis_a, basis_b, fixed_subspace_dim, is_primitive
@@ -14,16 +12,8 @@ from monolab.scenarios import (
     CHAIN_TAU_SIGN,
     CurveTable,
     ScenarioValidationError,
-    chain_factorization,
-    chain_family,
     eta_matrix,
     family,
-    mck,
-    mck_factorization,
-    torelli_f,
-    twisted_mck,
-    v_class,
-    w_class,
     _mck_vectors,
 )
 from monolab.words import TwistLetter, Word, sp_image, verify_factorization
@@ -38,30 +28,12 @@ def test_transcription_validates_for_all_desk_parameters():
         assert all(ok for _, ok in table.checks)
 
 
-def test_validation_catches_corruption():
+def test_validation_catches_corruption(monkeypatch):
     import monolab.scenarios as sc
     good = _mck_vectors(2)
     bad = [list(v) for v in good]
     bad[3][0] += 1
-    original = sc._load_mck_vectors
-    sc._load_mck_vectors = lambda g: bad if g == 2 else original(g)
-    try:
-        with pytest.raises(ScenarioValidationError):
-            CurveTable("mck", 2)
-    finally:
-        sc._load_mck_vectors = original
-
-
-def test_data_dir_override(tmp_path, monkeypatch):
-    doc = {"schema": "monolab/1", "mck": {"2": {"B": _mck_vectors(2)}}}
-    path = tmp_path / "mck_classes.json"
-    path.write_text(json.dumps(doc))
-    monkeypatch.setenv("MONOLAB_DATA", str(tmp_path))
-    table = CurveTable("mck", 2)
-    assert all(ok for _, ok in table.checks)
-    # a corrupt override must abort with the violated constraint named
-    doc["mck"]["2"]["B"][0][0] += 1
-    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(sc, "_mck_vectors", lambda g: bad if g == 2 else _mck_vectors(g))
     with pytest.raises(ScenarioValidationError):
         CurveTable("mck", 2)
 
@@ -80,7 +52,7 @@ def test_eta_matrix_properties():
 
 def test_mck_factorization_verifies():
     for g in (2, 3, 4):
-        fact = mck_factorization(g)
+        fact = family("mck", g).base
         assert len(fact) == 4 * g + 4
         report = verify_factorization(fact)
         assert report["verdict"] == "PASS"
@@ -89,19 +61,19 @@ def test_mck_factorization_verifies():
 
 
 def test_mck_spec():
-    spec = mck(2)
+    spec = family("mck", 2).base_spec
     assert spec.sections == (-1, -1, -1, -1)
     assert spec.hyperelliptic
     assert len(spec.cycles) == 12
     with pytest.raises(ValueError):
-        mck(1)
+        family("mck", 1).base_spec
 
 
 def test_torelli_f_values():
     for g in (2, 3):
         table = CurveTable("mck", g)
         genus = 2 * g
-        f = torelli_f(g, "mck")
+        f = family("mck", g).twist
         expected = reduce_to_quotient(
             wedge3(table.a[1], table.b[1], table.c[1])
             + wedge3(table.a[genus], table.b[genus], table.c[genus - 1])
@@ -109,7 +81,7 @@ def test_torelli_f_values():
         assert tau_word(f) == expected
     for g in (3, 4):
         table = CurveTable("chain", g)
-        f = torelli_f(g, "chain")
+        f = family("chain", g).twist
         assert tau_word(f) == reduce_to_quotient(
             wedge3(table.a[1], table.b[1], table.b[2])
         )
@@ -118,19 +90,20 @@ def test_torelli_f_values():
 def test_torelli_f_literal_word_is_sp_trivial():
     for g in (2, 3):
         assert sp_image(family("mck", g).twist_word).is_identity()
-        assert sp_image(torelli_f(g, "mck").twist_word()).is_identity()
+        assert sp_image(family("mck", g).twist.twist_word()).is_identity()
 
 
 def test_twisted_mck_letters_equal_base():
     # the conjugator is Torelli, so the homology letters cannot move
     for g in (2, 3):
-        base = mck(g)
+        fam = family("mck", g)
+        base = fam.base_spec
         for n in (0, 1, 5):
-            spec = twisted_mck(g, n)
+            spec = fam.spec(n)
             assert spec.cycles == base.cycles
             assert spec.sections == base.sections
-    assert twisted_mck(2, 0).hyperelliptic
-    assert not twisted_mck(2, 1).hyperelliptic
+    assert family("mck", 2).spec(0).hyperelliptic
+    assert not family("mck", 2).spec(1).hyperelliptic
 
 
 def test_f_power_fixes_letter_classes():
@@ -158,10 +131,11 @@ def test_eta_action_example():
 
 def test_v_class_primitive_and_linear():
     for g in (2, 3):
-        v = v_class(g)
+        fam = family("mck", g)
+        v = fam.witness_class()
         assert is_primitive(v)
         table = CurveTable("mck", g)
-        f = torelli_f(g, "mck")
+        f = fam.twist
         k = Word([TwistLetter(table.B[0])], 2 * g)
         for n in range(1, 9):
             assert commutator_tau(k, f, n) == n * v
@@ -169,10 +143,11 @@ def test_v_class_primitive_and_linear():
 
 def test_w_class_primitive_and_linear_up_to_recorded_sign():
     for g in (3, 4):
-        w = w_class(g)
+        fam = family("chain", g)
+        w = fam.witness_class()
         assert is_primitive(w)
         table = CurveTable("chain", g)
-        f = torelli_f(g, "chain")
+        f = fam.twist
         k4 = Word([TwistLetter(table.chain[4])], g)
         for n in range(1, 7):
             assert commutator_tau(k4, f, n) == (CHAIN_TAU_SIGN * n) * w
@@ -183,7 +158,7 @@ def test_w_class_primitive_and_linear_up_to_recorded_sign():
 
 
 def test_chain_family_builds_and_verifies():
-    fact = chain_factorization(3, 0)
+    fact = family("chain", 3).factorization(0)
     assert len(fact) == 12 * 3 * 7
     assert verify_factorization(fact)["verdict"] == "PASS"
     block = Word(fact.letters[: 6], 3)
@@ -195,11 +170,11 @@ def test_chain_family_builds_and_verifies():
         order += 1
         assert order <= 14
     assert 14 % order == 0
-    spec = chain_family(3, 2)
+    spec = family("chain", 3).spec(2)
     assert spec.sections == (-3,)
     assert not spec.hyperelliptic
     with pytest.raises(ValueError):
-        chain_family(2, 0)
+        family("chain", 2).spec(0)
 
 
 def test_family_seed_lattices():
@@ -217,6 +192,18 @@ def test_family_seed_lattices():
     chain_fam = family("chain", 3)
     basis = saturate(chain_fam.seed_classes(2), chain_fam.action_generators())
     assert basis.content() == 2
+
+
+def test_seed_classes_match_the_literal_commutator_pipeline():
+    # seed_classes(n) scales the unit seeds by n (tau is a homomorphism on
+    # the Torelli group); commutator_tau at n replays the literal word
+    for kind, g in (("mck", 2), ("mck", 3), ("chain", 3)):
+        fam = family(kind, g)
+        for n in (0, 1, 3, 7):
+            assert fam.seed_classes(n) == [
+                commutator_tau(Word([l], fam.surface_genus), fam.twist, n)
+                for l in fam.base_letters
+            ], (kind, g, n)
 
 
 def test_saturation_scaling_oracle():
@@ -244,7 +231,7 @@ def test_single_seed_orbit_lattice_content():
 
 def test_global_conjugation_of_base_by_twist():
     g = 2
-    fact = mck_factorization(g)
+    fact = family("mck", g).base
     conj = family("mck", g).twist_word
     from monolab.words import global_conjugation
     out = global_conjugation(fact, conj)
@@ -254,6 +241,6 @@ def test_global_conjugation_of_base_by_twist():
 
 def test_mck_rejects_small_genus():
     with pytest.raises(ValueError):
-        torelli_f(1, "mck")
+        family("mck", 1).twist
     with pytest.raises(ValueError):
-        twisted_mck(2, -1)
+        family("mck", 2).spec(-1)

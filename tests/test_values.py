@@ -8,7 +8,7 @@ from monolab.hurwitz import ExploreReport, OrbitCertificate, QuotientConfig
 from monolab.invariants import FibrationSpec, InvariantReport
 from monolab.johnson import BoundingPairGen, Certificate, QuotientClass, TorelliWord, Wedge3
 from monolab.lattices import IntLattice, SublatticeBasis
-from monolab.scenarios import torelli_f
+from monolab.scenarios import family
 from monolab.words import PositiveFactorization, TwistLetter, Word, sp_image
 
 
@@ -27,7 +27,7 @@ VALUE_TYPES = [
     (PositiveFactorization, _factorization),
     (Wedge3, lambda: Wedge3(3, range(20))),
     (QuotientClass, lambda: QuotientClass(3, range(14))),
-    (BoundingPairGen, lambda: torelli_f(2, "mck").factors[0][1]),
+    (BoundingPairGen, lambda: family("mck", 2).twist.factors[0][1]),
     (SublatticeBasis, lambda: SublatticeBasis(2, [(2, 0), (0, 4)])),
     (IntLattice, lambda: IntLattice([[0, 1], [1, 0]])),
 ]
@@ -36,7 +36,7 @@ IDENTITY_TYPES = [
     (QuotientConfig, lambda: QuotientConfig(3, 2)),
     (OrbitCertificate, lambda: OrbitCertificate("unknown", None, 0, 1)),
     (ExploreReport, lambda: ExploreReport({()}, QuotientConfig(3, 2), True, 1, 1)),
-    (TorelliWord, lambda: torelli_f(2, "mck")),
+    (TorelliWord, lambda: family("mck", 2).twist),
     (Certificate, lambda: Certificate("mck", 3, 1, 2, QuotientClass.zero(3), 1, 2,
                                       SublatticeBasis(14, ()), SublatticeBasis(14, ()))),
     (FibrationSpec, lambda: FibrationSpec(2, (), (-1,), True)),
