@@ -2,7 +2,8 @@
 
 Everything here works with plain Python integers, so there is no precision
 ceiling anywhere.  Matrices are tuples of tuples (immutable) or lists of
-lists (scratch space); vectors are tuples or lists of ints.
+lists (scratch space); vectors are tuples or lists of ints, or, inside the
+echelon lattice, ``{col: value}`` dicts of their nonzeros.
 
 The two bases of the package's value types live here too, since every
 module that defines one already imports this one: ``Frozen`` (immutable,
@@ -157,12 +158,14 @@ class EchelonLattice:
     as the span of ``rows``.
 
     This is the package's one integer row reduction: ``rank``, ``hnf`` and
-    lattice membership all go through it.  Rows are indexed by their pivot
-    column.  Insertion uses gcd exchanges, so the represented lattice only
-    ever grows; ``insert`` reports whether it actually grew.  ``hnf_rows``
-    returns the canonical Hermite basis (positive pivots, entries above each
-    pivot reduced into [0, pivot)), which is unique for the lattice and
-    therefore reproducible bit for bit.
+    lattice membership all go through it.  Rows are sparse ``{col: value}``
+    dicts holding only their nonzeros, indexed by their pivot (least)
+    column; inputs may be dense sequences or such dicts.  Insertion uses gcd
+    exchanges, so the represented lattice only ever grows; ``insert``
+    reports whether it actually grew.  ``hnf_rows`` returns the canonical
+    Hermite basis (positive pivots, entries above each pivot reduced into
+    [0, pivot)) as dense tuples; it is unique for the lattice and therefore
+    reproducible bit for bit.
     """
 
     def __init__(self, dim, rows=()):
@@ -175,68 +178,81 @@ class EchelonLattice:
     def rank(self):
         return len(self.pivot_rows)
 
-    def _leading(self, v, start=0):
-        for j in range(start, self.dim):
-            if v[j]:
-                return j
-        return None
-
     def reduce(self, vec):
-        """Residue of vec after reduction against the current basis."""
-        v = list(vec)
-        j = self._leading(v)
-        while j is not None:
+        """Residue of vec after reduction against the current basis, as a
+        ``{col: value}`` dict of its nonzeros."""
+        v = sparse(vec)
+        while v:
+            j = min(v)
             row = self.pivot_rows.get(j)
             if row is None:
                 return v
             q = v[j] // row[j]
             if q:
-                v = [x - q * y for x, y in zip(v, row)]
-            if v[j]:
+                _sub_multiple(v, q, row)
+            if j in v:
                 return v
-            j = self._leading(v, j + 1)
         return v
 
     def insert(self, vec):
         """Add vec to the lattice; True iff the lattice grew."""
-        v = list(vec)
+        v = sparse(vec)
         changed = False
-        j = self._leading(v)
-        while j is not None:
+        while v:
+            j = min(v)
             row = self.pivot_rows.get(j)
             if row is None:
                 if v[j] < 0:
-                    v = [-x for x in v]
+                    v = {k: -x for k, x in v.items()}
                 self.pivot_rows[j] = v
                 return True
             a, b = v[j], row[j]
             if a % b == 0:
-                q = a // b
-                v = [x - q * y for x, y in zip(v, row)]
+                _sub_multiple(v, a // b, row)
             else:
                 g, x, y = xgcd(b, a)
-                new_row = [x * r + y * w for r, w in zip(row, v)]
-                v = [(b // g) * w - (a // g) * r for r, w in zip(row, v)]
-                self.pivot_rows[j] = new_row
+                self.pivot_rows[j] = _combination(x, row, y, v)
+                v = _combination(-(a // g), row, b // g, v)
                 changed = True
-            j = self._leading(v, j + 1)
         return changed
 
     def member(self, vec):
-        return not any(self.reduce(vec))
+        return not self.reduce(vec)
 
     def hnf_rows(self):
         # increasing pivot order: row i has zeros left of its pivot, so
         # reducing with it never disturbs columns fixed earlier
         cols = sorted(self.pivot_rows)
-        rows = [list(self.pivot_rows[c]) for c in cols]
+        rows = [dict(self.pivot_rows[c]) for c in cols]
         for i in range(len(rows)):
             p = rows[i][cols[i]]
             for k in range(i):
-                q = rows[k][cols[i]] // p
+                q = rows[k].get(cols[i], 0) // p
                 if q:
-                    rows[k] = [x - q * y for x, y in zip(rows[k], rows[i])]
-        return tuple(tuple(r) for r in rows)
+                    _sub_multiple(rows[k], q, rows[i])
+        return tuple(tuple(r.get(k, 0) for k in range(self.dim)) for r in rows)
+
+
+def sparse(vec):
+    """A fresh ``{col: value}`` dict of the nonzeros of a dense or sparse vector."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {k: x for k, x in items if x}
+
+
+def _combination(x, r, y, w):
+    """x * r + y * w for sparse r and w, over the union of their supports."""
+    out = {k: x * r.get(k, 0) + y * w.get(k, 0) for k in r.keys() | w.keys()}
+    return {k: t for k, t in out.items() if t}
+
+
+def _sub_multiple(v, q, row):
+    """v -= q * row in place, over row's nonzeros only (q != 0)."""
+    for k, y in row.items():
+        x = v.get(k, 0) - q * y
+        if x:
+            v[k] = x
+        else:
+            del v[k]
 
 
 def hnf(rows, dim):

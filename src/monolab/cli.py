@@ -3,12 +3,14 @@
 Exit codes: 0 computation ran (any verdict), 2 malformed input or usage,
 3 a checked precondition failed (the message names it), 64 unknown
 subcommand, 66 input file not found, 70 an internal self-check failed (a
-fault in monolab, not in the input).  Output is deterministic byte for
+fault in monolab, not in the input), 74 stdout was closed before the output
+was written (the reader left early).  Output is deterministic byte for
 byte for fixed inputs and flags: keys are sorted, orderings canonical,
 and nothing timestamps.
 """
 
 import json
+import os
 import sys
 
 from . import hurwitz, invariants, johnson, lattices, scenarios, schemas
@@ -24,6 +26,7 @@ EX_PRECONDITION = 3
 EX_UNKNOWN_COMMAND = 64
 EX_NO_INPUT = 66
 EX_SOFTWARE = 70
+EX_IOERR = 74
 
 
 class UsageError(Exception):
@@ -433,7 +436,15 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # interpreter shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EX_IOERR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

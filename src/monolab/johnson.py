@@ -30,6 +30,7 @@ shape, to saturate and replay; the dense action by 3x3 minors,
 ``sp_action_quotient``, is the oracle the tests check both against.
 """
 
+import collections
 import itertools
 
 from . import _linalg
@@ -47,8 +48,8 @@ class SaturationBudgetError(RuntimeError):
 # index bookkeeping, cached per genus
 
 
-# The quotient, and the dense lattice rows saturated in it, have C(2G, 3) - 2G
-# coordinates: 1120 at G = 10 (mck g = 5, about 9 s to distinguish), 2000 at
+# The quotient, and the lattice rows saturated in it, have C(2G, 3) - 2G
+# coordinates: 1120 at G = 10 (mck g = 5, about 1.6 s to distinguish), 2000 at
 # G = 12, 1313200 at schemas.MAX_GENUS.  12 admits every desk-scale input.
 MAX_QUOTIENT_GENUS = 12
 
@@ -301,7 +302,8 @@ def _twist_columns(genus, coords, power):
     """Sparse columns of the quotient action of T_c^power, minus the identity.
 
     T_c^p = I + c (p s)^T with s.x = <x, c> as in ``homology._right_twist``,
-    so the wedge action has no cross terms (c ^ c = 0); c = 0 gives none.
+    so the wedge action has no cross terms (c ^ c = 0): these columns are p
+    times those of T_c, and they square to zero (s.c = 0).  c = 0 gives none.
     """
     key = (genus, coords, power)
     cols = _action_cache.get(key)
@@ -360,28 +362,30 @@ def _reduced_delta(tab, entries, r_idx):
     return tuple((i, v) for i, v in sorted(acc.items()) if v)
 
 
-def _act(cols, vec):
-    """The image of a quotient vector under the identity plus ``cols``."""
-    img = list(vec)
-    for j, vj in enumerate(vec):
-        if vj:
-            col = cols.get(j)
-            if col:
-                for i, a in col:
-                    img[i] += a * vj
-    return img
+def _delta(cols, vec, dim):
+    """(T - I) vec for the twist T whose ``_twist_columns`` are ``cols``, for
+    a quotient vector given and returned as a ``{col: value}`` dict of its
+    nonzeros."""
+    img = [0] * dim
+    for j, vj in vec.items():
+        for i, a in cols.get(j, ()):
+            img[i] += a * vj
+    return {i: x for i, x in enumerate(img) if x}
 
 
 def _letter_columns(letters, genus):
-    """(coords, power) of each nonseparating letter, and the columns of each
-    of them and of its inverse; separating letters act as the identity."""
+    """(coords, power) of each nonseparating letter, and the columns of each;
+    separating letters act as the identity.  An inverse needs no columns of
+    its own: T = I + D with D^2 = 0 (D is linear in the power, see
+    ``_twist_columns``), so T^-1 = I - D, and a lattice is stable under T^-1
+    iff it is under T, iff D maps it into itself."""
     keys = []
     for letter in letters:
         if letter.genus != genus:
             raise GenusMismatchError("action generator genus differs from seeds")
         if not letter.curve.is_zero():
             keys.append((letter.curve.coords, letter.power))
-    cols = [_twist_columns(genus, c, p) for c, power in keys for p in (power, -power)]
+    cols = [_twist_columns(genus, c, p) for c, p in keys]
     return keys, cols
 
 
@@ -547,10 +551,13 @@ def saturate(seeds, action_gens, max_steps=200000):
     The closure commutes with integer scaling, so any common content of the
     seeds is factored out first and restored at the end; this keeps the
     arithmetic on primitive data and lets all scalings of one seed family
-    share a single cached closure.  Termination is guaranteed (ascending
-    chains of subgroups of a finite-rank free abelian group stabilize); the
-    step budget guards against implementation bugs only.  The cache is
-    cleared when it holds MAX_CLOSURE_CACHE closures.
+    share a single cached closure.  The lattice is kept as sparse echelon
+    rows; only the vectors that grew it are queued, and each is expanded
+    once (see ``_closure``).  Termination is guaranteed (ascending chains of
+    subgroups of a finite-rank free abelian group stabilize); ``max_steps``
+    bounds the insert attempts, seeds included, and guards against
+    implementation bugs only.  The cache is cleared when it holds
+    MAX_CLOSURE_CACHE closures.
     """
     seeds = list(seeds)
     if not seeds:
@@ -565,11 +572,11 @@ def saturate(seeds, action_gens, max_steps=200000):
         return SublatticeBasis(dim, ())
     reduced = [tuple(x // scale for x in s.coords) for s in seeds]
 
-    gen_keys, directed = _letter_columns(action_gens, genus)
+    gen_keys, columns = _letter_columns(action_gens, genus)
     cache_key = (genus, tuple(sorted(set(reduced))), tuple(sorted(gen_keys)))
     rows = _closure_cache.get(cache_key)
     if rows is None:
-        rows = _closure(dim, reduced, directed, max_steps)
+        rows = _closure(dim, reduced, columns, max_steps)
         if len(_closure_cache) >= MAX_CLOSURE_CACHE:
             _closure_cache.clear()
         _closure_cache[cache_key] = rows
@@ -578,24 +585,38 @@ def saturate(seeds, action_gens, max_steps=200000):
     return SublatticeBasis._from_hnf(dim, rows)
 
 
-def _closure(dim, seed_vectors, directed_columns, max_steps):
+def _closure(dim, seed_vectors, letter_columns, max_steps):
+    """Hermite rows of the closure; see ``saturate``.
+
+    Each vector is tried against the lattice as soon as it is made, and only
+    the ones that grew it wait in the queue.  For a grown v and a letter T
+    the vector tried is (T - I) v, which lies in the lattice iff T v does
+    (v is in it already) and is about half as dense.  The lattice is
+    spanned by the grown vectors and each of them has every (T - I) v
+    tried, so it is stable under every letter and, by ``_letter_columns``,
+    every inverse: it is the closure.
+    """
     lat = _linalg.EchelonLattice(dim)
-    queue = list(seed_vectors)
-    head = 0
+    grown = collections.deque()
     steps = 0
-    while head < len(queue):
-        vec = queue[head]
-        head += 1
+
+    def attempt(vec):
+        nonlocal steps
         steps += 1
         if steps > max_steps:
             raise SaturationBudgetError(
                 "saturation exceeded %d steps; raise max_steps if the input "
                 "is legitimately this large" % max_steps
             )
-        if not lat.insert(vec):
-            continue
-        for cols in directed_columns:
-            queue.append(_act(cols, vec))
+        if lat.insert(vec):
+            grown.append(vec)
+
+    for vec in seed_vectors:
+        attempt(_linalg.sparse(vec))
+    while grown:
+        vec = grown.popleft()
+        for cols in letter_columns:
+            attempt(_delta(cols, vec, dim))
     return lat.hnf_rows()
 
 
@@ -730,9 +751,10 @@ def check_certificate(cert_dict, family, deep=True):
         )
         if deep:
             stable = True
+            rows = [_linalg.sparse(row) for row in basis.rows]
             for cols in _letter_columns(family.action_generators(), genus)[1]:
-                for row in basis.rows:
-                    if not basis.member(_act(cols, row)):
+                for row in rows:
+                    if not basis.member(_delta(cols, row, dim)):
                         stable = False
             record("lattice stable under the action at %d" % param, stable)
     record(

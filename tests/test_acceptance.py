@@ -297,3 +297,15 @@ def test_criterion_10_honest_verdicts(families):
                     raise AssertionError(
                         "forbidden verdict vocabulary at %s:%d" % (name, lineno))
     print("ACCEPTANCE 10 (honest-verdict audit): PASS")
+
+
+def test_criterion_11_mck_g5_certificate():
+    # surface genus 10: the saturated lattices live in the 1120-dimensional
+    # quotient
+    fam = family("mck", 5)
+    assert _table(fam.surface_genus).dim_quot == 1120
+    cert = distinguish(1, 3, fam)
+    assert (cert.content_n, cert.content_m) == (1, 3)
+    checks = check_certificate(cert.as_dict(), fam, deep=False)
+    assert all(ok for _, ok in checks)
+    print("ACCEPTANCE 11 (mck g=5 certificate, n=1 vs m=3, replayed): PASS")

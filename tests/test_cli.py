@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import monolab
 from monolab import cli, invariants, johnson, scenarios, schemas, words
 from monolab.homology import basis_a, basis_b
 from monolab.scenarios import family
@@ -396,6 +400,24 @@ def test_saturation_budget_error_is_a_precondition_failure(monkeypatch, capsys):
     assert out == ""
 
 
+# sha256 of the `distinguish --json` stdout (n=1, m=3), recorded from the
+# dense-row echelon lattice and the closure that queued every image
+DISTINGUISH_STDOUT_SHA256 = {
+    ("mck", 2, True): "05633d4e757897d604df8651f8d8f64cdba59728cd01de90e9fb8fadf85ddf1d",
+    ("mck", 3, False): "240d01cfbbc7e131bac9dd6f1832868a54b3d8c1cd6fa8449c39c97ab3093352",
+    ("chain", 4, False): "5ab31334c40e79da71b2ca9ef68f5680dfaaf90c4edc8fa3203b6075b93d9845",
+}
+
+
+def test_distinguish_certificates_are_pinned(capsys):
+    for (fam, g, deep), digest in DISTINGUISH_STDOUT_SHA256.items():
+        argv = ["distinguish", "--family", fam, "--genus", str(g), "--n", "1", "--m", "3",
+                "--json"] + (["--deep-check"] if deep else [])
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, fam
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (fam, g)
+
+
 # sha256 of stdout, recorded from the search that keyed its seen sets on
 # canonical_form bytes
 HURWITZ_STDOUT_SHA256 = {
@@ -557,3 +579,19 @@ def test_failed_self_check_exits_70(monkeypatch, capsys):
     assert code == cli.EX_SOFTWARE == 70
     assert "internal self-check failed: family witness class is not primitive" in err
     assert out == ""
+
+
+def test_closed_stdout_exits_74_without_a_traceback():
+    src = os.path.dirname(os.path.dirname(monolab.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "monolab", "scenario", "curves", "--context", "mck",
+             "--genus", "2"],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EX_IOERR == 74
+    assert b"Traceback" not in proc.stderr

@@ -32,7 +32,9 @@ from monolab.johnson import (
 )
 from monolab.lattices import smith_normal_form
 from monolab.words import TwistLetter, Word, sp_image
+from monolab.scenarios import family
 from helpers import fraction_solve, naive_wedge_cube, random_class
+from oracles import DenseEchelonLattice
 
 
 def gamma_vector(genus, j):
@@ -187,13 +189,15 @@ def test_sp_action_functorial_and_descends():
 
 def test_quotient_action_rank_one_matches_dense():
     # the per-letter rank-one columns agree with the dense oracle on both
-    # powers of a twist, and a separating (zero) letter acts as the identity
+    # powers of a twist, and a separating (zero) letter acts as the identity;
+    # T^-p - I = -(T^p - I), so the closure needs no columns for inverses
     from monolab.johnson import _action_cache, _twist_columns
     genus = 3
     tab = _table(genus)
     rng = random.Random(7)
     curves = [random_class(rng, genus) for _ in range(6)] + [zero_class(genus)]
     for c in curves:
+        by_power = {}
         for power in (1, -1):
             _action_cache.pop((genus, c.coords, power), None)
             fast = _twist_columns(genus, c.coords, power)
@@ -208,6 +212,9 @@ def test_quotient_action_rank_one_matches_dense():
                     dense[r_idx] = delta
             assert fast == dense
             assert bool(fast) == (not c.is_zero())
+            by_power[power] = dense
+        assert by_power[-1] == {j: tuple((i, -v) for i, v in col)
+                                for j, col in by_power[1].items()}
 
 
 def test_action_cache_never_grows_past_its_cap(monkeypatch):
@@ -228,6 +235,29 @@ def test_closure_cache_never_grows_past_its_cap(monkeypatch):
     for idx in range(10):
         saturate([_simple_seed(g, idx % _table(g).dim_quot)], gens)
         assert 1 <= len(johnson._closure_cache) <= 3
+
+
+def test_saturate_equals_the_closure_that_queues_every_image(monkeypatch):
+    # the closure as it was first written: a dense lattice, every letter and
+    # its inverse, and a queue that keeps every image, expanding the ones
+    # whose insert grew the lattice
+    monkeypatch.setattr(johnson, "_closure_cache", {})
+    fam = family("mck", 3)
+    seeds, gens = fam.seed_classes(1), fam.action_generators()
+    genus = fam.surface_genus
+    directed = [johnson._twist_columns(genus, l.curve.coords, p) for l in gens
+                if not l.curve.is_zero() for p in (l.power, -l.power)]
+    lat = DenseEchelonLattice(_table(genus).dim_quot)
+    queue = [list(s.coords) for s in seeds]
+    for vec in queue:
+        if lat.insert(vec):
+            for cols in directed:
+                img = list(vec)
+                for j, col in cols.items():
+                    for i, a in col:
+                        img[i] += a * vec[j]
+                queue.append(img)
+    assert saturate(seeds, gens).rows == lat.hnf_rows()
 
 
 def test_quotient_action_dense_path_against_wedge_action():

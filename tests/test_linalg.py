@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monolab._linalg import (
     EchelonLattice,
@@ -12,6 +12,7 @@ from monolab._linalg import (
     smith_normal_form,
     xgcd,
 )
+from oracles import DenseEchelonLattice
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -126,3 +127,42 @@ def test_hnf_canonical_and_idempotent():
         shuffled = list(rows)
         rng.shuffle(shuffled)
         assert hnf(shuffled, dim) == h1
+
+
+@st.composite
+def row_sets(draw):
+    """(dim, rows, probes) with zero rows, duplicates and negated copies
+    (negative leading entries) mixed into the random rows."""
+    dim = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)
+    rows = draw(st.lists(vec, max_size=8))
+    for kind in draw(st.lists(st.sampled_from(("zero", "dup", "neg")), max_size=4)):
+        if kind == "zero":
+            rows.insert(draw(st.integers(0, len(rows))), [0] * dim)
+        elif rows:
+            r = draw(st.sampled_from(rows))
+            rows.append(list(r) if kind == "dup" else [-x for x in r])
+    return dim, rows, draw(st.lists(vec, min_size=1, max_size=4))
+
+
+def _densify(v, dim):
+    out = [0] * dim
+    for k, x in v.items():
+        out[k] = x
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(row_sets())
+def test_sparse_echelon_matches_the_dense_oracle(case):
+    dim, rows, probes = case
+    sparse, dense = EchelonLattice(dim), DenseEchelonLattice(dim)
+    for i, r in enumerate(rows):
+        # the sparse lattice takes dense sequences and {col: value} dicts
+        given_row = r if i % 2 else {j: x for j, x in enumerate(r) if x}
+        assert sparse.insert(given_row) == dense.insert(r)
+        assert sparse.rank == dense.rank
+        for p in probes + rows:
+            assert sparse.member(p) == dense.member(p)
+            assert _densify(sparse.reduce(p), dim) == dense.reduce(p)
+    assert sparse.hnf_rows() == dense.hnf_rows()

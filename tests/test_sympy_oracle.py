@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
 from monolab._linalg import det, hnf, rank, smith_normal_form  # noqa: E402
@@ -47,6 +48,18 @@ def test_hnf_pivots_multiply_to_the_determinant(mat):
     h = hnf(rows, n)
     assert len(h) == n
     assert math.prod(h[i][i] for i in range(n)) == abs(d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_hnf_matches_sympy(mat):
+    # sympy's form is by columns with pivots counted from the last row, so
+    # the row lattice goes in transposed with its coordinates reversed
+    rows, n = mat
+    theirs = sympy_hnf(sympy.Matrix([r[::-1] for r in rows]).T if rows else sympy.zeros(n, 0))
+    want = sorted((tuple(int(x) for x in col[::-1]) for col in theirs.T.tolist()),
+                  key=lambda r: next(i for i, x in enumerate(r) if x))
+    assert hnf(rows, n) == tuple(want)
 
 
 @settings(max_examples=80, deadline=None)
