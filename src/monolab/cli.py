@@ -110,7 +110,7 @@ def _cmd_verify(argv):
 
 def _check_family(fam):
     if fam not in scenarios.FAMILY_KINDS:
-        raise UsageError("unknown family %r" % fam)
+        raise UsageError("unknown family %r; expected mck or chain" % fam)
 
 
 def _check_genus(kind, g, flag="--genus"):
@@ -215,8 +215,7 @@ def _cmd_distinguish(argv):
     args = _Args(argv, flags_with_value=("family", "genus", "n", "m"),
                  switches=("json", "deep-check"))
     fam_name = args.get("family")
-    if fam_name not in scenarios.FAMILY_KINDS:
-        raise UsageError("--family must be mck or chain")
+    _check_family(fam_name)
     g = args.get_int("genus")
     _check_genus(fam_name, g)
     n = args.get_int("n")

@@ -6,7 +6,9 @@ pairing is <a_i, b_i> = +1, all other basis pairings zero.
 
 The homology action of a right-handed Dehn twist about a curve in class c
 is the transvection x -> x + <x, c> c; the left-handed twist subtracts.
-This one sign convention is fixed here and inherited everywhere else.
+This one sign convention is fixed here, in ``pairing`` and ``dual``, and
+every other module (the mod-m moves in ``hurwitz``, the quotient action in
+``johnson``) takes it from those two functions.
 All values are immutable and all operations are pure, except ``_right_twist``,
 the one twist-product kernel, which updates caller-owned rows in place.
 """
@@ -82,13 +84,24 @@ def intersection_matrix(genus):
     return tuple(tuple(r) for r in rows)
 
 
+def pairing(u, v):
+    """<u, v> for coordinate sequences u, v in the fixed basis."""
+    g = len(u) // 2
+    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
+
+
+def dual(coords):
+    """The nonzeros (i, s_i) of the vector s with s.x = <x, c>, c = ``coords``:
+    s = (c_{g+1..2g}, -c_{1..g})."""
+    g = len(coords) // 2
+    return [(i + g, -x) if i < g else (i - g, x) for i, x in enumerate(coords) if x]
+
+
 def intersection(u, v):
     """Algebraic intersection number <u, v>."""
     if u.genus != v.genus:
         raise GenusMismatchError("genus mismatch: %d vs %d" % (u.genus, v.genus))
-    g = u.genus
-    uc, vc = u.coords, v.coords
-    return sum(uc[i] * vc[g + i] - uc[g + i] * vc[i] for i in range(g))
+    return pairing(u.coords, v.coords)
 
 
 def transvection(c, power, x):
@@ -165,11 +178,10 @@ class SpMap(Frozen):
 def _right_twist(rows, coords, power):
     """Right-multiply integer ``rows`` in place by T_c^power, c = ``coords``.
 
-    T_c = I + c s^T with s.x = <x, c>, s = (c_{g+1..2g}, -c_{1..g}): the update
-    M T_c^p = M + p (M c) s^T visits only the nonzero entries of c and s."""
-    g = len(coords) // 2
+    T_c = I + c s^T with s = ``dual(c)``: the update M T_c^p = M + p (M c) s^T
+    visits only the nonzero entries of c and s."""
     c = [(i, x) for i, x in enumerate(coords) if x]
-    s = [(i + g, -x) if i < g else (i - g, x) for i, x in c]
+    s = dual(coords)
     for r in rows:
         k = power * sum(r[i] * x for i, x in c)
         if k:

@@ -16,7 +16,7 @@ and the pair-product cache at ``MAX_PAIR_CACHE`` entries.
 from collections import deque
 
 from ._linalg import Frozen, identity_matrix
-from .homology import GenusMismatchError, _right_twist
+from .homology import GenusMismatchError, _right_twist, pairing
 
 MAX_BUDGET = 200000
 MAX_PAIR_CACHE = 65536
@@ -52,12 +52,8 @@ def canonical_form(state, cfg):
     return repr((cfg.genus, cfg.modulus, state)).encode("ascii")
 
 
-def _intersection_mod(u, v, g, m):
-    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g)) % m
-
-
-def _twist_mod(c, power, x, g, m):
-    k = (power * _intersection_mod(x, c, g, m)) % m
+def _twist_mod(c, power, x, m):
+    k = power * pairing(x, c) % m
     if k == 0:
         return x
     return tuple((xi + k * ci) % m for xi, ci in zip(x, c))
@@ -90,9 +86,9 @@ def apply_move(state, move, cfg):
         raise IndexError("move position out of range")
     (cu, su, pu), (cv, sv, pv) = letters[pos], letters[pos + 1]
     if direction == "left":
-        new = ((_twist_mod(cu, 1, cv, g, m), sv, pv), (cu, su, pu))
+        new = ((_twist_mod(cu, 1, cv, m), sv, pv), (cu, su, pu))
     elif direction == "right":
-        new = ((cv, sv, pv), (_twist_mod(cv, -1, cu, g, m), su, pu))
+        new = ((cv, sv, pv), (_twist_mod(cv, -1, cu, m), su, pu))
     else:
         raise ValueError("direction must be 'left' or 'right'")
     if _pair_product(cu, cv, g, m) != _pair_product(new[0][0], new[1][0], g, m):

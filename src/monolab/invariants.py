@@ -44,7 +44,7 @@ class FibrationSpec(Frozen):
         if signature_reference is not None:
             if not signature_reference.hyperelliptic:
                 raise FibrationError("signature reference must itself be hyperelliptic")
-            if _cycle_counts(signature_reference) != _counts(fiber_genus, cycles):
+            if _counts(signature_reference.cycles) != _counts(cycles):
                 raise FibrationError("signature reference has different cycle counts")
         self._init(
             fiber_genus=int(fiber_genus),
@@ -62,7 +62,7 @@ class FibrationSpec(Frozen):
         )
 
 
-def _counts(h, cycles):
+def _counts(cycles):
     s0 = 0
     sep = {}
     for c in cycles:
@@ -72,10 +72,6 @@ def _counts(h, cycles):
         else:
             s0 += 1
     return s0, tuple(sorted(sep.items()))
-
-
-def _cycle_counts(spec):
-    return _counts(spec.fiber_genus, spec.cycles)
 
 
 def euler_characteristic(spec):
@@ -91,13 +87,13 @@ def endo_signature(spec):
     """
     if spec.hyperelliptic:
         h = spec.fiber_genus
-        s0, sep = _cycle_counts(spec)
+        s0, sep = _counts(spec.cycles)
     elif spec.signature_reference is not None:
         ref = spec.signature_reference
-        if _cycle_counts(ref) != _cycle_counts(spec):
-            raise FibrationError("signature reference counts diverged")
         h = ref.fiber_genus
-        s0, sep = _cycle_counts(ref)
+        s0, sep = _counts(ref.cycles)
+        if (s0, sep) != _counts(spec.cycles):
+            raise FibrationError("signature reference counts diverged")
     else:
         raise FibrationError(
             "signature is computed only for hyperelliptic data "

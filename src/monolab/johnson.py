@@ -28,14 +28,20 @@ tau is computed by transport (Johnson's equivariance, see ``tau_word``).
 The quotient action is built only for twist letters, from their rank-one
 shape, to saturate and replay; the dense action by 3x3 minors,
 ``sp_action_quotient``, is the oracle the tests check both against.
+
+Two sparse kernels keep the wedge bookkeeping: ``_wedge_pair`` adds a
+multiple of vec ^ gamma_p ^ gamma_q (for ``embed_h``, the rewrite table and
+the twist columns) and ``_project`` maps wedge coefficients to the retained
+basis (for ``reduce_to_quotient`` and the twist columns).
 """
 
 import collections
+import functools
 import itertools
 
 from . import _linalg
 from ._linalg import Frozen, IntVector
-from .homology import GenusMismatchError, HomologyClass, intersection, is_primitive
+from .homology import GenusMismatchError, HomologyClass, dual, intersection, is_primitive
 from .lattices import SublatticeBasis
 from .words import TwistLetter, Word, sp_image
 
@@ -53,15 +59,10 @@ class SaturationBudgetError(RuntimeError):
 # G = 12, 1313200 at schemas.MAX_GENUS.  12 admits every desk-scale input.
 MAX_QUOTIENT_GENUS = 12
 
-_tables = {}
 
-
+@functools.cache
 def _table(genus):
-    tab = _tables.get(genus)
-    if tab is None:
-        tab = _BasisTable(genus)
-        _tables[genus] = tab
-    return tab
+    return _BasisTable(genus)
 
 
 class _BasisTable:
@@ -92,32 +93,23 @@ class _BasisTable:
         self.expansions = self._rewrite_table(excluded)
 
     def _rewrite_table(self, excluded):
-        """Each discarded triple as a sum of retained triples in the quotient."""
-        g, n = self.genus, self.n
+        """Each discarded triple as a sum of retained triples in the quotient.
+
+        A discarded t = gamma_x ^ gamma_p ^ gamma_q equals t - omega ^ gamma_x
+        there (omega = sum_j gamma_{2j} ^ gamma_{2j+1}, the form that embeds
+        H), and omega ^ gamma_x holds t itself, so t cancels and only
+        retained triples are left."""
+        n = self.n
         table = {}
         for t in excluded:
-            terms = {}
-            if t[1] == n - 2 and t[2] == n - 1:
-                i = t[0]
-                # gamma_i ^ gamma_{2G-1} ^ gamma_{2G} = omega^gamma_i - sum_{j<G} ...
-                for j in range(g - 1):
-                    p, q = 2 * j, 2 * j + 1
-                    if i in (p, q):
-                        continue
-                    sign, trip = _sort_triple(p, q, i)
-                    terms[trip] = terms.get(trip, 0) - sign
-            else:
-                i = t[2]  # (0, 1, 2G-2) or (0, 1, 2G-1)
-                for j in range(1, g - 1):
-                    p, q = 2 * j, 2 * j + 1
-                    sign, trip = _sort_triple(p, q, i)
-                    terms[trip] = terms.get(trip, 0) - sign
-            for trip in terms:
-                if trip not in self.retained_index:
-                    raise AssertionError("rewrite escaped the retained basis")
-            table[t] = tuple(
-                (self.retained_index[trip], c) for trip, c in sorted(terms.items()) if c
-            )
+            x = t[0] if t[1:] == (n - 2, n - 1) else t[2]
+            terms = {t: 1}
+            for j in range(self.genus):
+                _wedge_pair(terms, ((x, 1),), 2 * j, 2 * j + 1, -1)
+            terms = sorted((trip, c) for trip, c in terms.items() if c)
+            if any(trip not in self.retained_index for trip, _ in terms):
+                raise AssertionError("rewrite escaped the retained basis")
+            table[t] = tuple((self.retained_index[trip], c) for trip, c in terms)
         return table
 
 
@@ -134,6 +126,31 @@ def _sort_triple(i, j, k):
     if a > b:
         a, b, sign = b, a, -sign
     return sign, (a, b, c)
+
+
+def _wedge_pair(acc, vec, p, q, coef):
+    """acc += coef * (vec ^ gamma_p ^ gamma_q).  ``vec`` is given by its
+    nonzero (gamma index, value) pairs and ``acc`` maps sorted triples to
+    coefficients."""
+    for m, v in vec:
+        sign, trip = _sort_triple(m, p, q)
+        if sign:
+            acc[trip] = acc.get(trip, 0) + sign * coef * v
+
+
+def _project(tab, terms):
+    """The quotient image of sum coef * triple over the (triple, coef) pairs
+    ``terms``, as a ``{col: value}`` dict in the retained basis: a retained
+    triple is its own column, a discarded one its rewrite."""
+    out = {}
+    for trip, coef in terms:
+        ret = tab.retained_index.get(trip)
+        if ret is not None:
+            out[ret] = out.get(ret, 0) + coef
+        else:
+            for r, c in tab.expansions[trip]:
+                out[r] = out.get(r, 0) + coef * c
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -211,35 +228,23 @@ def wedge3(c1, c2, c3):
 
 
 def embed_h(c):
-    """The embedding of H: c -> (sum_i a_i ^ b_i) ^ c."""
+    """The embedding of H: c -> (sum_i a_i ^ b_i) ^ c = sum_i c ^ a_i ^ b_i."""
     tab = _table(c.genus)
-    gc = _gamma_coords(c)
-    out = [0] * tab.dim_wedge
+    gc = [(m, x) for m, x in enumerate(_gamma_coords(c)) if x]
+    acc = {}
     for i in range(c.genus):
-        p, q = 2 * i, 2 * i + 1
-        for m in range(tab.n):
-            if gc[m] == 0 or m in (p, q):
-                continue
-            sign, trip = _sort_triple(p, q, m)
-            out[tab.triple_index[trip]] += sign * gc[m]
+        _wedge_pair(acc, gc, 2 * i, 2 * i + 1, 1)
+    out = [0] * tab.dim_wedge
+    for trip, x in acc.items():
+        out[tab.triple_index[trip]] = x
     return Wedge3(c.genus, out)
 
 
 def reduce_to_quotient(w):
     """Project a wedge element to the quotient in the retained basis."""
     tab = _table(w.genus)
-    out = [0] * tab.dim_quot
-    for idx, c in enumerate(w.coords):
-        if c == 0:
-            continue
-        trip = tab.triples[idx]
-        ret = tab.retained_index.get(trip)
-        if ret is not None:
-            out[ret] += c
-        else:
-            for ret_idx, coef in tab.expansions[trip]:
-                out[ret_idx] += c * coef
-    return QuotientClass(w.genus, out)
+    img = _project(tab, ((trip, c) for trip, c in zip(tab.triples, w.coords) if c))
+    return QuotientClass(w.genus, [img.get(r, 0) for r in range(tab.dim_quot)])
 
 
 # --------------------------------------------------------------------------
@@ -301,76 +306,43 @@ _action_cache = {}
 def _twist_columns(genus, coords, power):
     """Sparse columns of the quotient action of T_c^power, minus the identity.
 
-    T_c^p = I + c (p s)^T with s.x = <x, c> as in ``homology._right_twist``,
-    so the wedge action has no cross terms (c ^ c = 0): these columns are p
-    times those of T_c, and they square to zero (s.c = 0).  c = 0 gives none.
+    T_c^p = I + c (p s)^T with s = ``homology.dual(c)``, so gamma_i goes to
+    gamma_i + p s_i c and, as c ^ c = 0, a retained triple i < j < k goes to
+    itself plus p (s_i c ^ gamma_j ^ gamma_k - s_j c ^ gamma_i ^ gamma_k +
+    s_k c ^ gamma_i ^ gamma_j).  These columns are p times those of T_c, and
+    they square to zero (s.c = 0).  c = 0 gives none.
     """
     key = (genus, coords, power)
     cols = _action_cache.get(key)
     if cols is None:
         tab = _table(genus)
-        s = coords[genus:] + tuple(-x for x in coords[:genus])
-        c_gamma = [coords[i] for i in tab.perm]
-        s_gamma = [power * s[i] for i in tab.perm]
+        s = dict(dual(coords))
+        s = [power * s.get(i, 0) for i in tab.perm]
+        c = [(m, coords[i]) for m, i in enumerate(tab.perm) if coords[i]]
         cols = {}
-        for r_idx, trip in enumerate(tab.retained):
-            entries = _rank_one_column(tab, c_gamma, s_gamma, trip)
-            delta = _reduced_delta(tab, entries, r_idx)
-            if delta:
-                cols[r_idx] = delta
+        for r_idx, (i, j, k) in enumerate(tab.retained):
+            acc = {}
+            for coef, p, q in ((s[i], j, k), (-s[j], i, k), (s[k], i, j)):
+                if coef:
+                    _wedge_pair(acc, c, p, q, coef)
+            col = tuple((x, v) for x, v in sorted(_project(tab, acc.items()).items()) if v)
+            if col:
+                cols[r_idx] = col
         if len(_action_cache) >= MAX_ACTION_CACHE:
             _action_cache.clear()
         _action_cache[key] = cols
     return cols
 
 
-def _rank_one_column(tab, c, s, trip):
-    """Image of the basis triple under (I + c s^T), as wedge coefficients."""
-    i, j, k = trip
-    entries = {trip: 1}
-
-    def add_c_wedge(p, q, coef):
-        # coef * (c ^ gamma_p ^ gamma_q)
-        for m_idx, cm in enumerate(c):
-            if cm == 0 or m_idx in (p, q):
-                continue
-            sign, t = _sort_triple(m_idx, p, q)
-            entries[t] = entries.get(t, 0) + sign * coef * cm
-
-    if s[i]:
-        add_c_wedge(j, k, s[i])
-    if s[j]:
-        add_c_wedge(i, k, -s[j])
-    if s[k]:
-        add_c_wedge(i, j, s[k])
-    return entries
-
-
-def _reduced_delta(tab, entries, r_idx):
-    """Reduce wedge coefficients to the quotient and subtract the identity."""
-    acc = {}
-    for trip, coef in entries.items():
-        if coef == 0:
-            continue
-        ret = tab.retained_index.get(trip)
-        if ret is not None:
-            acc[ret] = acc.get(ret, 0) + coef
-        else:
-            for ret_i, c2 in tab.expansions[trip]:
-                acc[ret_i] = acc.get(ret_i, 0) + coef * c2
-    acc[r_idx] = acc.get(r_idx, 0) - 1
-    return tuple((i, v) for i, v in sorted(acc.items()) if v)
-
-
-def _delta(cols, vec, dim):
+def _delta(cols, vec):
     """(T - I) vec for the twist T whose ``_twist_columns`` are ``cols``, for
     a quotient vector given and returned as a ``{col: value}`` dict of its
     nonzeros."""
-    img = [0] * dim
+    img = {}
     for j, vj in vec.items():
         for i, a in cols.get(j, ()):
-            img[i] += a * vj
-    return {i: x for i, x in enumerate(img) if x}
+            img[i] = img.get(i, 0) + a * vj
+    return {i: x for i, x in img.items() if x}
 
 
 def _letter_columns(letters, genus):
@@ -616,7 +588,7 @@ def _closure(dim, seed_vectors, letter_columns, max_steps):
     while grown:
         vec = grown.popleft()
         for cols in letter_columns:
-            attempt(_delta(cols, vec, dim))
+            attempt(_delta(cols, vec))
     return lat.hnf_rows()
 
 
@@ -754,7 +726,7 @@ def check_certificate(cert_dict, family, deep=True):
             rows = [_linalg.sparse(row) for row in basis.rows]
             for cols in _letter_columns(family.action_generators(), genus)[1]:
                 for row in rows:
-                    if not basis.member(_delta(cols, row, dim)):
+                    if not basis.member(_delta(cols, row)):
                         stable = False
             record("lattice stable under the action at %d" % param, stable)
     record(

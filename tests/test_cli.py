@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from monolab import cli, invariants, johnson, scenarios, schemas, words
 from monolab.homology import basis_a, basis_b
 from monolab.scenarios import family
 from monolab.words import TwistLetter, Word, sp_image
-from helpers import mck_depth3_inputs
+from helpers import mck_depth3_inputs, random_class
 
 
 def run_cli(argv, capsys):
@@ -321,6 +322,14 @@ def test_invariants_grid_failure_leaves_stdout_empty(capsys):
     assert "unknown family" in err and out == ""
 
 
+def test_distinguish_checks_its_family_like_every_subcommand(capsys):
+    for extra in (["--family", "cycle"], []):
+        code, out, err = run_cli(["distinguish", "--genus", "3", "--n", "1", "--m", "3"]
+                                 + extra, capsys)
+        assert code == cli.EX_SCHEMA, extra
+        assert "unknown family" in err and out == ""
+
+
 def _fact_path_with_target(tmp_path, target):
     doc = mck_fact_doc()
     doc["target"] = target
@@ -416,6 +425,44 @@ def test_distinguish_certificates_are_pinned(capsys):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0, fam
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (fam, g)
+
+
+def _torelli_doc(seed, genus):
+    # two conjugated bounding-pair factors, exponents -1 and 2, each behind a
+    # three-letter conjugator, so tau goes through the transport path
+    rng = random.Random(seed)
+    factors = []
+    for exp in (-1, 2):
+        j, i = rng.sample(range(1, genus + 1), 2)
+        conj = Word([TwistLetter(random_class(rng, genus), rng.choice((1, -1)))
+                     for _ in range(3)], genus)
+        gen = johnson.BoundingPairGen(basis_b(genus, j), [(basis_a(genus, i), basis_b(genus, i))])
+        factors.append((conj, gen, exp))
+    return schemas.encode_torelli_word(johnson.TorelliWord(factors, genus))
+
+
+# sha256 of the `johnson` stdout, --json and text, recorded from the
+# projection that scanned every wedge coordinate and the two-branch rewrite
+# table of the discarded triples
+JOHNSON_STDOUT_SHA256 = {
+    (4, "--json"): "f6dec8e266fadfd62cbf6f24f26857ad07f2be5789d4740b639b32b03911d2ea",
+    (4, "text"): "3611f9f28b8cf362821663ce5983c769e46a004975c1925c3bd4d7024115c603",
+    (6, "--json"): "5cd592a1c5cca311299d0f3cb0326ed9dc737acc8b7b9fc421333c430f30435c",
+    (6, "text"): "b29a22d692388a34769699775db913219df5e33b8913d39623c826dcf20f4d8b",
+    (8, "--json"): "7d6eb116213669f0f448d6d60182b10a5d5034f75d0310ee278b3344887207ae",
+    (8, "text"): "ef39e6501d6e50f7245007142e589884b7301cbaca916a624534e3c62cc7bafb",
+}
+
+
+def test_johnson_stdout_is_pinned(tmp_path, capsys):
+    for genus in (4, 6, 8):
+        path = write_json(tmp_path, "tw%d.json" % genus, _torelli_doc(genus, genus))
+        for mode in ("--json", "text"):
+            code, out, _ = run_cli(["johnson", path] + ([mode] if mode == "--json" else []),
+                                   capsys)
+            assert code == 0, genus
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == JOHNSON_STDOUT_SHA256[(genus, mode)], (genus, mode)
 
 
 # sha256 of stdout, recorded from the search that keyed its seen sets on

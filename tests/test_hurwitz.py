@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monolab import hurwitz
-from monolab.homology import HomologyClass, basis_a, basis_b, twist_matrix
+from monolab.homology import HomologyClass, basis_a, basis_b, transvection, twist_matrix
 from monolab.hurwitz import (
     OrbitCertificate,
     QuotientConfig,
@@ -20,6 +21,25 @@ from monolab.words import (
     PositiveFactorization, TwistLetter, Word, elementary_transformation, sp_image,
 )
 from helpers import mck_depth3_inputs, random_class, random_positive_factorization
+
+
+def _twist_mod_cases():
+    def case(g, m):
+        residues = st.tuples(*[st.integers(0, m - 1)] * (2 * g))
+        return st.tuples(st.just(m), residues, st.sampled_from((1, -1)), residues)
+    return st.tuples(st.integers(1, 6), st.sampled_from((2, 3, 5, 7))).flatmap(
+        lambda gm: case(*gm))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_twist_mod_cases())
+def test_twist_mod_is_the_transvection_mod_m(case):
+    # the reduced move is the integer transvection of homology, sign
+    # convention included, reduced mod m
+    m, c, power, x = case
+    g = len(c) // 2
+    want = transvection(HomologyClass(g, c), power, HomologyClass(g, x)).coords
+    assert hurwitz._twist_mod(c, power, x, m) == tuple(v % m for v in want)
 
 
 def fact_of(letters, genus):
