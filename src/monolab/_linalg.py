@@ -11,6 +11,8 @@ compared by key or by identity) and ``IntVector`` (the integer vectors of
 H_1, the third exterior power and the Johnson quotient).
 """
 
+import bisect
+from itertools import compress
 from math import gcd
 
 
@@ -155,17 +157,16 @@ def det(a):
 
 class EchelonLattice:
     """A sublattice of Z^dim kept as an integer row-echelon basis, starting
-    as the span of ``rows``.
+    as the span of ``rows``; the package's one integer row reduction.
 
-    This is the package's one integer row reduction: ``rank``, ``hnf`` and
-    lattice membership all go through it.  Rows are sparse ``{col: value}``
-    dicts holding only their nonzeros, indexed by their pivot (least)
-    column; inputs may be dense sequences or such dicts.  Insertion uses gcd
-    exchanges, so the represented lattice only ever grows; ``insert``
-    reports whether it actually grew.  ``hnf_rows`` returns the canonical
-    Hermite basis (positive pivots, entries above each pivot reduced into
-    [0, pivot)) as dense tuples; it is unique for the lattice and therefore
-    reproducible bit for bit.
+    Rows are sparse ``{col: value}`` dicts of their nonzeros, indexed by
+    their pivot (least) column; inputs may be dense or such dicts.  Gcd
+    exchanges make the lattice only ever grow.  ``insert`` returns None if it
+    did not grow, else a copy of the partly reduced vector at the first step
+    that changed the basis (a new pivot or a gcd exchange): vec minus a
+    vector of the old lattice, spanning the same growth.  ``hermite``
+    (sparse) and ``hnf_rows`` (dense) give the canonical Hermite basis
+    (positive pivots, entries above each in [0, pivot)), which is unique.
     """
 
     def __init__(self, dim, rows=()):
@@ -179,64 +180,102 @@ class EchelonLattice:
         return len(self.pivot_rows)
 
     def reduce(self, vec):
-        """Residue of vec after reduction against the current basis, as a
-        ``{col: value}`` dict of its nonzeros."""
-        v = sparse(vec)
-        while v:
-            j = min(v)
-            row = self.pivot_rows.get(j)
-            if row is None:
-                return v
-            q = v[j] // row[j]
-            if q:
-                _sub_multiple(v, q, row)
-            if j in v:
-                return v
-        return v
+        """Residue of vec against the current basis; see ``residue``."""
+        return residue(self.pivot_rows, vec)
 
     def insert(self, vec):
-        """Add vec to the lattice; True iff the lattice grew."""
+        """Add vec to the lattice; see the class docstring for the result."""
         v = sparse(vec)
-        changed = False
+        grown = None
         while v:
             j = min(v)
             row = self.pivot_rows.get(j)
             if row is None:
-                if v[j] < 0:
-                    v = {k: -x for k, x in v.items()}
-                self.pivot_rows[j] = v
-                return True
+                self.pivot_rows[j] = v if v[j] > 0 else {k: -x for k, x in v.items()}
+                return grown or dict(v)
             a, b = v[j], row[j]
             if a % b == 0:
                 _sub_multiple(v, a // b, row)
             else:
+                grown = grown or dict(v)
                 g, x, y = xgcd(b, a)
                 self.pivot_rows[j] = _combination(x, row, y, v)
                 v = _combination(-(a // g), row, b // g, v)
-                changed = True
-        return changed
+        return grown
 
     def member(self, vec):
         return not self.reduce(vec)
 
-    def hnf_rows(self):
-        # increasing pivot order: row i has zeros left of its pivot, so
-        # reducing with it never disturbs columns fixed earlier
-        cols = sorted(self.pivot_rows)
-        rows = [dict(self.pivot_rows[c]) for c in cols]
-        for i in range(len(rows)):
-            p = rows[i][cols[i]]
-            for k in range(i):
-                q = rows[k].get(cols[i], 0) // p
+    def hermite(self):
+        """The canonical Hermite basis, ``{pivot: sparse row}`` by pivot.  Built
+        bottom up: reducing with a final row changes only columns right of
+        its pivot, so each row is reduced at its pivot columns left to right."""
+        done = {}
+        for c in sorted(self.pivot_rows, reverse=True):
+            row = dict(self.pivot_rows[c])
+            todo, i = sorted(row.keys() & done.keys()), 0
+            while i < len(todo):
+                k, i = todo[i], i + 1
+                q = row.get(k, 0) // done[k][k]
                 if q:
-                    _sub_multiple(rows[k], q, rows[i])
-        return tuple(tuple(r.get(k, 0) for k in range(self.dim)) for r in rows)
+                    _sub_multiple(row, q, done[k])
+                    for t in done[k]:
+                        if t > k and t in done:
+                            bisect.insort(todo, t, i)
+            done[c] = row
+        return dict(reversed(done.items()))
+
+    def hnf_rows(self):
+        return tuple(dense(r, self.dim) for r in self.hermite().values())
+
+
+def residue(pivot_rows, vec):
+    """Residue of vec, unmodified, after substitution on ``{pivot: row}``
+    echelon rows with positive pivots; empty iff vec is in their span."""
+    v = sparse(vec)
+    while v:
+        j = min(v)
+        row = pivot_rows.get(j)
+        if row is None:
+            return v
+        q = v[j] // row[j]
+        if q:
+            _sub_multiple(v, q, row)
+        if j in v:
+            return v
+    return v
+
+
+def hermite_pivots(rows, dim):
+    """``{pivot: sparse row}`` if the rows are the canonical Hermite basis,
+    else None, in linear time: rows of dim entries, nonzero, with positive,
+    strictly increasing pivots and all entries in another row's pivot
+    column in [0, that pivot)."""
+    out = {}
+    for row in rows:
+        r = sparse(row)
+        j = min(r, default=-1)
+        if len(row) != dim or j <= next(reversed(out), -1) or r[j] < 0:
+            return None
+        out[j] = r
+    reduced = all(0 <= x < out[k][k] for j, r in out.items()
+                  for k, x in r.items() if k != j and k in out)
+    return out if reduced else None
+
+
+def dense(row, dim):
+    """The dense tuple of a sparse ``{col: value}`` row."""
+    out = [0] * dim
+    for k, x in row.items():
+        out[k] = x
+    return tuple(out)
 
 
 def sparse(vec):
     """A fresh ``{col: value}`` dict of the nonzeros of a dense or sparse vector."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {k: x for k, x in items if x}
+    if isinstance(vec, dict):
+        return {k: x for k, x in vec.items() if x}
+    return {k: vec[k] for k in compress(range(len(vec)), vec)}
 
 
 def _combination(x, r, y, w):
@@ -261,11 +300,7 @@ def hnf(rows, dim):
 
 
 def rank(rows):
-    """Rank over Q of an integer matrix.
-
-    The Q-rank of a row space equals the Z-rank of the lattice its rows
-    span, so this is the pivot count of that lattice's echelon basis.
-    """
+    """Rank over Q of an integer matrix: the pivot count of its rows' lattice."""
     return EchelonLattice(len(rows[0]), rows).rank if rows else 0
 
 

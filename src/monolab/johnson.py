@@ -26,8 +26,9 @@ pairs is the caller's job.
 
 tau is computed by transport (Johnson's equivariance, see ``tau_word``).
 The quotient action is built only for twist letters, from their rank-one
-shape, to saturate and replay; the dense action by 3x3 minors,
-``sp_action_quotient``, is the oracle the tests check both against.
+shape, to give the families' seeds (transport of each literal commutator
+word is the cross-check), saturate and replay; the dense action by 3x3
+minors, ``sp_action_quotient``, is the oracle the tests check it against.
 
 Two sparse kernels keep the wedge bookkeeping: ``_wedge_pair`` adds a
 multiple of vec ^ gamma_p ^ gamma_q (for ``embed_h``, the rewrite table and
@@ -523,25 +524,22 @@ def saturate(seeds, action_gens, max_steps=200000):
     The closure commutes with integer scaling, so any common content of the
     seeds is factored out first and restored at the end; this keeps the
     arithmetic on primitive data and lets all scalings of one seed family
-    share a single cached closure.  The lattice is kept as sparse echelon
-    rows; only the vectors that grew it are queued, and each is expanded
-    once (see ``_closure``).  Termination is guaranteed (ascending chains of
-    subgroups of a finite-rank free abelian group stabilize); ``max_steps``
-    bounds the insert attempts, seeds included, and guards against
-    implementation bugs only.  The cache is cleared when it holds
-    MAX_CLOSURE_CACHE closures.
+    share a single cached closure (see ``_closure``).  Termination is
+    guaranteed (ascending chains of subgroups of a finite-rank free abelian
+    group stabilize); ``max_steps`` bounds the insert attempts, seeds
+    included, and guards against implementation bugs only.  The cache is
+    cleared when it holds MAX_CLOSURE_CACHE closures.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     genus = seeds[0].genus
-    for s in seeds:
-        if s.genus != genus:
-            raise GenusMismatchError("seeds must share a genus")
+    if any(s.genus != genus for s in seeds):
+        raise GenusMismatchError("seeds must share a genus")
     dim = _table(genus).dim_quot
     scale = _linalg.gcd_all(x for s in seeds for x in s.coords)
     if scale == 0:
-        return SublatticeBasis(dim, ())
+        return SublatticeBasis._from_hermite(dim, {})
     reduced = [tuple(x // scale for x in s.coords) for s in seeds]
 
     gen_keys, columns = _letter_columns(action_gens, genus)
@@ -553,20 +551,19 @@ def saturate(seeds, action_gens, max_steps=200000):
             _closure_cache.clear()
         _closure_cache[cache_key] = rows
     if scale != 1:
-        rows = tuple(tuple(scale * x for x in r) for r in rows)
-    return SublatticeBasis._from_hnf(dim, rows)
+        rows = {j: {k: scale * x for k, x in r.items()} for j, r in rows.items()}
+    return SublatticeBasis._from_hermite(dim, rows)
 
 
 def _closure(dim, seed_vectors, letter_columns, max_steps):
-    """Hermite rows of the closure; see ``saturate``.
+    """Sparse Hermite rows of the closure, ``{pivot: row}``; see ``saturate``.
 
-    Each vector is tried against the lattice as soon as it is made, and only
-    the ones that grew it wait in the queue.  For a grown v and a letter T
-    the vector tried is (T - I) v, which lies in the lattice iff T v does
-    (v is in it already) and is about half as dense.  The lattice is
-    spanned by the grown vectors and each of them has every (T - I) v
-    tried, so it is stable under every letter and, by ``_letter_columns``,
-    every inverse: it is the closure.
+    Each vector is tried as soon as it is made, and only growth is queued:
+    if v grew the lattice L, ``insert`` hands back r = v - u with u in L,
+    partly reduced and so sparser, and L + Zr = L + Zv, so the queued
+    vectors span the lattice at every step.  Each queued r has (T - I) r
+    tried for every letter T (in the lattice iff T r is), so the result is
+    stable under every letter and, by ``_letter_columns``, every inverse.
     """
     lat = _linalg.EchelonLattice(dim)
     grown = collections.deque()
@@ -580,16 +577,16 @@ def _closure(dim, seed_vectors, letter_columns, max_steps):
                 "saturation exceeded %d steps; raise max_steps if the input "
                 "is legitimately this large" % max_steps
             )
-        if lat.insert(vec):
-            grown.append(vec)
+        if (r := lat.insert(vec)) is not None:
+            grown.append(r)
 
     for vec in seed_vectors:
-        attempt(_linalg.sparse(vec))
+        attempt(vec)
     while grown:
         vec = grown.popleft()
         for cols in letter_columns:
             attempt(_delta(cols, vec))
-    return lat.hnf_rows()
+    return lat.hermite()
 
 
 class Certificate(Frozen):
@@ -685,11 +682,11 @@ def distinguish(n, m, family):
 def check_certificate(cert_dict, family, deep=True):
     """Replay a certificate from its serialized form, independently.
 
-    Recomputes the seeds, re-verifies every containment against the shipped
-    bases, re-derives the contents by gcd, and re-checks the divisibility
+    Checks that each shipped basis is in Hermite form as shipped, recomputes
+    the seeds, re-verifies every containment against the shipped bases,
+    re-derives the contents by gcd, and re-checks the divisibility
     contradiction.  With ``deep=True`` it also re-verifies that each shipped
-    lattice is stable under the family action (the costly part).  Returns
-    the list of checks performed.
+    lattice is stable under the family action.  Returns the checks made.
     """
     n, m = int(cert_dict["n"]), int(cert_dict["m"])
     genus = family.surface_genus
@@ -705,30 +702,20 @@ def check_certificate(cert_dict, family, deep=True):
     witness = QuotientClass(genus, cert_dict["witness_class"])
     record("witness primitive", is_primitive(witness))
     for param, key_b, key_c in ((n, "basis_n", "content_n"), (m, "basis_m", "content_m")):
-        basis = SublatticeBasis(dim, cert_dict[key_b])
-        record(
-            "basis %d in Hermite form" % param,
-            [list(r) for r in basis.rows] == [list(r) for r in cert_dict[key_b]],
-        )
+        pivots = _linalg.hermite_pivots(cert_dict[key_b], dim)
+        record("basis %d in Hermite form" % param, pivots is not None)
+        basis = SublatticeBasis._from_hermite(dim, pivots)
         record("content matches at %d" % param, basis.content() == int(cert_dict[key_c]))
-        seeds = family.seed_classes(param)
-        record(
-            "all seeds contained at %d" % param,
-            all(basis.member(s.coords) for s in seeds),
-        )
+        record("all seeds contained at %d" % param,
+               all(basis.member(s.coords) for s in family.seed_classes(param)))
         target = tuple(param * x for x in witness.coords)
-        record(
-            "witness multiple contained at %d" % param,
-            (not any(target)) or basis.member(target),
-        )
+        record("witness multiple contained at %d" % param,
+               (not any(target)) or basis.member(target))
         if deep:
-            stable = True
-            rows = [_linalg.sparse(row) for row in basis.rows]
-            for cols in _letter_columns(family.action_generators(), genus)[1]:
-                for row in rows:
-                    if not basis.member(_delta(cols, row)):
-                        stable = False
-            record("lattice stable under the action at %d" % param, stable)
+            record("lattice stable under the action at %d" % param,
+                   all(basis.member(_delta(cols, row))
+                       for cols in _letter_columns(family.action_generators(), genus)[1]
+                       for row in pivots.values()))
     record(
         "contents give the divisibility contradiction",
         int(cert_dict["content_n"]) != int(cert_dict["content_m"]),

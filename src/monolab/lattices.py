@@ -18,34 +18,38 @@ MAX_BOX_VECTORS = 100000
 
 
 class SublatticeBasis(Frozen):
-    """A sublattice of Z^dim, stored as its canonical Hermite row basis."""
+    """A sublattice of Z^dim, stored as its canonical Hermite basis: sparse
+    rows keyed by increasing pivot; ``rows`` densifies them on demand."""
 
-    __slots__ = ("dim", "rows", "_lat")
+    __slots__ = ("dim", "_pivots")
 
     def __init__(self, dim, vectors):
-        self._init(dim=int(dim), rows=_linalg.hnf(vectors, dim), _lat=None)
+        self._init(dim=int(dim), _pivots=_linalg.EchelonLattice(int(dim), vectors).hermite())
 
     @classmethod
-    def _from_hnf(cls, dim, rows):
+    def _from_hermite(cls, dim, pivots):
+        """Wrap a Hermite basis ``{pivot: sparse row}`` as is, unchecked."""
         self = object.__new__(cls)
-        self._init(dim=int(dim), rows=tuple(tuple(r) for r in rows), _lat=None)
+        self._init(dim=int(dim), _pivots=pivots)
         return self
 
     def _key(self):
-        return (self.dim, self.rows)
+        return (self.dim, tuple(tuple(sorted(r.items())) for r in self._pivots.values()))
+
+    @property
+    def rows(self):
+        return tuple(_linalg.dense(r, self.dim) for r in self._pivots.values())
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._pivots)
 
     def member(self, vec):
-        if self._lat is None:
-            self._init(_lat=_linalg.EchelonLattice(self.dim, self.rows))
-        return self._lat.member(vec)
+        return not _linalg.residue(self._pivots, vec)
 
     def content(self):
         """Largest d with the lattice inside d * Z^dim; 0 for the zero lattice."""
-        return gcd_all(x for row in self.rows for x in row)
+        return gcd_all(x for row in self._pivots.values() for x in row.values())
 
     def __repr__(self):
         return "SublatticeBasis(dim=%d, rank=%d)" % (self.dim, self.rank)

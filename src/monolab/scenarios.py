@@ -50,9 +50,12 @@ from .homology import (
 from .invariants import FibrationSpec
 from .johnson import (
     BoundingPairGen,
+    QuotientClass,
     TorelliWord,
-    commutator_tau,
+    _delta,
+    _twist_columns,
     reduce_to_quotient,
+    tau_word,
     wedge3,
 )
 from .lattices import smith_normal_form
@@ -353,9 +356,20 @@ class FamilySpec:
 
     @functools.cached_property
     def unit_seeds(self):
-        """tau([T_l^-1, f]) per base letter l, each checked on its literal word."""
-        return [commutator_tau(Word([l], self.surface_genus), self.twist, 1)
-                for l in self.base_letters]
+        """tau([T_l^-1, f]) = (T_l^-1)_* tau(f) - tau(f) = -(T_l - I) tau(f)
+        per base letter l (see ``johnson._letter_columns``), by the quotient
+        action; each is checked against transport of its literal word."""
+        genus, f = self.surface_genus, self.twist
+        tau_f = tau_word(f).coords
+        base, seeds = _linalg.sparse(tau_f), []
+        for l in self.base_letters:
+            img = _delta(_twist_columns(genus, l.curve.coords, l.power), base)
+            seed = -QuotientClass(genus, _linalg.dense(img, len(tau_f)))
+            literal = f.conjugated_by(Word([l], genus).inverse()) * f.power(-1)
+            if tau_word(literal) != seed:
+                raise AssertionError("commutator tau: formula and literal word disagree")
+            seeds.append(seed)
+        return seeds
 
     def seed_classes(self, n):
         """tau([T_l^-1, f^n]) = n tau([T_l^-1, f]) for each base letter l."""

@@ -306,6 +306,19 @@ def test_criterion_11_mck_g5_certificate():
     assert _table(fam.surface_genus).dim_quot == 1120
     cert = distinguish(1, 3, fam)
     assert (cert.content_n, cert.content_m) == (1, 3)
-    checks = check_certificate(cert.as_dict(), fam, deep=False)
+    checks = check_certificate(cert.as_dict(), fam, deep=True)
     assert all(ok for _, ok in checks)
-    print("ACCEPTANCE 11 (mck g=5 certificate, n=1 vs m=3, replayed): PASS")
+    print("ACCEPTANCE 11 (mck g=5 certificate, n=1 vs m=3, deep replay): PASS")
+
+
+def test_criterion_12_mck_g6_certificate():
+    # surface genus 12, the top of MAX_QUOTIENT_GENUS: the saturated
+    # lattices live in the 2000-dimensional quotient
+    fam = family("mck", 6)
+    assert _table(fam.surface_genus).dim_quot == 2000
+    cert = distinguish(1, 3, fam)
+    assert (cert.content_n, cert.content_m) == (1, 3)
+    checks = check_certificate(cert.as_dict(), fam, deep=True)
+    assert all(ok for _, ok in checks)
+    assert "lattice stable under the action at 3" in [name for name, _ in checks]
+    print("ACCEPTANCE 12 (mck g=6 certificate, n=1 vs m=3, deep replay): PASS")

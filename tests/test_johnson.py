@@ -20,7 +20,9 @@ from monolab.johnson import (
     TorelliWord,
     Wedge3,
     _table,
+    check_certificate,
     commutator_tau,
+    distinguish,
     embed_h,
     reduce_to_quotient,
     saturate,
@@ -475,3 +477,43 @@ def test_content_examples():
     assert saturate([one], []).content() == 1
     two = [_simple_seed(g, 0, 2), _simple_seed(g, 1, 4)]
     assert saturate(two, []).content() == 2
+
+
+
+# each mutation of basis_m (m = 3) and the replay check it must fail
+TAMPERED_CHECKS = {
+    "swap two rows": "basis 3 in Hermite form",
+    "negate a pivot row": "basis 3 in Hermite form",
+    "add row 2 to row 1": "basis 3 in Hermite form",
+    "append a zero row": "basis 3 in Hermite form",
+    "drop the last row": "lattice stable under the action at 3",
+    "double the basis and its content": "all seeds contained at 3",
+}
+
+
+def _tamper(doc, mutation):
+    rows = doc["basis_m"]
+    if mutation == "swap two rows":
+        rows[0], rows[1] = rows[1], rows[0]
+    elif mutation == "negate a pivot row":
+        rows[0] = [-x for x in rows[0]]
+    elif mutation == "add row 2 to row 1":
+        rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
+    elif mutation == "append a zero row":
+        rows.append([0] * len(rows[0]))
+    elif mutation == "drop the last row":
+        rows.pop()
+    else:
+        doc["basis_m"] = [[2 * x for x in r] for r in rows]
+        doc["content_m"] *= 2
+
+
+@pytest.mark.parametrize("mutation", sorted(TAMPERED_CHECKS))
+def test_tampered_certificate_fails_at_the_named_check(mutation):
+    fam = family("mck", 3)
+    doc = distinguish(1, 3, fam).as_dict()
+    assert all(ok for _, ok in check_certificate(doc, fam))
+    _tamper(doc, mutation)
+    with pytest.raises(AssertionError) as err:
+        check_certificate(doc, fam)
+    assert str(err.value) == "certificate replay failed at: " + TAMPERED_CHECKS[mutation]

@@ -160,7 +160,12 @@ def test_sparse_echelon_matches_the_dense_oracle(case):
     for i, r in enumerate(rows):
         # the sparse lattice takes dense sequences and {col: value} dicts
         given_row = r if i % 2 else {j: x for j, x in enumerate(r) if x}
-        assert sparse.insert(given_row) == dense.insert(r)
+        residue = sparse.insert(given_row)
+        if residue is not None:
+            # r minus the residue lies in the lattice as it was before
+            assert residue
+            assert dense.member([x - y for x, y in zip(r, _densify(residue, dim))])
+        assert (residue is not None) == dense.insert(r)
         assert sparse.rank == dense.rank
         for p in probes + rows:
             assert sparse.member(p) == dense.member(p)

@@ -1,5 +1,6 @@
 import pytest
 
+from monolab import johnson, scenarios
 from monolab.homology import basis_a, basis_b, fixed_subspace_dim, is_primitive
 from monolab.johnson import (
     commutator_tau,
@@ -204,6 +205,51 @@ def test_seed_classes_match_the_literal_commutator_pipeline():
                 commutator_tau(Word([l], fam.surface_genus), fam.twist, n)
                 for l in fam.base_letters
             ], (kind, g, n)
+
+
+def test_unit_seeds_match_commutator_tau():
+    # the seeds come from the twist columns; commutator_tau transports tau(f),
+    # tau(k^-1 f k) and the literal word, and is the oracle here
+    for kind, gs in (("mck", (2, 3, 4)), ("chain", (3, 4, 5))):
+        for g in gs:
+            fam = family(kind, g)
+            assert fam.unit_seeds == [commutator_tau(Word([l], fam.surface_genus), fam.twist, 1)
+                                      for l in fam.base_letters], (kind, g)
+
+
+def _patch_twist_columns(monkeypatch, fake):
+    # scenarios imports the name as well; patch every binding
+    for module in (johnson, scenarios):
+        monkeypatch.setattr(module, "_twist_columns", fake)
+
+
+def test_unit_seeds_check_a_sign_flipped_twist_column(monkeypatch):
+    real = johnson._twist_columns
+
+    def flipped(genus, coords, power):
+        return {j: tuple((i, -a) for i, a in col)
+                for j, col in real(genus, coords, power).items()}
+
+    _patch_twist_columns(monkeypatch, flipped)
+    with pytest.raises(AssertionError, match="formula and literal word disagree"):
+        family("mck", 3).unit_seeds
+
+
+def test_unit_seeds_check_a_dropped_twist_column(monkeypatch):
+    # only a column in the support of tau(f) enters a seed, so that is the
+    # one dropped; dropping an arbitrary column can go unnoticed
+    real = johnson._twist_columns
+    fam = family("mck", 3)
+    support = {j for j, x in enumerate(tau_word(fam.twist).coords) if x}
+
+    def dropped(genus, coords, power):
+        cols = real(genus, coords, power)
+        drop = min(support & cols.keys(), default=None)
+        return {j: col for j, col in cols.items() if j != drop}
+
+    _patch_twist_columns(monkeypatch, dropped)
+    with pytest.raises(AssertionError, match="formula and literal word disagree"):
+        family("mck", 3).unit_seeds
 
 
 def test_saturation_scaling_oracle():
