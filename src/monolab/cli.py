@@ -345,7 +345,7 @@ def _cmd_lattice(argv):
         schemas.expect_int_rows(vectors, lattice.rank, "classes.vectors")
         basis, induced = lattices.orthogonal_complement(lattice, vectors)
         _emit({"schema": schemas.SCHEMA, "type": "complement_report",
-               "basis": [list(r) for r in basis.rows],
+               "basis": basis.row_lists(),
                "gram": [list(r) for r in induced.gram],
                "parity": lattices.parity(induced)})
         return EX_OK

@@ -17,8 +17,6 @@ Every report is exact: all divisions are checked for integrality and any
 failure means malformed input, not roundoff.
 """
 
-from fractions import Fraction
-
 from ._linalg import Frozen, rank
 from .lattices import IntLattice, orthogonal_complement, parity
 
@@ -99,14 +97,15 @@ def endo_signature(spec):
             "signature is computed only for hyperelliptic data "
             "(or data twisted from it with matching cycle counts)"
         )
-    total = Fraction(-(h + 1), 2 * h + 1) * s0
+    # (2h+1) sigma, in integers; sigma itself only if the division is exact
+    numerator = -(h + 1) * s0
     for j, count in sep:
         if not 1 <= j <= h // 2:
             raise FibrationError("separating split type (%d, %d) is malformed" % (j, h - j))
-        total += (Fraction(4 * j * (h - j), 2 * h + 1) - 1) * count
-    if total.denominator != 1:
+        numerator += (4 * j * (h - j) - (2 * h + 1)) * count
+    if numerator % (2 * h + 1):
         raise FibrationError("signature formula gave a non-integer; split data is malformed")
-    return int(total)
+    return numerator // (2 * h + 1)
 
 
 def b1_homological(spec):

@@ -625,8 +625,8 @@ class Certificate(Frozen):
             "witness_primitive": True,
             "content_n": self.content_n,
             "content_m": self.content_m,
-            "basis_n": [list(r) for r in self.basis_n.rows],
-            "basis_m": [list(r) for r in self.basis_m.rows],
+            "basis_n": self.basis_n.row_lists(),
+            "basis_m": self.basis_m.row_lists(),
             "computed": (
                 "content of the saturated Johnson lattice is %d at parameter %d "
                 "and %d at parameter %d; a conjugation of monodromy groups "

@@ -1,11 +1,10 @@
-"""Symmetric integer bilinear forms and integer normal forms.
-
-Signatures are computed by exact rational diagonalization, never by
-floating-point eigenvalues, so every reported number is an identity.
-"""
+"""Symmetric integer bilinear forms and integer normal forms, in plain
+integers only: signatures come from fraction-free symmetric elimination,
+never from floating-point eigenvalues, so every reported number is an
+identity.  A pairing applies the Gram matrix to a vector once, then dots."""
 
 import itertools
-from fractions import Fraction
+from operator import mul
 
 from . import _linalg
 from ._linalg import Frozen, det, gcd_all, kernel_basis, mat_vec
@@ -15,6 +14,10 @@ smith_normal_form = _linalg.smith_normal_form
 # enumerate_pattern holds its whole box in memory; the paper's patterns need
 # boxes of 121 and 343 vectors, and this admits rank 3 up to bound 22.
 MAX_BOX_VECTORS = 100000
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
 
 class SublatticeBasis(Frozen):
@@ -39,6 +42,14 @@ class SublatticeBasis(Frozen):
     @property
     def rows(self):
         return tuple(_linalg.dense(r, self.dim) for r in self._pivots.values())
+
+    def row_lists(self):
+        """The dense rows as fresh lists, one copy each, for a document."""
+        out = [[0] * self.dim for _ in self._pivots]
+        for row, r in zip(out, self._pivots.values()):
+            for k, x in r.items():
+                row[k] = x
+        return out
 
     @property
     def rank(self):
@@ -79,7 +90,7 @@ class IntLattice(Frozen):
         return len(self.gram)
 
     def pairing(self, u, v):
-        return sum(u[i] * self.gram[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
+        return _dot(mat_vec(self.gram, u), v)
 
     def determinant(self):
         return det(self.gram)
@@ -98,47 +109,41 @@ class IntLattice(Frozen):
 
 
 def signature(lattice):
-    """Inertia (b_plus, b_minus, b_zero) of the rational quadratic form."""
-    n = lattice.rank
-    a = [[Fraction(x) for x in row] for row in lattice.gram]
-    plus = minus = zero = 0
-    idx = list(range(n))
-    while idx:
-        # find a nonzero diagonal entry, creating one if only off-diagonal remain
-        d = next((i for i in idx if a[i][i] != 0), None)
+    """Inertia (b_plus, b_minus, b_zero) of the rational quadratic form.
+
+    Fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968), in
+    integers only.  Each step takes a pivot d with a[d][d] != 0 from the
+    trailing block and sets a[i][k] = (a[i][k] p - a[i][d] a[d][k]) // prev
+    for the remaining i, k, then prev = p.  By Sylvester's identity every
+    trailing entry is a minor of the input (so each division is exact) and
+    equals prev times the Schur complement of the pivots eliminated so far,
+    prev being their principal minor.  The congruence diagonal entry of the
+    step is p / prev, so its sign is + iff sign(p) == sign(prev).  When the
+    trailing diagonal is all zero but some a[i][j] is not, adding row j to
+    row i and column j to column i makes a[i][i] = 2 a[i][j] != 0; that is a
+    unimodular congruence on trailing indices only, which keeps both
+    invariants.  A trailing block with no nonzero entry is the radical.
+    """
+    a = [list(row) for row in lattice.gram]
+    minus, prev = 0, 1
+    while a:
+        d = next((i for i, row in enumerate(a) if row[i]), None)
         if d is None:
-            pair = None
-            for i in idx:
-                for j in idx:
-                    if i != j and a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), None)
             if pair is None:
-                zero += len(idx)
                 break
             i, j = pair
-            # row/col i += row/col j makes a[i][i] = 2 a[i][j] != 0
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
             d = i
-        p = a[d][d]
-        if p > 0:
-            plus += 1
-        else:
-            minus += 1
-        idx.remove(d)
-        for i in idx:
-            f = a[i][d] / p
-            if f:
-                for k in range(n):
-                    a[i][k] -= f * a[d][k]
-                for k in range(n):
-                    a[k][i] -= f * a[k][d]
-    return plus, minus, zero
+        pivot_row = a.pop(d)
+        p = pivot_row.pop(d)
+        minus += (p > 0) != (prev > 0)
+        col = [row.pop(d) for row in a]
+        a = [[(x * p - f * y) // prev for x, y in zip(row, pivot_row)] for f, row in zip(col, a)]
+        prev = p
+    return lattice.rank - minus - len(a), minus, len(a)
 
 
 def parity(lattice):
@@ -160,26 +165,24 @@ def orthogonal_complement(lattice, classes):
     """
     classes = [tuple(int(x) for x in c) for c in classes]
     n = lattice.rank
-    k = len(classes)
-    span_gram = [[lattice.pairing(u, v) for v in classes] for u in classes]
+    # G c once per class: its dot products are the span Gram and the kernel rows
+    pair_rows = [mat_vec(lattice.gram, c) for c in classes]
+    span_gram = [[_dot(gc, v) for v in classes] for gc in pair_rows]
     d = det(span_gram)
     if d not in (1, -1):
         raise ValueError(
             "the given classes span a sublattice of Gram determinant %d, not +-1" % d
         )
-    # complement = integer kernel of the pairing matrix (classes x ambient)
-    pair_rows = [mat_vec(lattice.gram, c) for c in classes]
     basis = SublatticeBasis(n, kernel_basis(pair_rows, n))
     comp = basis.rows
-    comp_gram = [[lattice.pairing(u, v) for v in comp] for u in comp]
-    if len(comp) + k != n:
+    comp_pair = [mat_vec(lattice.gram, u) for u in comp]
+    comp_gram = [[_dot(gu, v) for v in comp] for gu in comp_pair]
+    if len(comp) + len(classes) != n:
         raise AssertionError("rank bookkeeping failed for the orthogonal splitting")
     if abs(det(comp_gram)) * abs(d) != abs(lattice.determinant()):
         raise AssertionError("determinant bookkeeping failed for the orthogonal splitting")
-    for u in comp:
-        for c in classes:
-            if lattice.pairing(u, c) != 0:
-                raise AssertionError("complement vector pairs nontrivially with a class")
+    if any(_dot(gu, c) for gu in comp_pair for c in classes):
+        raise AssertionError("complement vector pairs nontrivially with a class")
     return basis, IntLattice(comp_gram)
 
 
@@ -202,25 +205,23 @@ def enumerate_pattern(lattice, pattern, bound):
         raise ValueError("bound %d: box [-bound, bound]^%d exceeds MAX_BOX_VECTORS = %d"
                          % (bound, n, MAX_BOX_VECTORS))
     rng = range(-bound, bound + 1)
-    vectors = list(itertools.product(rng, repeat=n))
+    # G v once per box vector; each level scans only the vectors of its square
+    # (a vector whose square no level wants goes to a throwaway list)
+    by_square = {pattern[i][i]: [] for i in range(m)}
+    for v in itertools.product(rng, repeat=n):
+        gv = mat_vec(lattice.gram, v)
+        by_square.get(_dot(gv, v), []).append((v, gv))
 
     results = []
 
     def extend(chosen):
         i = len(chosen)
         if i == m:
-            results.append(tuple(chosen))
+            results.append(tuple(v for v, _ in chosen))
             return
-        for v in vectors:
-            if lattice.pairing(v, v) != pattern[i][i]:
-                continue
-            ok = True
-            for j, u in enumerate(chosen):
-                if lattice.pairing(u, v) != pattern[j][i]:
-                    ok = False
-                    break
-            if ok:
-                extend(chosen + [v])
+        for v, gv in by_square[pattern[i][i]]:
+            if all(_dot(gu, v) == pattern[j][i] for j, (_, gu) in enumerate(chosen)):
+                extend(chosen + [(v, gv)])
 
     extend([])
     out = sorted(results)

@@ -2,11 +2,58 @@
 
 ``DenseEchelonLattice`` is the row reduction ``_linalg.EchelonLattice`` used
 before its rows went sparse: the same gcd exchanges and the same canonical
-Hermite reduction, on dense lists.  The differential tests compare the two
-on every public result.
+Hermite reduction, on dense lists.  ``fraction_signature`` is the rational
+diagonalization ``lattices.signature`` used before it went fraction-free.
+The differential tests compare each pair on every public result.
 """
 
+from fractions import Fraction
+
 from monolab._linalg import xgcd
+
+
+def fraction_signature(gram):
+    """Inertia (b_plus, b_minus, b_zero) by congruence diagonalization over Q."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    plus = minus = zero = 0
+    idx = list(range(n))
+    while idx:
+        # find a nonzero diagonal entry, creating one if only off-diagonal remain
+        d = next((i for i in idx if a[i][i] != 0), None)
+        if d is None:
+            pair = None
+            for i in idx:
+                for j in idx:
+                    if i != j and a[i][j] != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                zero += len(idx)
+                break
+            i, j = pair
+            # row/col i += row/col j makes a[i][i] = 2 a[i][j] != 0
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            d = i
+        p = a[d][d]
+        if p > 0:
+            plus += 1
+        else:
+            minus += 1
+        idx.remove(d)
+        for i in idx:
+            f = a[i][d] / p
+            if f:
+                for k in range(n):
+                    a[i][k] -= f * a[d][k]
+                for k in range(n):
+                    a[k][i] -= f * a[k][d]
+    return plus, minus, zero
 
 
 class DenseEchelonLattice:

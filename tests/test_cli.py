@@ -510,6 +510,65 @@ def test_invariant_grids_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fam
 
 
+def _congruent_gram(seed, rank):
+    """B D B^T for a seeded +-1/+-2 diagonal D and a seeded unimodular B, and
+    the classes B^-T e_s of the unit entries of D (a unimodular span)."""
+    rng = random.Random(seed)
+    diag = [rng.choice((1, -1, 2, -2)) for _ in range(rank)]
+    b = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    b_inv = [row[:] for row in b]
+    for _ in range(2 * rank):
+        i, j = rng.sample(range(rank), 2)
+        k = rng.choice((1, -1))
+        b[i] = [x + k * y for x, y in zip(b[i], b[j])]
+        for row in b_inv:
+            row[j] -= k * row[i]
+    gram = [[sum(b[i][s] * diag[s] * b[j][s] for s in range(rank)) for j in range(rank)]
+            for i in range(rank)]
+    return gram, [b_inv[s] for s in range(rank) if diag[s] in (1, -1)]
+
+
+BLOWDOWN_GRAM = [
+    [-1, 1, 0, 0, 0, 1],
+    [1, -1, 1, 1, 1, 0],
+    [0, 1, -1, 0, 0, 0],
+    [0, 1, 0, -1, 0, 0],
+    [0, 1, 0, 0, -1, 0],
+    [1, 0, 0, 0, 0, -1],
+]
+BLOWDOWN_SECTIONS = [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+                     [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+
+# sha256 of the `lattice` stdout, recorded from the Fraction diagonalization
+# and the complement that summed every pairing over all n^2 Gram entries
+LATTICE_STDOUT_SHA256 = {
+    ("rank24", "sig --json"): "223788bf6836ff53e859bc1c49d56aaf1f2fd94796c5f2c63468c8434c9b08cd",
+    ("rank24", "complement"): "18d33cec714c51b4e678ad7617ebc83e853c1523f04aafe112acd4bda4e2734d",
+    ("blowdown", "sig --json"): "2cbbe09a6ac59109a3fff08f466b95b145c82362db5ad137412d67f846679a89",
+    ("blowdown", "complement"): "cd6d310833ed8b967cba84ca15b06a0f99ae37f16092abf1211bd6d5ab3af9b9",
+    ("blowdown", "enumerate"): "915ce2210629a366bd666b62e47c33ac23c719aae71ac9aa884c3a7db040e0d3",
+}
+
+
+def test_lattice_stdout_is_pinned(tmp_path, capsys):
+    gram24, units = _congruent_gram(24, 24)
+    inputs = {"rank24": (gram24, units[:6]), "blowdown": (BLOWDOWN_GRAM, BLOWDOWN_SECTIONS)}
+    for (name, cmd), digest in LATTICE_STDOUT_SHA256.items():
+        gram, classes = inputs[name]
+        path = write_json(tmp_path, name + ".json",
+                          {"schema": schemas.SCHEMA, "type": "gram", "matrix": gram})
+        argv = {
+            "sig --json": ["lattice", "sig", path, "--json"],
+            "complement": ["lattice", "complement", path, "--classes",
+                           write_json(tmp_path, name + "_c.json", {"vectors": classes})],
+            "enumerate": ["lattice", "enumerate", path, "--pattern", "[[-1,0],[0,-1]]",
+                          "--bound", "1"],
+        }[cmd]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, (name, cmd)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, cmd)
+
+
 def test_invariant_grid_builds_each_family_once(monkeypatch, capsys):
     counts = {}
 
@@ -644,3 +703,15 @@ def test_closed_stdout_exits_74_without_a_traceback():
         os.close(write_end)
     assert proc.returncode == cli.EX_IOERR == 74
     assert b"Traceback" not in proc.stderr
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # every job pays for what `import monolab.cli` loads; the package is
+    # plain-int throughout, so neither rational module belongs in it
+    src = os.path.dirname(os.path.dirname(monolab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, monolab.cli; "
+         "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

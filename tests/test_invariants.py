@@ -56,10 +56,12 @@ def test_endo_signature_via_reference():
 def test_endo_signature_non_integrality_is_an_error():
     # cycle data that no hyperelliptic factorization could produce makes the
     # formula non-integral, which must surface as an error, not a rounding
+    refusal = "signature formula gave a non-integer; split data is malformed"
     weird = TwistLetter(zero_class(6), 1, separating=True, split=(1, 5))
-    with pytest.raises(FibrationError):
+    with pytest.raises(FibrationError, match=refusal):
         endo_signature(FibrationSpec(6, (weird,), (-1,), hyperelliptic=True))
-    with pytest.raises(FibrationError):
+    # h = 2 with one nonseparating cycle: sigma = -3/5, refused, not floored
+    with pytest.raises(FibrationError, match=refusal):
         endo_signature(FibrationSpec(2, (TwistLetter(basis_a(2, 1)),), (-1,),
                                      hyperelliptic=True))
 

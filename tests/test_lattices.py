@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monolab._linalg import det
 from monolab.lattices import (
@@ -12,6 +13,7 @@ from monolab.lattices import (
     signature,
     smith_normal_form,
 )
+from oracles import fraction_signature
 
 U = IntLattice([[0, 1], [1, 0]])                       # hyperbolic plane
 TWISTED = IntLattice([[1, 1], [1, 0]])                 # odd unimodular rank 2
@@ -44,6 +46,40 @@ def test_signature_additive_over_direct_sum():
         s1, s2 = signature(l1), signature(l2)
         s12 = signature(l1.direct_sum(l2))
         assert s12 == tuple(a + b for a, b in zip(s1, s2))
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric integer forms up to rank 10: random, sums of hyperbolic
+    planes (an all-zero diagonal, for the pair step), degenerate ones
+    (a radical, b_zero > 0), each under a random unimodular congruence and
+    possibly scaled by a large integer."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(("random", "hyperbolic", "degenerate")))
+    m = [[0] * n for _ in range(n)]
+    if kind == "hyperbolic":
+        for i in range(0, n - 1, 2):
+            m[i][i + 1] = m[i + 1][i] = draw(st.integers(-3, 3).filter(bool))
+    else:
+        rank = n if kind == "random" else draw(st.integers(0, n - 1))
+        for i in range(rank):
+            for j in range(i, rank):
+                m[i][j] = m[j][i] = draw(st.integers(-5, 5))
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            k = draw(st.integers(-2, 2))
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] += k * row[j]
+    scale = draw(st.sampled_from((1, 1, -1, 10**12 + 39, -(3**40))))
+    return [[scale * x for x in row] for row in m]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(symmetric_forms())
+def test_signature_matches_the_fraction_oracle(gram):
+    assert signature(IntLattice(gram)) == fraction_signature(gram)
 
 
 def test_parity_examples():
