@@ -25,15 +25,16 @@ word: deciding whether a word is Torelli and presenting it by bounding
 pairs is the caller's job.
 
 tau is computed by transport (Johnson's equivariance, see ``tau_word``).
-The quotient action is built only for twist letters, from their rank-one
-shape, to give the families' seeds (transport of each literal commutator
-word is the cross-check), saturate and replay; the dense action by 3x3
-minors, ``sp_action_quotient``, is the oracle the tests check it against.
+The quotient action is built only for twist letters (seeds, checked against
+transport of each literal commutator word; saturate; replay), factored as
+T_c^p = I + D, D = p W_c o iota_s: contract by s = ``homology.dual(c)``,
+wedge with c, project.  D^2 = 0, as s.c = <c, c> = 0 and c ^ c = 0, so
+T^-1 = I - D.  ``sp_action_quotient`` (3x3 minors) is the tests' oracle.
 
 Two sparse kernels keep the wedge bookkeeping: ``_wedge_pair`` adds a
 multiple of vec ^ gamma_p ^ gamma_q (for ``embed_h``, the rewrite table and
-the twist columns) and ``_project`` maps wedge coefficients to the retained
-basis (for ``reduce_to_quotient`` and the twist columns).
+the pair columns of W_c) and ``_project`` maps wedge coefficients to the
+retained basis (for ``reduce_to_quotient`` and the pair columns).
 """
 
 import collections
@@ -300,66 +301,65 @@ def sp_action_quotient(m, q):
     return reduce_to_quotient(sp_action_wedge(m, Wedge3(q.genus, lift)))
 
 
-MAX_ACTION_CACHE = 256
-_action_cache = {}
+class _TwistDelta(dict):
+    """D = T_c^p - I on the quotient: T_c^p = I + c (p s)^T, s = ``dual(c)``,
+    and c ^ c = 0, so D t = p c ^ iota_s(t) on a triple t.  A call first
+    contracts the lift of v to the 2-form p iota_s(v), keyed by pair index
+    a n + b (a < b), then applies W_c, which sends gamma_a ^ gamma_b to the
+    projected c ^ gamma_a ^ gamma_b.  The operator is its own table of those
+    pair columns, each built on first use: at most n(n - 1)/2, none for a
+    separating letter (s = 0).  Build one per call; nothing outlives it."""
 
+    __slots__ = ("tab", "c", "s")
 
-def _twist_columns(genus, coords, power):
-    """Sparse columns of the quotient action of T_c^power, minus the identity.
-
-    T_c^p = I + c (p s)^T with s = ``homology.dual(c)``, so gamma_i goes to
-    gamma_i + p s_i c and, as c ^ c = 0, a retained triple i < j < k goes to
-    itself plus p (s_i c ^ gamma_j ^ gamma_k - s_j c ^ gamma_i ^ gamma_k +
-    s_k c ^ gamma_i ^ gamma_j).  These columns are p times those of T_c, and
-    they square to zero (s.c = 0).  c = 0 gives none.
-    """
-    key = (genus, coords, power)
-    cols = _action_cache.get(key)
-    if cols is None:
-        tab = _table(genus)
+    def __init__(self, genus, coords, power):
+        tab = self.tab = _table(genus)
         s = dict(dual(coords))
-        s = [power * s.get(i, 0) for i in tab.perm]
-        c = [(m, coords[i]) for m, i in enumerate(tab.perm) if coords[i]]
-        cols = {}
-        for r_idx, (i, j, k) in enumerate(tab.retained):
-            acc = {}
-            for coef, p, q in ((s[i], j, k), (-s[j], i, k), (s[k], i, j)):
-                if coef:
-                    _wedge_pair(acc, c, p, q, coef)
-            col = tuple((x, v) for x, v in sorted(_project(tab, acc.items()).items()) if v)
-            if col:
-                cols[r_idx] = col
-        if len(_action_cache) >= MAX_ACTION_CACHE:
-            _action_cache.clear()
-        _action_cache[key] = cols
-    return cols
+        self.s = [power * s.get(i, 0) for i in tab.perm]
+        self.c = tuple((m, coords[i]) for m, i in enumerate(tab.perm) if coords[i])
+
+    def __missing__(self, key):
+        acc = {}
+        _wedge_pair(acc, self.c, *divmod(key, self.tab.n), 1)
+        col = self[key] = tuple(x for x in sorted(_project(self.tab, acc.items()).items()) if x[1])
+        return col
+
+    def __call__(self, vec):
+        """D vec, for a vector given and returned as a ``{col: value}`` dict
+        of its nonzeros."""
+        n, s, retained, form = self.tab.n, self.s, self.tab.retained, {}
+        for idx, x in vec.items():
+            i, j, k = retained[idx]
+            if t := s[i]:
+                key = j * n + k
+                form[key] = form.get(key, 0) + t * x
+            if t := s[j]:
+                key = i * n + k
+                form[key] = form.get(key, 0) - t * x
+            if t := s[k]:
+                key = i * n + j
+                form[key] = form.get(key, 0) + t * x
+        img = {}
+        for key, y in form.items():
+            if y:
+                for r, a in self[key]:
+                    img[r] = img.get(r, 0) + a * y
+        return {r: x for r, x in img.items() if x}
 
 
-def _delta(cols, vec):
-    """(T - I) vec for the twist T whose ``_twist_columns`` are ``cols``, for
-    a quotient vector given and returned as a ``{col: value}`` dict of its
-    nonzeros."""
-    img = {}
-    for j, vj in vec.items():
-        for i, a in cols.get(j, ()):
-            img[i] = img.get(i, 0) + a * vj
-    return {i: x for i, x in img.items() if x}
-
-
-def _letter_columns(letters, genus):
-    """(coords, power) of each nonseparating letter, and the columns of each;
-    separating letters act as the identity.  An inverse needs no columns of
-    its own: T = I + D with D^2 = 0 (D is linear in the power, see
-    ``_twist_columns``), so T^-1 = I - D, and a lattice is stable under T^-1
-    iff it is under T, iff D maps it into itself."""
+def _letter_keys(letters, genus):
+    """(coords, power) of each nonseparating letter; separating letters act
+    as the identity.  An inverse needs no operator: T = I + D, and D^2 = 0
+    (D = p W_c o iota_s, see ``_TwistDelta``; iota_s(c ^ w) = (s.c) w -
+    c ^ iota_s(w) with s.c = <c, c> = 0, and c ^ c = 0), so T^-1 = I - D and
+    a lattice is stable under T^-1 iff under T, iff D maps it into itself."""
     keys = []
     for letter in letters:
         if letter.genus != genus:
             raise GenusMismatchError("action generator genus differs from seeds")
         if not letter.curve.is_zero():
             keys.append((letter.curve.coords, letter.power))
-    cols = [_twist_columns(genus, c, p) for c, p in keys]
-    return keys, cols
+    return keys
 
 
 # --------------------------------------------------------------------------
@@ -542,11 +542,11 @@ def saturate(seeds, action_gens, max_steps=200000):
         return SublatticeBasis._from_hermite(dim, {})
     reduced = [tuple(x // scale for x in s.coords) for s in seeds]
 
-    gen_keys, columns = _letter_columns(action_gens, genus)
+    gen_keys = _letter_keys(action_gens, genus)
     cache_key = (genus, tuple(sorted(set(reduced))), tuple(sorted(gen_keys)))
     rows = _closure_cache.get(cache_key)
     if rows is None:
-        rows = _closure(dim, reduced, columns, max_steps)
+        rows = _closure(dim, reduced, [_TwistDelta(genus, *k) for k in gen_keys], max_steps)
         if len(_closure_cache) >= MAX_CLOSURE_CACHE:
             _closure_cache.clear()
         _closure_cache[cache_key] = rows
@@ -555,7 +555,7 @@ def saturate(seeds, action_gens, max_steps=200000):
     return SublatticeBasis._from_hermite(dim, rows)
 
 
-def _closure(dim, seed_vectors, letter_columns, max_steps):
+def _closure(dim, seed_vectors, deltas, max_steps):
     """Sparse Hermite rows of the closure, ``{pivot: row}``; see ``saturate``.
 
     Each vector is tried as soon as it is made, and only growth is queued:
@@ -563,7 +563,7 @@ def _closure(dim, seed_vectors, letter_columns, max_steps):
     partly reduced and so sparser, and L + Zr = L + Zv, so the queued
     vectors span the lattice at every step.  Each queued r has (T - I) r
     tried for every letter T (in the lattice iff T r is), so the result is
-    stable under every letter and, by ``_letter_columns``, every inverse.
+    stable under every letter and, by ``_letter_keys``, every inverse.
     """
     lat = _linalg.EchelonLattice(dim)
     grown = collections.deque()
@@ -584,8 +584,8 @@ def _closure(dim, seed_vectors, letter_columns, max_steps):
         attempt(vec)
     while grown:
         vec = grown.popleft()
-        for cols in letter_columns:
-            attempt(_delta(cols, vec))
+        for delta in deltas:
+            attempt(delta(vec))
     return lat.hermite()
 
 
@@ -692,6 +692,8 @@ def check_certificate(cert_dict, family, deep=True):
     genus = family.surface_genus
     dim = _table(genus).dim_quot
     checks = []
+    if deep:
+        deltas = [_TwistDelta(genus, *k) for k in _letter_keys(family.action_generators(), genus)]
 
     def record(name, ok):
         checks.append((name, bool(ok)))
@@ -713,8 +715,7 @@ def check_certificate(cert_dict, family, deep=True):
                (not any(target)) or basis.member(target))
         if deep:
             record("lattice stable under the action at %d" % param,
-                   all(basis.member(_delta(cols, row))
-                       for cols in _letter_columns(family.action_generators(), genus)[1]
+                   all(basis.member(delta(row)) for delta in deltas
                        for row in pivots.values()))
     record(
         "contents give the divisibility contradiction",

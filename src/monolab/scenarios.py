@@ -52,8 +52,7 @@ from .johnson import (
     BoundingPairGen,
     QuotientClass,
     TorelliWord,
-    _delta,
-    _twist_columns,
+    _TwistDelta,
     reduce_to_quotient,
     tau_word,
     wedge3,
@@ -357,13 +356,13 @@ class FamilySpec:
     @functools.cached_property
     def unit_seeds(self):
         """tau([T_l^-1, f]) = (T_l^-1)_* tau(f) - tau(f) = -(T_l - I) tau(f)
-        per base letter l (see ``johnson._letter_columns``), by the quotient
+        per base letter l (see ``johnson._TwistDelta``), by the quotient
         action; each is checked against transport of its literal word."""
         genus, f = self.surface_genus, self.twist
         tau_f = tau_word(f).coords
         base, seeds = _linalg.sparse(tau_f), []
         for l in self.base_letters:
-            img = _delta(_twist_columns(genus, l.curve.coords, l.power), base)
+            img = _TwistDelta(genus, l.curve.coords, l.power)(base)
             seed = -QuotientClass(genus, _linalg.dense(img, len(tau_f)))
             literal = f.conjugated_by(Word([l], genus).inverse()) * f.power(-1)
             if tau_word(literal) != seed:

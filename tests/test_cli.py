@@ -410,13 +410,15 @@ def test_saturation_budget_error_is_a_precondition_failure(monkeypatch, capsys):
 
 
 # sha256 of the `distinguish --json` stdout (n=1, m=3), recorded from the
-# dense-row echelon lattice and the closure that queued every image
+# dense-row echelon lattice and the closure that queued every image; mck g=5
+# was recorded from the per-triple twist columns
 DISTINGUISH_STDOUT_SHA256 = {
     ("mck", 2, True): "05633d4e757897d604df8651f8d8f64cdba59728cd01de90e9fb8fadf85ddf1d",
     ("mck", 3, False): "240d01cfbbc7e131bac9dd6f1832868a54b3d8c1cd6fa8449c39c97ab3093352",
     ("chain", 4, False): "5ab31334c40e79da71b2ca9ef68f5680dfaaf90c4edc8fa3203b6075b93d9845",
     ("mck", 4, True): "368510686f8d7b4fa13d1d5f90d8e5b82c709fdc68656a10d344eb56e8e59fd4",
     ("chain", 8, True): "d13b9361593f93aa53912ffb56afe446e3e35da286a6319640cb194f794ec3d5",
+    ("mck", 5, True): "19fcb16aa64da0bcc0602c20447dbfa6be185088411d46318fce979e561b8954",
 }
 
 

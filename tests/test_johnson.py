@@ -13,12 +13,13 @@ from monolab.homology import (
     twist_matrix,
     zero_class,
 )
-from monolab import johnson
+from monolab import _linalg, johnson
 from monolab.johnson import (
     BoundingPairGen,
     QuotientClass,
     TorelliWord,
     Wedge3,
+    _TwistDelta,
     _table,
     check_certificate,
     commutator_tau,
@@ -190,10 +191,10 @@ def test_sp_action_functorial_and_descends():
 
 
 def test_quotient_action_rank_one_matches_dense():
-    # the per-letter rank-one columns agree with the dense oracle on both
-    # powers of a twist, and a separating (zero) letter acts as the identity;
-    # T^-p - I = -(T^p - I), so the closure needs no columns for inverses
-    from monolab.johnson import _action_cache, _twist_columns
+    # the factored operator p W_c o iota_s agrees with the dense oracle on
+    # every retained basis vector for both powers of a twist, and a
+    # separating (zero) letter acts as the identity; T^-p - I = -(T^p - I),
+    # so the closure needs no operator for inverses
     genus = 3
     tab = _table(genus)
     rng = random.Random(7)
@@ -201,32 +202,63 @@ def test_quotient_action_rank_one_matches_dense():
     for c in curves:
         by_power = {}
         for power in (1, -1):
-            _action_cache.pop((genus, c.coords, power), None)
-            fast = _twist_columns(genus, c.coords, power)
+            delta = _TwistDelta(genus, c.coords, power)
             m = twist_matrix(c, power)
-            dense = {}
+            fast, dense = {}, {}
             for r_idx in range(tab.dim_quot):
                 q = QuotientClass(genus, [1 if i == r_idx else 0 for i in range(tab.dim_quot)])
-                img = sp_action_quotient(m, q)
-                delta = [(i, v - (1 if i == r_idx else 0)) for i, v in enumerate(img.coords)]
-                delta = tuple((i, v) for i, v in delta if v)
-                if delta:
-                    dense[r_idx] = delta
+                fast[r_idx] = delta({r_idx: 1})
+                dense[r_idx] = _linalg.sparse((sp_action_quotient(m, q) - q).coords)
             assert fast == dense
-            assert bool(fast) == (not c.is_zero())
+            assert any(fast.values()) == (not c.is_zero())
             by_power[power] = dense
-        assert by_power[-1] == {j: tuple((i, -v) for i, v in col)
+        assert by_power[-1] == {j: {i: -v for i, v in col.items()}
                                 for j, col in by_power[1].items()}
 
 
-def test_action_cache_never_grows_past_its_cap(monkeypatch):
-    monkeypatch.setattr(johnson, "MAX_ACTION_CACHE", 4)
-    monkeypatch.setattr(johnson, "_action_cache", {})
-    genus = 2
-    rng = random.Random(31)
-    for _ in range(20):
-        johnson._twist_columns(genus, random_class(rng, genus).coords, rng.choice((1, -1)))
-        assert 1 <= len(johnson._action_cache) <= 4
+def _sparse_quotient_vectors(genus):
+    dim = _table(genus).dim_quot
+    if not dim:  # (wedge^3 H)/H is zero at genus 2
+        return st.just({})
+    return st.dictionaries(st.integers(0, dim - 1), st.integers(-3, 3).filter(bool),
+                           max_size=12)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda g: st.tuples(
+    st.just(g),
+    st.lists(st.integers(-2, 2), min_size=2 * g, max_size=2 * g) | st.just([0] * (2 * g)),
+    st.sampled_from((1, -1, 2, -2)),
+    _sparse_quotient_vectors(g))))
+def test_twist_delta_matches_the_dense_action(case):
+    # (T_c^p - I) v by contraction and the pair table, against the dense
+    # action by 3x3 minors of T_c^p (T_c or T_c^-1, squared for |p| = 2); an
+    # all-zero curve is a separating letter
+    genus, coords, power, vec = case
+    c = HomologyClass(genus, coords)
+    m = twist_matrix(c, 1 if power > 0 else -1)
+    if abs(power) == 2:
+        m = m @ m
+    q = QuotientClass(genus, _linalg.dense(vec, _table(genus).dim_quot))
+    want = sp_action_quotient(m, q) - q
+    assert _TwistDelta(genus, c.coords, power)(vec) == _linalg.sparse(want.coords)
+
+
+def test_pair_table_is_bounded_by_the_pairs():
+    # applied to every retained basis vector, a letter fills at most one
+    # column per pair a < b, and a separating letter fills none
+    rng = random.Random(41)
+    for genus in (2, 3, 4):
+        tab = _table(genus)
+        n = tab.n
+        for c in [random_class(rng, genus) for _ in range(3)] + [zero_class(genus)]:
+            delta = _TwistDelta(genus, c.coords, rng.choice((1, -1, 2)))
+            for r_idx in range(tab.dim_quot):
+                delta({r_idx: 1})
+            assert len(delta) <= n * (n - 1) // 2
+            assert all(k // n < k % n for k in delta)
+            if c.is_zero():
+                assert not delta
 
 
 def test_closure_cache_never_grows_past_its_cap(monkeypatch):
@@ -247,17 +279,16 @@ def test_saturate_equals_the_closure_that_queues_every_image(monkeypatch):
     fam = family("mck", 3)
     seeds, gens = fam.seed_classes(1), fam.action_generators()
     genus = fam.surface_genus
-    directed = [johnson._twist_columns(genus, l.curve.coords, p) for l in gens
+    directed = [_TwistDelta(genus, l.curve.coords, p) for l in gens
                 if not l.curve.is_zero() for p in (l.power, -l.power)]
     lat = DenseEchelonLattice(_table(genus).dim_quot)
     queue = [list(s.coords) for s in seeds]
     for vec in queue:
         if lat.insert(vec):
-            for cols in directed:
+            for delta in directed:
                 img = list(vec)
-                for j, col in cols.items():
-                    for i, a in col:
-                        img[i] += a * vec[j]
+                for i, a in delta(_linalg.sparse(vec)).items():
+                    img[i] += a
                 queue.append(img)
     assert saturate(seeds, gens).rows == lat.hnf_rows()
 

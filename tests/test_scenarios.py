@@ -1,6 +1,6 @@
 import pytest
 
-from monolab import johnson, scenarios
+from monolab import _linalg, johnson, scenarios
 from monolab.homology import basis_a, basis_b, fixed_subspace_dim, is_primitive
 from monolab.johnson import (
     commutator_tau,
@@ -217,39 +217,37 @@ def test_unit_seeds_match_commutator_tau():
                                       for l in fam.base_letters], (kind, g)
 
 
-def _patch_twist_columns(monkeypatch, fake):
-    # scenarios imports the name as well; patch every binding
-    for module in (johnson, scenarios):
-        monkeypatch.setattr(module, "_twist_columns", fake)
+def test_unit_seeds_check_a_sign_flipped_contraction(monkeypatch):
+    real = johnson._TwistDelta.__init__
 
+    def flipped(self, genus, coords, power):
+        real(self, genus, coords, power)
+        self.s = [-x for x in self.s]
 
-def test_unit_seeds_check_a_sign_flipped_twist_column(monkeypatch):
-    real = johnson._twist_columns
-
-    def flipped(genus, coords, power):
-        return {j: tuple((i, -a) for i, a in col)
-                for j, col in real(genus, coords, power).items()}
-
-    _patch_twist_columns(monkeypatch, flipped)
+    monkeypatch.setattr(johnson._TwistDelta, "__init__", flipped)
     with pytest.raises(AssertionError, match="formula and literal word disagree"):
         family("mck", 3).unit_seeds
 
 
-def test_unit_seeds_check_a_dropped_twist_column(monkeypatch):
-    # only a column in the support of tau(f) enters a seed, so that is the
-    # one dropped; dropping an arbitrary column can go unnoticed
-    real = johnson._twist_columns
+def test_unit_seeds_check_a_dropped_pair_column(monkeypatch):
+    # only a pair column that the contraction of tau(f) reaches enters a
+    # seed, so that is the one dropped (applying the operator to tau(f)
+    # fills exactly those); dropping an arbitrary column can go unnoticed
+    real = johnson._TwistDelta.__init__
     fam = family("mck", 3)
-    support = {j for j, x in enumerate(tau_word(fam.twist).coords) if x}
+    tau_f = _linalg.sparse(tau_word(fam.twist).coords)
 
-    def dropped(genus, coords, power):
-        cols = real(genus, coords, power)
-        drop = min(support & cols.keys(), default=None)
-        return {j: col for j, col in cols.items() if j != drop}
+    def dropped(self, genus, coords, power):
+        real(self, genus, coords, power)
+        self(tau_f)
+        reached = [k for k, col in self.items() if col]
+        self.clear()
+        if reached:
+            self[min(reached)] = ()
 
-    _patch_twist_columns(monkeypatch, dropped)
+    monkeypatch.setattr(johnson._TwistDelta, "__init__", dropped)
     with pytest.raises(AssertionError, match="formula and literal word disagree"):
-        family("mck", 3).unit_seeds
+        fam.unit_seeds
 
 
 def test_saturation_scaling_oracle():
