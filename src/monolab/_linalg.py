@@ -3,7 +3,9 @@
 Everything here works with plain Python integers, so there is no precision
 ceiling anywhere.  Matrices are tuples of tuples (immutable) or lists of
 lists (scratch space); vectors are tuples or lists of ints, or, inside the
-echelon lattice, ``{col: value}`` dicts of their nonzeros.
+echelon lattice, ``{col: value}`` dicts of their nonzeros.  ``EchelonLattice``
+is the one integer row reduction: rank, Hermite form, membership, the Smith
+form (alternating Hermite forms) and ``kernel_basis`` all run on it.
 
 The two bases of the package's value types live here too, since every
 module that defines one already imports this one: ``Frozen`` (immutable,
@@ -304,111 +306,60 @@ def rank(rows):
     return EchelonLattice(len(rows[0]), rows).rank if rows else 0
 
 
+def _echelon_split(a, e, n):
+    """(T a, T e), the Hermite basis of the rows of [a | e] cut back into its
+    two blocks: a has n columns and e is unimodular, so the rows stay
+    independent and T is unimodular.  T a is in echelon form, zero rows last;
+    the reduction above each pivot keeps the entries of T small."""
+    width = n + len(e)
+    rows = EchelonLattice(width, [tuple(x) + tuple(y) for x, y in zip(a, e)]).hermite()
+    rows = [dense(r, width) for r in rows.values()]
+    return [r[:n] for r in rows], [r[n:] for r in rows]
+
+
 def smith_normal_form(mat):
     """Smith normal form with transforms: returns (U, D, V), U*mat*V == D.
 
     U and V are unimodular, D is diagonal with nonnegative entries in a
-    divisibility chain d1 | d2 | ...
+    divisibility chain d1 | d2 | ..., zeros last.
+
+    Hermite forms of the columns and of the rows alternate (Kannan and
+    Bachem, SIAM J. Comput. 8(4), 1979) until the matrix is diagonal.  At
+    rank r, the first two forms leave an r x r upper triangle.  Every form
+    keeps the places already split off (row and column zero but for the
+    diagonal), and at the first place k that is not, each form's pivot
+    divides the last one's: within two forms it is strictly smaller or
+    place k splits off.  So the alternation ends.  Then, while some d_i does
+    not divide a later d_j, row j is added to row i and the alternation
+    resumes: the column form puts gcd(d_i, d_j) < d_i at place i and keeps
+    the places before i, so the diagonal falls lexicographically and the
+    loop ends.
     """
-    a = [list(r) for r in mat]
+    a = list(mat)
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def combine_rows(i, j, x, y, z, w):
-        # rows i, j <- (x*ri + y*rj, z*ri + w*rj); x*w - y*z == +-1
-        ai, aj = a[i], a[j]
-        a[i] = [x * p + y * q for p, q in zip(ai, aj)]
-        a[j] = [z * p + w * q for p, q in zip(ai, aj)]
-        ui, uj = u[i], u[j]
-        u[i] = [x * p + y * q for p, q in zip(ui, uj)]
-        u[j] = [z * p + w * q for p, q in zip(ui, uj)]
-
-    def combine_cols(i, j, x, y, z, w):
-        for row in a:
-            p, q = row[i], row[j]
-            row[i], row[j] = x * p + y * q, z * p + w * q
-        for row in v:
-            p, q = row[i], row[j]
-            row[i], row[j] = x * p + y * q, z * p + w * q
-
-    t = 0
-    size = min(m, n)
-    while t < size:
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = a[i][j]
-                if e and (best is None or abs(e) < best):
-                    piv, best = (i, j), abs(e)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    p, e = a[t][t], a[i][t]
-                    if e % p == 0:
-                        q = e // p
-                        combine_rows(t, i, 1, 0, -q, 1)
-                    else:
-                        g, x, y = xgcd(p, e)
-                        combine_rows(t, i, x, y, -(e // g), p // g)
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    p, e = a[t][t], a[t][j]
-                    if e % p == 0:
-                        q = e // p
-                        combine_cols(t, j, 1, 0, -q, 1)
-                    else:
-                        g, x, y = xgcd(p, e)
-                        combine_cols(t, j, x, y, -(e // g), p // g)
-            if all(a[i][t] == 0 for i in range(t + 1, m)) and all(
-                a[t][j] == 0 for j in range(t + 1, n)
-            ):
-                # pivot must divide the rest of the block
-                bad = None
-                for i in range(t + 1, m):
-                    for j in range(t + 1, n):
-                        if a[i][j] % a[t][t] != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                combine_rows(t, bad, 1, 1, 0, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    U = tuple(tuple(r) for r in u)
-    D = tuple(tuple(r) for r in a)
-    V = tuple(tuple(r) for r in v)
-    return U, D, V
+    u, vt = list(identity_matrix(m)), identity_matrix(n)
+    while True:
+        at, vt = _echelon_split([[r[j] for r in a] for j in range(n)], vt, m)
+        a, u = _echelon_split([[r[i] for r in at] for i in range(m)], u, n)
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        d = [a[i][i] for i in range(min(m, n))]
+        bad = next(((i, j) for i, x in enumerate(d) for j in range(i + 1, len(d))
+                    if x and d[j] % x), None)
+        if bad is None:
+            return tuple(u), tuple(a), tuple(zip(*vt))
+        i, j = bad
+        a[i] = [x + y for x, y in zip(a[i], a[j])]
+        u[i] = [x + y for x, y in zip(u[i], u[j])]
 
 
 def kernel_basis(mat, n):
     """Primitive integer basis of {x : mat @ x == 0} (right kernel) for a
-    matrix with n columns; a matrix with no rows has all of Z^n."""
+    matrix with n columns; a matrix with no rows has all of Z^n.  The rows
+    [mat^T | I_n] span the vectors [mat x | x]: the echelon rows with their
+    pivot in the I_n block span those with mat x = 0, so the whole kernel."""
     m = len(mat)
-    if n == 0:
-        return ()
-    if m == 0:
-        return identity_matrix(n)
-    _, d, v = smith_normal_form(mat)
-    r = sum(1 for i in range(min(m, n)) if d[i][i])
-    return tuple(tuple(v[i][j] for i in range(n)) for j in range(r, n))
+    lat = EchelonLattice(m + n, [tuple(row[j] for row in mat) + e
+                                 for j, e in enumerate(identity_matrix(n))])
+    return tuple(dense(lat.pivot_rows[p], m + n)[m:] for p in sorted(lat.pivot_rows) if p >= m)

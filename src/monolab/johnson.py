@@ -514,10 +514,11 @@ def commutator_tau(k, tw, n):
 
 
 MAX_CLOSURE_CACHE = 32
+MAX_SATURATION_STEPS = 200000
 _closure_cache = {}
 
 
-def saturate(seeds, action_gens, max_steps=200000):
+def saturate(seeds, action_gens):
     """Smallest subgroup containing the seeds and stable under the twist
     letters ``action_gens`` and their inverses, as a Hermite basis.
 
@@ -526,8 +527,8 @@ def saturate(seeds, action_gens, max_steps=200000):
     arithmetic on primitive data and lets all scalings of one seed family
     share a single cached closure (see ``_closure``).  Termination is
     guaranteed (ascending chains of subgroups of a finite-rank free abelian
-    group stabilize); ``max_steps`` bounds the insert attempts, seeds
-    included, and guards against implementation bugs only.  The cache is
+    group stabilize); MAX_SATURATION_STEPS bounds the insert attempts,
+    seeds included, and guards against implementation bugs only.  The cache is
     cleared when it holds MAX_CLOSURE_CACHE closures.
     """
     seeds = list(seeds)
@@ -546,7 +547,7 @@ def saturate(seeds, action_gens, max_steps=200000):
     cache_key = (genus, tuple(sorted(set(reduced))), tuple(sorted(gen_keys)))
     rows = _closure_cache.get(cache_key)
     if rows is None:
-        rows = _closure(dim, reduced, [_TwistDelta(genus, *k) for k in gen_keys], max_steps)
+        rows = _closure(dim, reduced, [_TwistDelta(genus, *k) for k in gen_keys])
         if len(_closure_cache) >= MAX_CLOSURE_CACHE:
             _closure_cache.clear()
         _closure_cache[cache_key] = rows
@@ -555,7 +556,7 @@ def saturate(seeds, action_gens, max_steps=200000):
     return SublatticeBasis._from_hermite(dim, rows)
 
 
-def _closure(dim, seed_vectors, deltas, max_steps):
+def _closure(dim, seed_vectors, deltas):
     """Sparse Hermite rows of the closure, ``{pivot: row}``; see ``saturate``.
 
     Each vector is tried as soon as it is made, and only growth is queued:
@@ -572,10 +573,10 @@ def _closure(dim, seed_vectors, deltas, max_steps):
     def attempt(vec):
         nonlocal steps
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_SATURATION_STEPS:
             raise SaturationBudgetError(
-                "saturation exceeded %d steps; raise max_steps if the input "
-                "is legitimately this large" % max_steps
+                "saturation exceeded %d steps (johnson.MAX_SATURATION_STEPS)"
+                % MAX_SATURATION_STEPS
             )
         if (r := lat.insert(vec)) is not None:
             grown.append(r)

@@ -9,6 +9,7 @@ from operator import mul
 from . import _linalg
 from ._linalg import Frozen, det, gcd_all, kernel_basis, mat_vec
 
+# read only by perfbench's tracer self-check; it goes with the by-name tracer
 smith_normal_form = _linalg.smith_normal_form
 
 # enumerate_pattern holds its whole box in memory; the paper's patterns need

@@ -57,7 +57,6 @@ from .johnson import (
     tau_word,
     wedge3,
 )
-from .lattices import smith_normal_form
 from .words import (
     PositiveFactorization,
     TwistLetter,
@@ -275,10 +274,8 @@ def _extends_to_symplectic(vectors, pairs):
             want = 1 if (i % 2 == 0 and j == i + 1 and i < 2 * pairs) else 0
             if intersection(vectors[i], vectors[j]) != want:
                 return False
-    rows = [v.coords for v in vectors]
-    _, d, _ = smith_normal_form(rows)
-    factors = [d[i][i] for i in range(min(len(rows), len(rows[0])))]
-    return all(f == 1 for f in factors[:k])
+    _, d, _ = _linalg.smith_normal_form([v.coords for v in vectors])
+    return all(d[i][i] == 1 for i in range(min(k, len(d[0]))))
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import re
 import pytest
 
 from monolab import schemas
+from monolab._linalg import smith_normal_form
 from monolab.homology import basis_a, basis_b, fixed_subspace_dim, is_primitive
 from monolab.invariants import (
     b1_homological,
@@ -28,7 +29,7 @@ from monolab.johnson import (
     _table,
 )
 from monolab.hurwitz import OrbitCertificate
-from monolab.lattices import IntLattice, enumerate_pattern, smith_normal_form
+from monolab.lattices import IntLattice, enumerate_pattern
 from monolab.scenarios import (
     CHAIN_TAU_SIGN,
     CurveTable,

@@ -401,7 +401,7 @@ def test_hurwitz_compare_budget_below_two_is_refused(tmp_path, capsys):
 
 def test_saturation_budget_error_is_a_precondition_failure(monkeypatch, capsys):
     monkeypatch.setattr(johnson, "_closure_cache", {})
-    monkeypatch.setattr(johnson.saturate, "__defaults__", (3,))
+    monkeypatch.setattr(johnson, "MAX_SATURATION_STEPS", 3)
     code, out, err = run_cli(["distinguish", "--family", "mck", "--genus", "2",
                               "--n", "1", "--m", "2"], capsys)
     assert code == cli.EX_PRECONDITION
@@ -569,6 +569,23 @@ def test_lattice_stdout_is_pinned(tmp_path, capsys):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0, (name, cmd)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, cmd)
+
+
+# sha256 of the `scenario curves` stdout, recorded from the Smith form with
+# its own row and column elimination; the mck validation list carries the
+# Smith-form check "extends to a symplectic basis"
+CURVES_STDOUT_SHA256 = {
+    ("mck", 3): "0e7d7a51509c5a4d7bda240dc00ece8a814dfb7d9d4da9afe34ee8dcbb3f37c4",
+    ("chain", 4): "746d64b0fc2e157c0ad43e052df099f53e87c0169a4e7aab575515d6b09eeb55",
+}
+
+
+def test_curve_tables_are_pinned(capsys):
+    for (context, g), digest in CURVES_STDOUT_SHA256.items():
+        code, out, _ = run_cli(["scenario", "curves", "--context", context,
+                                "--genus", str(g)], capsys)
+        assert code == 0, context
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, context
 
 
 def test_invariant_grid_builds_each_family_once(monkeypatch, capsys):

@@ -14,6 +14,7 @@ from monolab.homology import (
     zero_class,
 )
 from monolab import _linalg, johnson
+from monolab._linalg import smith_normal_form
 from monolab.johnson import (
     BoundingPairGen,
     QuotientClass,
@@ -33,7 +34,6 @@ from monolab.johnson import (
     tau_word,
     wedge3,
 )
-from monolab.lattices import smith_normal_form
 from monolab.words import TwistLetter, Word, sp_image
 from monolab.scenarios import family
 from helpers import fraction_solve, naive_wedge_cube, random_class

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monolab._linalg import det
+from monolab._linalg import det, smith_normal_form
 from monolab.lattices import (
     IntLattice,
     SublatticeBasis,
@@ -11,7 +11,6 @@ from monolab.lattices import (
     orthogonal_complement,
     parity,
     signature,
-    smith_normal_form,
 )
 from oracles import fraction_signature
 

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from monolab._linalg import (
@@ -28,18 +29,49 @@ def random_matrix(rng, m, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
 
-def mat_mul_lists(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+def mat_mul_lists(a, b, cols):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
             for i in range(len(a))]
 
 
+def assert_smith_form(a, u, d, v):
+    """U*a*V == D with U and V unimodular, D diagonal, nonnegative and a
+    divisibility chain with its zeros last."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    assert (len(u), len(d), len(v)) == (m, m, n)
+    assert mat_mul_lists(mat_mul_lists(u, a, n), v, n) == [list(r) for r in d]
+    assert det(u) in (1, -1)
+    assert det(v) in (1, -1)
+    diag = [d[i][i] for i in range(min(m, n))]
+    for i in range(len(diag) - 1):
+        if diag[i] == 0:
+            assert diag[i + 1] == 0
+        else:
+            assert diag[i + 1] % diag[i] == 0
+    assert all(x >= 0 for x in diag)
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+
+
 def test_snf_examples():
-    _, d, _ = smith_normal_form([[1, 0], [0, 1]])
-    assert [d[0][0], d[1][1]] == [1, 1]
-    _, d, _ = smith_normal_form([[2, 0], [0, 3]])
-    assert [d[0][0], d[1][1]] == [1, 6]
-    _, d, _ = smith_normal_form([[0, 0], [0, 0]])
-    assert [d[0][0], d[1][1]] == [0, 0]
+    # (input, D); U and V are checked by assert_smith_form.  The last two
+    # are the empty shapes: no rows, and two rows of no columns
+    examples = [
+        ([[1, 0], [0, 1]], ((1, 0), (0, 1))),
+        ([[2, 0], [0, 3]], ((1, 0), (0, 6))),
+        ([[0, 0], [0, 0]], ((0, 0), (0, 0))),
+        ([[4, 0], [0, 6]], ((2, 0), (0, 12))),
+        ([[0, 0, 3], [0, 0, 0]], ((3, 0, 0), (0, 0, 0))),
+        ([[6, 4, 10]], ((2, 0, 0),)),
+        ([[6], [4], [10]], ((2,), (0,), (0,))),
+        ([[-3]], ((3,),)),
+        ([], ()),
+        ([[], []], ((), ())),
+    ]
+    for a, want in examples:
+        u, d, v = smith_normal_form(a)
+        assert d == want, a
+        assert_smith_form(a, u, d, v)
 
 
 def test_snf_postconditions_randomized():
@@ -48,26 +80,13 @@ def test_snf_postconditions_randomized():
         m = rng.randint(1, 12)
         n = rng.randint(1, 12)
         a = random_matrix(rng, m, n)
-        u, d, v = smith_normal_form(a)
-        u = [list(r) for r in u]
-        v = [list(r) for r in v]
-        assert mat_mul_lists(mat_mul_lists(u, a), v) == [list(r) for r in d]
-        assert det(u) in (1, -1)
-        assert det(v) in (1, -1)
-        diag = [d[i][i] for i in range(min(m, n))]
-        for i in range(len(diag) - 1):
-            if diag[i] == 0:
-                assert diag[i + 1] == 0
-            else:
-                assert diag[i + 1] % diag[i] == 0
-        assert all(x >= 0 for x in diag)
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
+        assert_smith_form(a, *smith_normal_form(a))
 
 
 def test_kernel_basis():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
     rng = random.Random(7)
     for _ in range(30):
         m = rng.randint(1, 6)
@@ -77,6 +96,10 @@ def test_kernel_basis():
         assert len(ker) == n - rank(a)
         for vec in ker:
             assert all(sum(a[i][j] * vec[j] for j in range(n)) == 0 for i in range(m))
+        # saturated: Z^n / span(ker) is torsion-free iff every invariant is 1
+        if ker:
+            d = sympy_snf(sympy.Matrix(ker), domain=sympy.ZZ)
+            assert all(abs(d[i, i]) == 1 for i in range(len(ker))), (a, ker)
 
 
 def test_kernel_basis_of_no_rows_is_everything():

@@ -12,7 +12,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
-from monolab._linalg import det, hnf, rank, smith_normal_form  # noqa: E402
+from monolab._linalg import det, hnf, kernel_basis, rank, smith_normal_form  # noqa: E402
 from monolab.lattices import IntLattice, SublatticeBasis, signature  # noqa: E402
 
 entries = st.integers(-6, 6)
@@ -81,6 +81,19 @@ def test_smith_diagonal_matches_sympy(mat):
     theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
     k = min(len(rows), n)
     assert [d[i][i] for i in range(k)] == [abs(int(theirs[i, i])) for i in range(k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_kernel_basis_is_the_saturated_kernel(mat):
+    rows, n = mat
+    ker = kernel_basis(rows, n)
+    assert len(ker) == n - rank(rows)
+    assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in rows for vec in ker)
+    # saturated: Z^n / span(ker) is torsion-free iff every invariant is 1
+    if ker:
+        d = sympy_snf(sympy.Matrix(ker), domain=sympy.ZZ)
+        assert all(abs(d[i, i]) == 1 for i in range(len(ker)))
 
 
 def _sign_changes(coeffs):
