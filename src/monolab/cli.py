@@ -1,12 +1,14 @@
 """Command-line front end.  The only module that touches files or stdout.
 
-Exit codes: 0 computation ran (any verdict), 2 malformed input or usage,
-3 a checked precondition failed (the message names it), 64 unknown
-subcommand, 66 input file not found, 70 an internal self-check failed (a
-fault in monolab, not in the input), 74 stdout was closed before the output
-was written (the reader left early).  Output is deterministic byte for
-byte for fixed inputs and flags: keys are sorted, orderings canonical,
-and nothing timestamps.
+Exit codes: 0 computation ran (any verdict), 2 malformed input or usage
+(an input file that is not UTF-8 JSON, a repeated flag; the message names
+the path or flag), 3 a checked precondition failed (the message names it),
+64 unknown subcommand, 66 an input path that is missing or cannot be read
+(a directory, no permission; the message names the path), 70 an internal
+self-check failed (a fault in monolab, not in the input), 74 stdout was
+closed before the output was written (the reader left early).  Output is
+deterministic byte for byte for fixed inputs and flags: keys are sorted,
+orderings canonical, and nothing timestamps.
 """
 
 import json
@@ -33,10 +35,21 @@ class UsageError(Exception):
     pass
 
 
+class InputFileError(Exception):
+    """An input path that is missing or cannot be read."""
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except FileNotFoundError as exc:
+        raise InputFileError("input file not found: %s" % path) from exc
+    except OSError as exc:
+        raise InputFileError("cannot read input file: %s (%s)"
+                             % (path, exc.strerror)) from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError("%s: not UTF-8 text (%s)" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError("%s: invalid JSON (%s)" % (path, exc)) from exc
 
@@ -57,6 +70,8 @@ class _Args:
             arg = argv[i]
             if arg.startswith("--"):
                 name = arg[2:]
+                if name in self.values or name in self.switches:
+                    raise UsageError("flag --%s given twice" % name)
                 if name in switches:
                     self.switches.add(name)
                 elif name in flags_with_value:
@@ -418,8 +433,8 @@ def run(argv):
         return EX_UNKNOWN_COMMAND
     try:
         return handler(argv[1:])
-    except FileNotFoundError as exc:
-        print("input file not found: %s" % exc.filename, file=sys.stderr)
+    except InputFileError as exc:
+        print(exc, file=sys.stderr)
         return EX_NO_INPUT
     except (UsageError, SchemaError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -7,10 +7,13 @@ reduced factorizations are connected by moves *at this reduced level* (a
 replayable witness is attached); "distinct-in-budget" and "unknown" claim
 nothing beyond the search that was actually run.
 
-A reduced state is a tuple of ints, bools and tuples, equal exactly when
-its ``canonical_form`` bytes are, so the searches key on the state itself;
-the bytes are for reports and tests.  Budgets are capped at ``MAX_BUDGET``
-and the pair-product cache at ``MAX_PAIR_CACHE`` entries.
+A reduced state is a tuple of letters ``(coords mod m, separating,
+split)``.  Each search interns the letters it meets in a private table
+(``_Letters``) and keys on packed states: one fixed-width id per letter,
+equal exactly when the ``canonical_form`` bytes are, which are for
+reports and tests.  The table's moves and local products are filled once
+per id pair, and the table is held by the search and its report alone.
+Budgets are capped at ``MAX_BUDGET``, which bounds the ids.
 """
 
 from collections import deque
@@ -19,7 +22,7 @@ from ._linalg import Frozen, identity_matrix
 from .homology import GenusMismatchError, _right_twist, pairing
 
 MAX_BUDGET = 200000
-MAX_PAIR_CACHE = 65536
+_DIRECTIONS = ("left", "right")
 
 
 class QuotientConfig(Frozen):
@@ -48,7 +51,7 @@ def reduce_factorization(fact, cfg):
 
 def canonical_form(state, cfg):
     """Deterministic, injective byte serialization of a reduced letter list,
-    for reports and tests; the searches key on the state tuple itself."""
+    for reports and tests; the searches key on packed states."""
     return repr((cfg.genus, cfg.modulus, state)).encode("ascii")
 
 
@@ -59,21 +62,22 @@ def _twist_mod(c, power, x, m):
     return tuple((xi + k * ci) % m for xi, ci in zip(x, c))
 
 
-_pair_cache = {}
-
-
 def _pair_product(cu, cv, g, m):
-    key = (cu, cv, g, m)
-    prod = _pair_cache.get(key)
-    if prod is None:
-        rows = [list(r) for r in identity_matrix(2 * g)]
-        _right_twist(rows, cu, 1)
-        _right_twist(rows, cv, 1)
-        prod = tuple(tuple(x % m for x in r) for r in rows)
-        if len(_pair_cache) >= MAX_PAIR_CACHE:
-            _pair_cache.clear()
-        _pair_cache[key] = prod
-    return prod
+    """The written-order product T_u T_v of two letter matrices, mod m."""
+    rows = [list(r) for r in identity_matrix(2 * g)]
+    _right_twist(rows, cu, 1)
+    _right_twist(rows, cv, 1)
+    return tuple(tuple(x % m for x in r) for r in rows)
+
+
+def _move_pair(u, v, direction, m):
+    """The letters that replace the adjacent pair (u, v) under a move."""
+    (cu, su, pu), (cv, sv, pv) = u, v
+    if direction == "left":
+        return (_twist_mod(cu, 1, cv, m), sv, pv), u
+    if direction == "right":
+        return v, (_twist_mod(cv, -1, cu, m), su, pu)
+    raise ValueError("direction must be 'left' or 'right'")
 
 
 def apply_move(state, move, cfg):
@@ -84,28 +88,83 @@ def apply_move(state, move, cfg):
     letters = list(state)
     if not 0 <= pos <= len(letters) - 2:
         raise IndexError("move position out of range")
-    (cu, su, pu), (cv, sv, pv) = letters[pos], letters[pos + 1]
-    if direction == "left":
-        new = ((_twist_mod(cu, 1, cv, m), sv, pv), (cu, su, pu))
-    elif direction == "right":
-        new = ((cv, sv, pv), (_twist_mod(cv, -1, cu, m), su, pu))
-    else:
-        raise ValueError("direction must be 'left' or 'right'")
-    if _pair_product(cu, cv, g, m) != _pair_product(new[0][0], new[1][0], g, m):
+    u, v = letters[pos], letters[pos + 1]
+    new = _move_pair(u, v, direction, m)
+    if _pair_product(u[0], v[0], g, m) != _pair_product(new[0][0], new[1][0], g, m):
         raise AssertionError("move broke the local product mod m")
     letters[pos], letters[pos + 1] = new
     return tuple(letters)
 
 
+class _Letters:
+    """One search's letter table.  Each reduced letter gets an id in order of
+    first sight, and a state packs to ``width`` big-endian bytes per id.
+
+    Move code 2 pos + d is the move at ``pos`` in direction
+    ``_DIRECTIONS[d]``.  Its result for a two-letter slice is filled once,
+    and the slices' local products are interned (equal ids exactly when the
+    matrices are equal); ``step`` still compares the two on every
+    application.  A search expands at most ``budget`` states, each by
+    2(n - 1) moves that make at most two letters each, so the ids stay below
+    the letters of the roots plus 2 * 2(n - 1) * budget.
+    """
+
+    def __init__(self, roots, cfg, budget):
+        n = len(roots[0])
+        bound = sum(len(r) for r in roots) + 2 * 2 * max(n - 1, 0) * budget
+        self.width = w = max(1, ((bound - 1).bit_length() + 7) // 8)
+        self.cfg = cfg
+        self.letters = []
+        self._ids = {}
+        self._moves = ({}, {})
+        self._products = {}
+        self._product_ids = {}
+        self._slots = [(pos * w, (pos + 2) * w, self._moves[d])
+                       for pos in range(n - 1) for d in (0, 1)]
+
+    def _id(self, letter):
+        code = self._ids.get(letter)
+        if code is None:
+            code = self._ids[letter] = len(self.letters).to_bytes(self.width, "big")
+            self.letters.append(letter)
+        return code
+
+    def pack(self, state):
+        return b"".join(self._id(letter) for letter in state)
+
+    def unpack(self, packed):
+        w = self.width
+        return tuple(self.letters[int.from_bytes(packed[i:i + w], "big")]
+                     for i in range(0, len(packed), w))
+
+    def _fill(self, pair, d):
+        g, m = self.cfg.genus, self.cfg.modulus
+        u, v = self.unpack(pair)
+        nu, nv = _move_pair(u, v, _DIRECTIONS[d], m)
+        new = self._moves[d][pair] = self._id(nu) + self._id(nv)
+        for key, (x, y) in ((pair, (u, v)), (new, (nu, nv))):
+            if key not in self._products:
+                prod = _pair_product(x[0], y[0], g, m)
+                self._products[key] = self._product_ids.setdefault(
+                    prod, len(self._product_ids))
+        return new
+
+    def step(self, state, code):
+        """The packed state after move ``code``."""
+        a, b, moves = self._slots[code]
+        pair = state[a:b]
+        new = moves.get(pair)
+        if new is None:
+            new = self._fill(pair, code & 1)
+        products = self._products
+        if products[pair] != products[new]:
+            raise AssertionError("move broke the local product mod m")
+        return state[:a] + new + state[b:]
+
+
 def invert_move(move):
     pos, direction = move
     return (pos, "right" if direction == "left" else "left")
-
-
-def _moves(state):
-    for pos in range(len(state) - 1):
-        yield (pos, "left")
-        yield (pos, "right")
 
 
 class OrbitCertificate(Frozen):
@@ -141,16 +200,20 @@ class OrbitCertificate(Frozen):
 
 
 class ExploreReport(Frozen):
-    __slots__ = ("states", "cfg", "complete", "explored", "budget")
+    """The packed states one search reached, with the letter table that
+    decodes them."""
 
-    def __init__(self, states, cfg, complete, explored, budget):
-        self._init(states=frozenset(states), cfg=cfg, complete=bool(complete),
+    __slots__ = ("states", "letters", "complete", "explored", "budget")
+
+    def __init__(self, states, letters, complete, explored, budget):
+        self._init(states=states, letters=letters, complete=bool(complete),
                    explored=int(explored), budget=int(budget))
 
     @property
     def forms(self):
         """The sorted canonical forms of the states reached."""
-        return tuple(sorted(canonical_form(s, self.cfg) for s in self.states))
+        unpack, cfg = self.letters.unpack, self.letters.cfg
+        return tuple(sorted(canonical_form(unpack(s), cfg) for s in self.states))
 
     def as_dict(self):
         return {
@@ -172,19 +235,22 @@ def orbit_explore(fact, cfg, budget):
     states; a new state that does not fit ends it with closure not reached."""
     _check_budget(budget)
     start = reduce_factorization(fact, cfg)
-    seen = {start}
-    frontier = deque([start])
+    letters = _Letters((start,), cfg, budget)
+    step, codes = letters.step, range(2 * (len(start) - 1))
+    root = letters.pack(start)
+    seen = {root}
+    frontier = deque([root])
     while frontier:
         state = frontier.popleft()
-        for move in _moves(state):
-            nxt = apply_move(state, move, cfg)
+        for code in codes:
+            nxt = step(state, code)
             if nxt in seen:
                 continue
             if len(seen) >= budget:
-                return ExploreReport(seen, cfg, False, len(seen), budget)
+                return ExploreReport(seen, letters, False, len(seen), budget)
             seen.add(nxt)
             frontier.append(nxt)
-    return ExploreReport(seen, cfg, True, len(seen), budget)
+    return ExploreReport(seen, letters, True, len(seen), budget)
 
 
 def _invariant_mismatch(s1, s2):
@@ -216,9 +282,12 @@ def same_orbit(f1, f2, cfg, budget):
     if s1 == s2:
         return OrbitCertificate("same-orbit", (), 0, budget)
 
-    # parent maps: state -> (parent state, move from parent)
-    parents = ({s1: None}, {s2: None})
-    frontiers = (deque([s1]), deque([s2]))
+    letters = _Letters((s1, s2), cfg, budget)
+    step, codes = letters.step, range(2 * (len(s1) - 1))
+    roots = letters.pack(s1), letters.pack(s2)
+    # parent maps: packed state -> (packed parent, move code from the parent)
+    parents = ({roots[0]: None}, {roots[1]: None})
+    frontiers = (deque([roots[0]]), deque([roots[1]]))
     explored = 2
     meet = None
     while (frontiers[0] or frontiers[1]) and explored < budget and meet is None:
@@ -226,11 +295,11 @@ def same_orbit(f1, f2, cfg, budget):
         idx = 0 if frontiers[0] and (len(parents[0]) <= len(parents[1]) or not frontiers[1]) else 1
         mine, other = parents[idx], parents[1 - idx]
         state = frontiers[idx].popleft()
-        for move in _moves(state):
-            nxt = apply_move(state, move, cfg)
+        for code in codes:
+            nxt = step(state, code)
             if nxt in mine:
                 continue
-            mine[nxt] = (state, move)
+            mine[nxt] = (state, code)
             explored += 1
             if nxt in other:
                 meet = nxt
@@ -246,11 +315,12 @@ def same_orbit(f1, f2, cfg, budget):
         """The moves from the root to ``state``, last move first."""
         moves = []
         while parent_map[state] is not None:
-            state, move = parent_map[state]
-            moves.append(move)
+            state, code = parent_map[state]
+            moves.append((code >> 1, _DIRECTIONS[code & 1]))
         return moves
 
-    # s1 -> meet, then meet -> s2 by undoing s2's path in reverse
+    # s1 -> meet, then meet -> s2 by undoing s2's path in reverse; the
+    # replay runs on letter tuples, apart from the search's table
     witness = moves_back(parents[0], meet)[::-1]
     witness += [invert_move(mv) for mv in moves_back(parents[1], meet)]
     state = s1

@@ -32,8 +32,8 @@ wedge with c, project.  D^2 = 0, as s.c = <c, c> = 0 and c ^ c = 0, so
 T^-1 = I - D.  ``sp_action_quotient`` (3x3 minors) is the tests' oracle.
 
 Two sparse kernels keep the wedge bookkeeping: ``_wedge_pair`` adds a
-multiple of vec ^ gamma_p ^ gamma_q (for ``embed_h``, the rewrite table and
-the pair columns of W_c) and ``_project`` maps wedge coefficients to the
+multiple of vec ^ gamma_p ^ gamma_q (for the rewrite table and the pair
+columns of W_c) and ``_project`` maps wedge coefficients to the
 retained basis (for ``reduce_to_quotient`` and the pair columns).
 """
 
@@ -227,19 +227,6 @@ def wedge3(c1, c2, c3):
             + g1[k] * (g2[i] * g3[j] - g2[j] * g3[i])
         )
     return Wedge3(c1.genus, out)
-
-
-def embed_h(c):
-    """The embedding of H: c -> (sum_i a_i ^ b_i) ^ c = sum_i c ^ a_i ^ b_i."""
-    tab = _table(c.genus)
-    gc = [(m, x) for m, x in enumerate(_gamma_coords(c)) if x]
-    acc = {}
-    for i in range(c.genus):
-        _wedge_pair(acc, gc, 2 * i, 2 * i + 1, 1)
-    out = [0] * tab.dim_wedge
-    for trip, x in acc.items():
-        out[tab.triple_index[trip]] = x
-    return Wedge3(c.genus, out)
 
 
 def reduce_to_quotient(w):

@@ -5,11 +5,14 @@ before its rows went sparse: the same gcd exchanges and the same canonical
 Hermite reduction, on dense lists.  ``fraction_signature`` is the rational
 diagonalization ``lattices.signature`` used before it went fraction-free.
 The differential tests compare each pair on every public result.
+``embed_h`` is the embedding of H into the wedge cube, which only the tests
+use.
 """
 
 from fractions import Fraction
 
 from monolab._linalg import xgcd
+from monolab.johnson import Wedge3, _gamma_coords, _table, _wedge_pair
 
 
 def fraction_signature(gram):
@@ -129,3 +132,16 @@ class DenseEchelonLattice:
                 if q:
                     rows[k] = [x - q * y for x, y in zip(rows[k], rows[i])]
         return tuple(tuple(r) for r in rows)
+
+
+def embed_h(c):
+    """The embedding of H: c -> (sum_i a_i ^ b_i) ^ c = sum_i c ^ a_i ^ b_i."""
+    tab = _table(c.genus)
+    gc = [(m, x) for m, x in enumerate(_gamma_coords(c)) if x]
+    acc = {}
+    for i in range(c.genus):
+        _wedge_pair(acc, gc, 2 * i, 2 * i + 1, 1)
+    out = [0] * tab.dim_wedge
+    for trip, x in acc.items():
+        out[tab.triple_index[trip]] = x
+    return Wedge3(c.genus, out)

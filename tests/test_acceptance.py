@@ -22,7 +22,6 @@ from monolab.johnson import (
     check_certificate,
     commutator_tau,
     distinguish,
-    embed_h,
     reduce_to_quotient,
     sp_action_quotient,
     tau_word,
@@ -46,6 +45,7 @@ from monolab.words import (
     verify_factorization,
 )
 from helpers import random_positive_factorization, random_class
+from oracles import embed_h
 
 
 @pytest.fixture(scope="module")

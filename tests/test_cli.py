@@ -48,6 +48,44 @@ def test_missing_file(capsys):
     assert code == cli.EX_NO_INPUT
 
 
+def test_unreadable_input_path_exits_66_naming_it(tmp_path, capsys, monkeypatch):
+    # a directory, a file used as a directory, and a file open() refuses
+    afile = write_json(tmp_path, "f.json", {})
+    for argv, path in ((["lattice", "sig", str(tmp_path)], str(tmp_path)),
+                       (["hurwitz", "explore", str(tmp_path), "--mod", "3"], str(tmp_path)),
+                       (["verify", afile + "/x"], afile + "/x")):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EX_NO_INPUT, ""), argv
+        assert "cannot read input file: %s" % path in err, argv
+
+    def refused(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refused, raising=False)
+    code, out, err = run_cli(["lattice", "sig", afile], capsys)
+    assert (code, out) == (cli.EX_NO_INPUT, "")
+    assert "cannot read input file: %s (Permission denied)" % afile in err
+
+
+def test_non_utf8_input_exits_2_naming_the_path(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "caf\xe9"}')
+    for argv in (["lattice", "sig", str(path)], ["hurwitz", "explore", str(path), "--mod", "3"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EX_SCHEMA, ""), argv
+        assert "%s: not UTF-8 text" % path in err, argv
+
+
+def test_repeated_flag_is_refused(tmp_path, capsys):
+    path = write_json(tmp_path, "mck.json", mck_fact_doc())
+    for argv, flag in ((["hurwitz", "explore", path, "--mod", "3", "--mod", "4"], "--mod"),
+                       (["hurwitz", "explore", path, "--mod", "3", "--json", "--json"],
+                        "--json")):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EX_SCHEMA, ""), argv
+        assert "flag %s given twice" % flag in err, argv
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", {"schema": "other/9"})
     code, _, err = run_cli(["verify", path], capsys)
@@ -469,12 +507,16 @@ def test_johnson_stdout_is_pinned(tmp_path, capsys):
             assert digest == JOHNSON_STDOUT_SHA256[(genus, mode)], (genus, mode)
 
 
-# sha256 of stdout, recorded from the search that keyed its seen sets on
-# canonical_form bytes
+# sha256 of stdout: the first three recorded from the search that keyed its
+# seen sets on canonical_form bytes, the others (a larger budget, a modulus
+# above 255) from the search that kept its states as tuples of letter tuples
 HURWITZ_STDOUT_SHA256 = {
     "explore --json": "7920028bd92df78e555ef947d46bbfe68c79b77c91d67a2872b75e828e28b818",
     "explore": "c98e037b4120bfd8e84961d8a50ff20584edf023825afbc40a4bc6008ff1aa2f",
     "compare --json": "d61a78c1ecbeee48a54d55f418736cea41ac572a77202776365de3a569498b67",
+    "explore --budget 20000": "d3cd8ea12a7e8a4ff87161977f6250a73c4ff51c343e4415d10d7ef233b9b98b",
+    "explore --mod 257 --json": "46bfb4be2be0a192f0eb4900a77de7ede5231aeccb172d42f032b484fb71ee95",
+    "compare --mod 257 --json": "d61a78c1ecbeee48a54d55f418736cea41ac572a77202776365de3a569498b67",
 }
 
 
@@ -489,6 +531,11 @@ def test_hurwitz_stdout_is_pinned(tmp_path, capsys):
         "explore": explore,
         "compare --json": ["hurwitz", "compare", a, b, "--mod", "5", "--budget", "20000",
                            "--json"],
+        "explore --budget 20000": explore[:-1] + ["20000"],
+        "explore --mod 257 --json": ["hurwitz", "explore", mck_path, "--mod", "257",
+                                     "--budget", "3000", "--json"],
+        "compare --mod 257 --json": ["hurwitz", "compare", a, b, "--mod", "257",
+                                     "--budget", "20000", "--json"],
     }
     for name, argv in runs.items():
         code, out, _ = run_cli(argv, capsys)

@@ -73,15 +73,26 @@ def test_pair_product_equals_the_dense_product_mod_m():
                     assert _pair_product(*pair, g, m) == dense_product_mod(pair, g, m)
 
 
-def test_pair_cache_never_grows_past_its_cap(monkeypatch):
-    monkeypatch.setattr(hurwitz, "MAX_PAIR_CACHE", 8)
-    monkeypatch.setattr(hurwitz, "_pair_cache", {})
-    rng = random.Random(73)
-    g, m = 2, 5
-    for _ in range(50):
-        cu, cv = (tuple(x % m for x in random_class(rng, g).coords) for _ in range(2))
-        assert _pair_product(cu, cv, g, m) == dense_product_mod((cu, cv), g, m)
-        assert 1 <= len(hurwitz._pair_cache) <= 8
+def test_search_tables_are_bounded_per_search():
+    # the ids of one search stay below the stated bound and fit the width
+    # derived from it, and a search leaves no table behind in the module
+    def module_tables():
+        return {name for name, value in vars(hurwitz).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")}
+
+    before = module_tables()
+    fact = family("mck", 2).base
+    n = len(fact.letters)
+    for m, budget in ((3, 1), (3, 300), (257, 300)):
+        report = orbit_explore(fact, QuotientConfig(m, 4), budget)
+        table = report.letters
+        bound = n + 2 * 2 * (n - 1) * budget
+        assert len(table.letters) < bound <= 256 ** table.width
+        assert 256 ** (table.width - 1) < bound
+        assert all(len(state) == n * table.width for state in report.states)
+    f1, f2 = mck_depth3_inputs()
+    assert same_orbit(f1, f2, QuotientConfig(5, 4), 20000).verdict == "same-orbit"
+    assert module_tables() == before == set()
 
 
 def test_canonical_form_deterministic_and_injective():
@@ -185,12 +196,13 @@ def test_truncated_explore_stops_at_the_first_state_that_does_not_fit(monkeypatc
     fact = family("mck", 2).base
     budget = 300
     calls = []
+    step = hurwitz._Letters.step
 
-    def counting(state, move, cfg):
-        calls.append(move)
-        return apply_move(state, move, cfg)
+    def counting(self, state, code):
+        calls.append(code)
+        return step(self, state, code)
 
-    monkeypatch.setattr(hurwitz, "apply_move", counting)
+    monkeypatch.setattr(hurwitz._Letters, "step", counting)
     report = orbit_explore(fact, cfg, budget)
     assert (report.complete, report.explored) == (False, budget)
     # the reference count: breadth-first over canonical forms, up to and
@@ -214,6 +226,41 @@ def test_truncated_explore_stops_at_the_first_state_that_does_not_fit(monkeypatc
     assert len(calls) == moves
     # expanding every seen state, as a search that runs on would, takes more
     assert len(calls) < budget * 2 * (len(start) - 1)
+
+
+def _explore_on_letter_tuples(fact, cfg, budget):
+    """Reference search: breadth first over letter tuples through the public
+    ``apply_move``; returns (forms, explored, complete)."""
+    from collections import deque
+    start = reduce_factorization(fact, cfg)
+    seen, queue, complete = {start}, deque([start]), True
+    while queue and complete:
+        state = queue.popleft()
+        for pos in range(len(state) - 1):
+            for direction in ("left", "right"):
+                nxt = apply_move(state, (pos, direction), cfg)
+                if nxt in seen:
+                    continue
+                if len(seen) >= budget:
+                    complete = False
+                    break
+                seen.add(nxt)
+                queue.append(nxt)
+            if not complete:
+                break
+    forms = tuple(sorted(canonical_form(st, cfg) for st in seen))
+    return forms, len(seen), complete
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 5),
+       st.sampled_from((2, 3, 5, 257)), st.integers(1, 400))
+def test_explore_equals_the_search_on_letter_tuples(seed, g, n, m, budget):
+    fact = random_positive_factorization(random.Random(seed), g, n)
+    cfg = QuotientConfig(m, g)
+    report = orbit_explore(fact, cfg, budget)
+    got = (report.forms, report.explored, report.complete)
+    assert got == _explore_on_letter_tuples(fact, cfg, budget)
 
 
 def test_explore_deterministic():

@@ -25,7 +25,6 @@ from monolab.johnson import (
     check_certificate,
     commutator_tau,
     distinguish,
-    embed_h,
     reduce_to_quotient,
     saturate,
     sp_action_quotient,
@@ -37,7 +36,7 @@ from monolab.johnson import (
 from monolab.words import TwistLetter, Word, sp_image
 from monolab.scenarios import family
 from helpers import fraction_solve, naive_wedge_cube, random_class
-from oracles import DenseEchelonLattice
+from oracles import DenseEchelonLattice, embed_h
 
 
 def gamma_vector(genus, j):

@@ -4,7 +4,7 @@ values hash equal, and vector arithmetic refuses to mix types or genera."""
 import pytest
 
 from monolab.homology import GenusMismatchError, HomologyClass, SpMap, basis_a
-from monolab.hurwitz import ExploreReport, OrbitCertificate, QuotientConfig
+from monolab.hurwitz import ExploreReport, OrbitCertificate, QuotientConfig, orbit_explore
 from monolab.invariants import FibrationSpec, InvariantReport
 from monolab.johnson import BoundingPairGen, Certificate, QuotientClass, TorelliWord, Wedge3
 from monolab.lattices import IntLattice, SublatticeBasis
@@ -35,7 +35,7 @@ VALUE_TYPES = [
 IDENTITY_TYPES = [
     (QuotientConfig, lambda: QuotientConfig(3, 2)),
     (OrbitCertificate, lambda: OrbitCertificate("unknown", None, 0, 1)),
-    (ExploreReport, lambda: ExploreReport({()}, QuotientConfig(3, 2), True, 1, 1)),
+    (ExploreReport, lambda: orbit_explore(_factorization(), QuotientConfig(3, 2), 1)),
     (TorelliWord, lambda: family("mck", 2).twist),
     (Certificate, lambda: Certificate("mck", 3, 1, 2, QuotientClass.zero(3), 1, 2,
                                       SublatticeBasis(14, ()), SublatticeBasis(14, ()))),
