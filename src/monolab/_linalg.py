@@ -134,29 +134,6 @@ def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
-def det(a):
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 class EchelonLattice:
     """A sublattice of Z^dim kept as an integer row-echelon basis, starting
     as the span of ``rows``; the package's one integer row reduction.
@@ -166,9 +143,9 @@ class EchelonLattice:
     exchanges make the lattice only ever grow.  ``insert`` returns None if it
     did not grow, else a copy of the partly reduced vector at the first step
     that changed the basis (a new pivot or a gcd exchange): vec minus a
-    vector of the old lattice, spanning the same growth.  ``hermite``
-    (sparse) and ``hnf_rows`` (dense) give the canonical Hermite basis
-    (positive pivots, entries above each in [0, pivot)), which is unique.
+    vector of the old lattice, spanning the same growth.  ``hermite`` gives
+    the canonical Hermite basis (positive pivots, entries above each in
+    [0, pivot)), which is unique; ``lattices.SublatticeBasis`` holds it.
     """
 
     def __init__(self, dim, rows=()):
@@ -226,9 +203,6 @@ class EchelonLattice:
                             bisect.insort(todo, t, i)
             done[c] = row
         return dict(reversed(done.items()))
-
-    def hnf_rows(self):
-        return tuple(dense(r, self.dim) for r in self.hermite().values())
 
 
 def residue(pivot_rows, vec):
@@ -294,11 +268,6 @@ def _sub_multiple(v, q, row):
             v[k] = x
         else:
             del v[k]
-
-
-def hnf(rows, dim):
-    """Canonical Hermite row basis of the lattice spanned by the rows."""
-    return EchelonLattice(dim, rows).hnf_rows()
 
 
 def rank(rows):

@@ -6,9 +6,11 @@ the path or flag), 3 a checked precondition failed (the message names it),
 64 unknown subcommand, 66 an input path that is missing or cannot be read
 (a directory, no permission; the message names the path), 70 an internal
 self-check failed (a fault in monolab, not in the input), 74 stdout was
-closed before the output was written (the reader left early).  Output is
-deterministic byte for byte for fixed inputs and flags: keys are sorted,
-orderings canonical, and nothing timestamps.
+closed before the output was written (the reader left early).  Each
+subcommand returns its whole stdout as one string, which ``run`` writes
+once, so a failure leaves stdout empty.  Output is deterministic byte for
+byte for fixed inputs and flags: keys are sorted, orderings canonical, and
+nothing timestamps.
 """
 
 import json
@@ -30,6 +32,9 @@ EX_NO_INPUT = 66
 EX_SOFTWARE = 70
 EX_IOERR = 74
 
+# rows of one `invariants --grid` table; the paper's largest grid has 44
+MAX_GRID_ROWS = 10000
+
 
 class UsageError(Exception):
     pass
@@ -39,10 +44,37 @@ class InputFileError(Exception):
     """An input path that is missing or cannot be read."""
 
 
+class _DuplicateKey(Exception):
+    pass
+
+
+def _unique_keys(pairs):
+    """``object_pairs_hook`` that refuses an object with a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise _DuplicateKey(key)
+        doc[key] = value
+    return doc
+
+
+def _parse_json(text, where):
+    """The JSON value of ``text``; invalid JSON, a repeated key and nesting
+    past the interpreter's recursion limit are refused, naming ``where``."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("%s: invalid JSON (%s)" % (where, exc)) from exc
+    except _DuplicateKey as exc:
+        raise SchemaError("%s: duplicate key %r" % (where, exc.args[0])) from None
+    except RecursionError:
+        raise SchemaError("%s: JSON nested too deeply" % where) from None
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError as exc:
         raise InputFileError("input file not found: %s" % path) from exc
     except OSError as exc:
@@ -50,12 +82,12 @@ def _load_json(path):
                              % (path, exc.strerror)) from exc
     except UnicodeDecodeError as exc:
         raise SchemaError("%s: not UTF-8 text (%s)" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError("%s: invalid JSON (%s)" % (path, exc)) from exc
+    return _parse_json(text, path)
 
 
-def _emit(doc):
-    print(schemas.dumps(doc))
+def _document(doc_type, fields):
+    """The JSON document of one report: schema and type, then the fields."""
+    return schemas.dumps({"schema": schemas.SCHEMA, "type": doc_type, **fields})
 
 
 class _Args:
@@ -115,12 +147,10 @@ def _cmd_verify(argv):
     word, target = schemas.decode_factorization(doc)
     report = verify_factorization(word, target)
     if "json" in args.switches:
-        _emit({"schema": schemas.SCHEMA, "type": "verify_report", **report})
-    else:
-        print("Sp-level identity: %s" % report["verdict"])
-        print("letters: %d, genus: %d" % (report["letters"], report["genus"]))
-        print("certification: %s" % report["certification"])
-    return EX_OK
+        return _document("verify_report", report)
+    return "\n".join(("Sp-level identity: %s" % report["verdict"],
+                      "letters: %d, genus: %d" % (report["letters"], report["genus"]),
+                      "certification: %s" % report["certification"]))
 
 
 def _check_family(fam):
@@ -147,54 +177,59 @@ def _spec_from_args(args):
     return scenarios.family(fam, g).spec(n)
 
 
+def _invariant_grid(fam, grid):
+    """The --csv table of one family over g0..g1 by n0..n1, refused before
+    anything is built when it has more than MAX_GRID_ROWS rows."""
+    _check_family(fam)
+    try:
+        g_part, n_part = grid.split(",")
+        g0, g1 = (int(x) for x in g_part.split(".."))
+        n0, n1 = (int(x) for x in n_part.split(".."))
+    except ValueError:
+        raise UsageError("--grid expects g0..g1,n0..n1")
+    rows = max(0, g1 - g0 + 1) * max(0, n1 - n0 + 1)
+    if rows > MAX_GRID_ROWS:
+        raise UsageError("--grid: %s has %d rows, above MAX_GRID_ROWS = %d"
+                         % (grid, rows, MAX_GRID_ROWS))
+    if g0 <= g1:
+        _check_genus(fam, g1, "--grid")
+    # members sharing a spec object share its report
+    lines = ["family,g,n,chi,sigma,b1,b2_plus,b2_minus"]
+    for g in range(g0, g1 + 1):
+        family = scenarios.family(fam, g)
+        reports = {}
+        for n in range(n0, n1 + 1):
+            spec = family.spec(n)
+            if id(spec) not in reports:
+                reports[id(spec)] = invariants.full_report(spec)
+            r = reports[id(spec)]
+            lines.append("%s,%d,%d,%d,%d,%d,%d,%d"
+                         % (fam, g, n, r.chi, r.sigma, r.b1, r.b2_plus, r.b2_minus))
+    return "\n".join(lines)
+
+
 def _cmd_invariants(argv):
     args = _Args(argv, flags_with_value=("family", "genus", "n", "grid"),
                  switches=("json", "csv"))
     grid = args.get("grid")
     if grid is not None:
-        fam = args.get("family")
-        if fam is None:
+        if args.get("family") is None:
             raise UsageError("--grid requires --family")
-        _check_family(fam)
-        try:
-            g_part, n_part = grid.split(",")
-            g0, g1 = (int(x) for x in g_part.split(".."))
-            n0, n1 = (int(x) for x in n_part.split(".."))
-        except ValueError:
-            raise UsageError("--grid expects g0..g1,n0..n1")
-        if g0 <= g1:
-            _check_genus(fam, g1, "--grid")
-        # every row is built before anything is printed, so a failure part-way
-        # leaves stdout empty; members sharing a spec object share its report
-        lines = ["family,g,n,chi,sigma,b1,b2_plus,b2_minus"]
-        for g in range(g0, g1 + 1):
-            family = scenarios.family(fam, g)
-            reports = {}
-            for n in range(n0, n1 + 1):
-                spec = family.spec(n)
-                if id(spec) not in reports:
-                    reports[id(spec)] = invariants.full_report(spec)
-                r = reports[id(spec)]
-                lines.append("%s,%d,%d,%d,%d,%d,%d,%d"
-                             % (fam, g, n, r.chi, r.sigma, r.b1, r.b2_plus, r.b2_minus))
-        print("\n".join(lines))
-        return EX_OK
+        return _invariant_grid(args.get("family"), grid)
     if args.positional:
         doc = _load_json(args.positional[0])
         spec = schemas.decode_fibration_spec(doc)
     else:
         spec = _spec_from_args(args)
-    report = invariants.full_report(spec)
+    d = invariants.full_report(spec).as_dict()
     if "json" in args.switches:
-        _emit({"schema": schemas.SCHEMA, "type": "invariant_report", **report.as_dict()})
-    else:
-        d = report.as_dict()
-        print(_format_table([(k, d[k]) for k in
-                             ("chi", "sigma", "b1", "b2", "b2_plus", "b2_minus")]))
-        if d["parity_notes"]:
-            print("notes: %s" % d["parity_notes"])
-        print("certification: %s" % d["certification_level"])
-    return EX_OK
+        return _document("invariant_report", d)
+    lines = [_format_table([(k, d[k]) for k in
+                            ("chi", "sigma", "b1", "b2", "b2_plus", "b2_minus")])]
+    if d["parity_notes"]:
+        lines.append("notes: %s" % d["parity_notes"])
+    lines.append("certification: %s" % d["certification_level"])
+    return "\n".join(lines)
 
 
 def _cmd_johnson(argv):
@@ -205,25 +240,20 @@ def _cmd_johnson(argv):
     value = johnson.tau_word(tw)
     content = gcd_all(value.coords)
     primitive = (content == 1)
-    doc = {
-        "schema": schemas.SCHEMA,
-        "type": "johnson_value",
-        "genus": value.genus,
-        "coords": list(value.coords),
-        "nonzero": not value.is_zero(),
-        "primitive": primitive,
-        "content": content,
-        "basis": "retained gamma-triples",
-    }
     if "json" in args.switches:
-        _emit(doc)
-    else:
-        labels = value.labelled()
-        print("tau value (%d nonzero coordinates):" % len(labels))
-        for name, coef in labels:
-            print("  %s: %d" % (name, coef))
-        print("primitive: %s, content: %d" % (primitive, content))
-    return EX_OK
+        return _document("johnson_value", {
+            "genus": value.genus,
+            "coords": list(value.coords),
+            "nonzero": not value.is_zero(),
+            "primitive": primitive,
+            "content": content,
+            "basis": "retained gamma-triples",
+        })
+    labels = value.labelled()
+    lines = ["tau value (%d nonzero coordinates):" % len(labels)]
+    lines += ["  %s: %d" % (name, coef) for name, coef in labels]
+    lines.append("primitive: %s, content: %d" % (primitive, content))
+    return "\n".join(lines)
 
 
 def _cmd_distinguish(argv):
@@ -238,31 +268,22 @@ def _cmd_distinguish(argv):
     fam = scenarios.family(fam_name, g)
     cert = johnson.distinguish(n, m, fam)
     if cert is None:
-        doc = {
-            "schema": schemas.SCHEMA,
-            "type": "distinguish_report",
-            "family": fam_name, "genus": g, "n": n, "m": m,
-            "certificate": None,
-            "verdict": "no certificate (equal parameters); equivalence is not claimed",
-        }
+        verdict = "no certificate (equal parameters); equivalence is not claimed"
         if "json" in args.switches:
-            _emit(doc)
-        else:
-            print(doc["verdict"])
-        return EX_OK
+            return _document("distinguish_report", {
+                "family": fam_name, "genus": g, "n": n, "m": m,
+                "certificate": None, "verdict": verdict})
+        return verdict
     cert_doc = cert.as_dict()
     checks = johnson.check_certificate(cert_doc, fam, deep="deep-check" in args.switches)
     if "json" in args.switches:
-        _emit({"schema": schemas.SCHEMA, "type": "distinguish_report",
-               "certificate": cert_doc,
-               "replayed_checks": [name for name, _ in checks]})
-    else:
-        print("certificate: contents d_%d = %d, d_%d = %d"
-              % (n, cert.content_n, m, cert.content_m))
-        print("verdict: %s" % cert_doc["verdict"])
-        print("replayed %d certificate checks" % len(checks))
-        print("certification: %s" % cert_doc["certification_level"])
-    return EX_OK
+        return _document("distinguish_report", {
+            "certificate": cert_doc, "replayed_checks": [name for name, _ in checks]})
+    return "\n".join(("certificate: contents d_%d = %d, d_%d = %d"
+                      % (n, cert.content_n, m, cert.content_m),
+                      "verdict: %s" % cert_doc["verdict"],
+                      "replayed %d certificate checks" % len(checks),
+                      "certification: %s" % cert_doc["certification_level"]))
 
 
 def _cmd_conjugate(argv):
@@ -276,8 +297,7 @@ def _cmd_conjugate(argv):
         out = global_conjugation(fact, conj)
     else:
         out = partial_conjugation(fact, args.get_int("prefix"), conj)
-    _emit(schemas.encode_factorization(out.word, out.claimed_target))
-    return EX_OK
+    return schemas.dumps(schemas.encode_factorization(out.word, out.claimed_target))
 
 
 def _cmd_hurwitz(argv):
@@ -293,13 +313,10 @@ def _cmd_hurwitz(argv):
         word, target = schemas.decode_factorization(_load_json(args.positional[0]))
         fact = PositiveFactorization(word, target)
         cfg = hurwitz.QuotientConfig(mod, word.genus)
-        report = hurwitz.orbit_explore(fact, cfg, budget)
-        doc = {"schema": schemas.SCHEMA, "type": "orbit_report", **report.as_dict()}
+        report = hurwitz.orbit_explore(fact, cfg, budget).as_dict()
         if "json" in args.switches:
-            _emit(doc)
-        else:
-            print(_format_table(sorted((k, v) for k, v in report.as_dict().items())))
-        return EX_OK
+            return _document("orbit_report", report)
+        return _format_table(sorted(report.items()))
     if sub == "compare":
         if len(args.positional) != 2:
             raise UsageError("usage: hurwitz compare <f1.json> <f2.json> --mod M [--budget B]")
@@ -308,17 +325,15 @@ def _cmd_hurwitz(argv):
             word, target = schemas.decode_factorization(_load_json(p))
             facts.append(PositiveFactorization(word, target))
         cfg = hurwitz.QuotientConfig(mod, facts[0].genus)
-        cert = hurwitz.same_orbit(facts[0], facts[1], cfg, budget)
-        doc = {"schema": schemas.SCHEMA, "type": "orbit_certificate", **cert.as_dict()}
+        cert = hurwitz.same_orbit(facts[0], facts[1], cfg, budget).as_dict()
         if "json" in args.switches:
-            _emit(doc)
-        else:
-            print("verdict: %s" % cert.verdict)
-            if cert.reason:
-                print("reason: %s" % cert.reason)
-            print("explored: %d of budget %d" % (cert.explored, cert.budget))
-            print("certification: %s" % cert.as_dict()["certification_level"])
-        return EX_OK
+            return _document("orbit_certificate", cert)
+        lines = ["verdict: %s" % cert["verdict"]]
+        if cert["reason"]:
+            lines.append("reason: %s" % cert["reason"])
+        lines.append("explored: %d of budget %d" % (cert["explored"], cert["budget"]))
+        lines.append("certification: %s" % cert["certification_level"])
+        return "\n".join(lines)
     raise UsageError("unknown hurwitz subcommand %r" % sub)
 
 
@@ -332,23 +347,17 @@ def _cmd_lattice(argv):
     lattice = schemas.decode_gram(_load_json(args.positional[0]))
     if sub == "sig":
         plus, minus, zero = lattices.signature(lattice)
-        doc = {"schema": schemas.SCHEMA, "type": "signature_report",
-               "b_plus": plus, "b_minus": minus, "b_zero": zero,
-               "signature": plus - minus}
+        doc = {"b_plus": plus, "b_minus": minus, "b_zero": zero, "signature": plus - minus}
         par = lattices.parity(lattice)
         if par == "odd" and plus > 0 and minus > 0 and zero == 0:
             doc["classification_note"] = (
                 "odd indefinite => p<1> (+) q<-1> (cited classification, not computed)"
             )
         if "json" in args.switches:
-            _emit(doc)
-        else:
-            print(_format_table(sorted((k, v) for k, v in doc.items()
-                                       if k not in ("schema", "type"))))
-        return EX_OK
+            return _document("signature_report", doc)
+        return _format_table(sorted(doc.items()))
     if sub == "parity":
-        print(lattices.parity(lattice))
-        return EX_OK
+        return lattices.parity(lattice)
     if sub == "complement":
         classes_path = args.get("classes")
         if classes_path is None:
@@ -359,29 +368,24 @@ def _cmd_lattice(argv):
             raise SchemaError("classes file needs a 'vectors' list")
         schemas.expect_int_rows(vectors, lattice.rank, "classes.vectors")
         basis, induced = lattices.orthogonal_complement(lattice, vectors)
-        _emit({"schema": schemas.SCHEMA, "type": "complement_report",
-               "basis": basis.row_lists(),
-               "gram": [list(r) for r in induced.gram],
-               "parity": lattices.parity(induced)})
-        return EX_OK
+        return _document("complement_report", {
+            "basis": basis.row_lists(),
+            "gram": [list(r) for r in induced.gram],
+            "parity": lattices.parity(induced)})
     if sub == "enumerate":
         pattern_raw = args.get("pattern")
         if pattern_raw is None:
             raise UsageError("enumerate needs --pattern '<json matrix>'")
-        try:
-            pattern = json.loads(pattern_raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("--pattern: invalid JSON (%s)" % exc)
+        pattern = _parse_json(pattern_raw, "--pattern")
         if not isinstance(pattern, list):
             raise SchemaError("--pattern: expected a square matrix of integers")
         schemas.expect_int_rows(pattern, len(pattern), "--pattern")
         bound = args.get_int("bound", 5)
         tuples = lattices.enumerate_pattern(lattice, pattern, bound)
-        _emit({"schema": schemas.SCHEMA, "type": "enumeration_report",
-               "bound": bound,
-               "completeness": "complete within box [-%d, %d]" % (bound, bound),
-               "tuples": [[list(v) for v in t] for t in tuples]})
-        return EX_OK
+        return _document("enumeration_report", {
+            "bound": bound,
+            "completeness": "complete within box [-%d, %d]" % (bound, bound),
+            "tuples": [[list(v) for v in t] for t in tuples]})
     raise UsageError("unknown lattice subcommand %r" % sub)
 
 
@@ -394,16 +398,13 @@ def _cmd_scenario(argv):
     if sub in scenarios.FAMILY_KINDS:
         _check_genus(sub, g)
         n = args.get_int("n", 0)
-        _emit(schemas.encode_fibration_spec(scenarios.family(sub, g).spec(n)))
-        return EX_OK
+        return schemas.dumps(schemas.encode_fibration_spec(scenarios.family(sub, g).spec(n)))
     if sub == "curves":
         context = args.get("context", "mck")
         if context not in scenarios.FAMILY_KINDS:
             raise UsageError("unknown --context %r; expected mck or chain" % context)
         _check_genus(context, g)
-        table = scenarios.CurveTable(context, g)
-        _emit({"schema": schemas.SCHEMA, "type": "curve_table", **table.as_dict()})
-        return EX_OK
+        return _document("curve_table", scenarios.CurveTable(context, g).as_dict())
     raise UsageError("unknown scenario subcommand %r" % sub)
 
 
@@ -432,7 +433,7 @@ def run(argv):
         print("unknown subcommand: %s" % command, file=sys.stderr)
         return EX_UNKNOWN_COMMAND
     try:
-        return handler(argv[1:])
+        out = handler(argv[1:])
     except InputFileError as exc:
         print(exc, file=sys.stderr)
         return EX_NO_INPUT
@@ -447,6 +448,8 @@ def run(argv):
     except AssertionError as exc:
         print("internal self-check failed: %s" % exc, file=sys.stderr)
         return EX_SOFTWARE
+    print(out)
+    return EX_OK
 
 
 def main():

@@ -7,8 +7,9 @@ pairing is <a_i, b_i> = +1, all other basis pairings zero.
 The homology action of a right-handed Dehn twist about a curve in class c
 is the transvection x -> x + <x, c> c; the left-handed twist subtracts.
 This one sign convention is fixed here, in ``pairing`` and ``dual``, and
-every other module (the mod-m moves in ``hurwitz``, the quotient action in
-``johnson``) takes it from those two functions.
+every other module takes it from those two functions.  ``twist_coords`` is
+the one vector transvection: ``transvection``, the Hurwitz moves of
+``words`` and the mod-m moves of ``hurwitz`` all call it.
 All values are immutable and all operations are pure, except ``_right_twist``,
 the one twist-product kernel, which updates caller-owned rows in place.
 """
@@ -104,16 +105,20 @@ def intersection(u, v):
     return pairing(u.coords, v.coords)
 
 
+def twist_coords(c, power, x):
+    """x + p<x, c>c for coordinate sequences c and x and an integer power p:
+    the image of x under T_c^p, as a tuple."""
+    k = power * pairing(x, c)
+    return tuple(xi + k * ci for xi, ci in zip(x, c)) if k else tuple(x)
+
+
 def transvection(c, power, x):
     """Image of x under the Dehn twist about c raised to ``power`` (+1 or -1)."""
     if power not in (1, -1):
         raise ValueError("power must be +1 or -1")
     if c.genus != x.genus:
         raise GenusMismatchError("genus mismatch: %d vs %d" % (c.genus, x.genus))
-    k = power * intersection(x, c)
-    if k == 0:
-        return x
-    return HomologyClass(x.genus, tuple(xi + k * ci for xi, ci in zip(x.coords, c.coords)))
+    return HomologyClass(x.genus, twist_coords(c.coords, power, x.coords))
 
 
 class SpMap(Frozen):

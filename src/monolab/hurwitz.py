@@ -19,7 +19,7 @@ Budgets are capped at ``MAX_BUDGET``, which bounds the ids.
 from collections import deque
 
 from ._linalg import Frozen, identity_matrix
-from .homology import GenusMismatchError, _right_twist, pairing
+from .homology import GenusMismatchError, _right_twist, twist_coords
 
 MAX_BUDGET = 200000
 _DIRECTIONS = ("left", "right")
@@ -55,13 +55,6 @@ def canonical_form(state, cfg):
     return repr((cfg.genus, cfg.modulus, state)).encode("ascii")
 
 
-def _twist_mod(c, power, x, m):
-    k = power * pairing(x, c) % m
-    if k == 0:
-        return x
-    return tuple((xi + k * ci) % m for xi, ci in zip(x, c))
-
-
 def _pair_product(cu, cv, g, m):
     """The written-order product T_u T_v of two letter matrices, mod m."""
     rows = [list(r) for r in identity_matrix(2 * g)]
@@ -74,9 +67,9 @@ def _move_pair(u, v, direction, m):
     """The letters that replace the adjacent pair (u, v) under a move."""
     (cu, su, pu), (cv, sv, pv) = u, v
     if direction == "left":
-        return (_twist_mod(cu, 1, cv, m), sv, pv), u
+        return (tuple(x % m for x in twist_coords(cu, 1, cv)), sv, pv), u
     if direction == "right":
-        return v, (_twist_mod(cv, -1, cu, m), su, pu)
+        return v, (tuple(x % m for x in twist_coords(cv, -1, cu)), su, pu)
     raise ValueError("direction must be 'left' or 'right'")
 
 

@@ -7,7 +7,7 @@ import itertools
 from operator import mul
 
 from . import _linalg
-from ._linalg import Frozen, det, gcd_all, kernel_basis, mat_vec
+from ._linalg import Frozen, gcd_all, kernel_basis, mat_vec
 
 # read only by perfbench's tracer self-check; it goes with the by-name tracer
 smith_normal_form = _linalg.smith_normal_form
@@ -94,7 +94,7 @@ class IntLattice(Frozen):
         return _dot(mat_vec(self.gram, u), v)
 
     def determinant(self):
-        return det(self.gram)
+        return _eliminate(self.gram)[2]
 
     def direct_sum(self, other):
         n, m = self.rank, other.rank
@@ -110,7 +110,13 @@ class IntLattice(Frozen):
 
 
 def signature(lattice):
-    """Inertia (b_plus, b_minus, b_zero) of the rational quadratic form.
+    """Inertia (b_plus, b_minus, b_zero) of the rational quadratic form."""
+    minus, zero, _ = _eliminate(lattice.gram)
+    return lattice.rank - minus - zero, minus, zero
+
+
+def _eliminate(gram):
+    """(b_minus, b_zero, determinant) of a symmetric integer Gram matrix.
 
     Fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968), in
     integers only.  Each step takes a pivot d with a[d][d] != 0 from the
@@ -124,8 +130,10 @@ def signature(lattice):
     row i and column j to column i makes a[i][i] = 2 a[i][j] != 0; that is a
     unimodular congruence on trailing indices only, which keeps both
     invariants.  A trailing block with no nonzero entry is the radical.
+    Taking a pivot and the pair step keep the determinant, so it is the last
+    pivot's minor ``prev`` (1 for rank 0), or 0 when the radical is nonzero.
     """
-    a = [list(row) for row in lattice.gram]
+    a = [list(row) for row in gram]
     minus, prev = 0, 1
     while a:
         d = next((i for i, row in enumerate(a) if row[i]), None)
@@ -144,7 +152,7 @@ def signature(lattice):
         col = [row.pop(d) for row in a]
         a = [[(x * p - f * y) // prev for x, y in zip(row, pivot_row)] for f, row in zip(col, a)]
         prev = p
-    return lattice.rank - minus - len(a), minus, len(a)
+    return minus, len(a), 0 if a else prev
 
 
 def parity(lattice):
@@ -169,7 +177,7 @@ def orthogonal_complement(lattice, classes):
     # G c once per class: its dot products are the span Gram and the kernel rows
     pair_rows = [mat_vec(lattice.gram, c) for c in classes]
     span_gram = [[_dot(gc, v) for v in classes] for gc in pair_rows]
-    d = det(span_gram)
+    d = _eliminate(span_gram)[2]
     if d not in (1, -1):
         raise ValueError(
             "the given classes span a sublattice of Gram determinant %d, not +-1" % d
@@ -180,7 +188,7 @@ def orthogonal_complement(lattice, classes):
     comp_gram = [[_dot(gu, v) for v in comp] for gu in comp_pair]
     if len(comp) + len(classes) != n:
         raise AssertionError("rank bookkeeping failed for the orthogonal splitting")
-    if abs(det(comp_gram)) * abs(d) != abs(lattice.determinant()):
+    if abs(_eliminate(comp_gram)[2]) * abs(d) != abs(lattice.determinant()):
         raise AssertionError("determinant bookkeeping failed for the orthogonal splitting")
     if any(_dot(gu, c) for gu in comp_pair for c in classes):
         raise AssertionError("complement vector pairs nontrivially with a class")

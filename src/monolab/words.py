@@ -20,6 +20,7 @@ from .homology import (
     SpMap,
     _right_twist,
     is_primitive,
+    transvection,
     twist_matrix,
 )
 
@@ -223,6 +224,14 @@ def verify_factorization(word, claimed_target=None):
     }
 
 
+def _twisted(letter, c, power):
+    """``letter`` conjugated by the twist T_c^power: the twist about the
+    image of its curve, moved as a vector; a separating letter stays."""
+    if letter.separating:
+        return letter
+    return TwistLetter(transvection(c, power, letter.curve), letter.power)
+
+
 def elementary_transformation(fact, pos, direction):
     """One Hurwitz move on the adjacent written pair at ``pos``.
 
@@ -240,11 +249,9 @@ def elementary_transformation(fact, pos, direction):
         raise IndexError("pair position %d out of range" % pos)
     u, v = letters[pos], letters[pos + 1]
     if direction == "left":
-        letters[pos] = v.conjugated(twist_matrix(u.curve, u.power))
-        letters[pos + 1] = u
+        letters[pos:pos + 2] = _twisted(v, u.curve, u.power), u
     elif direction == "right":
-        letters[pos] = v
-        letters[pos + 1] = u.conjugated(twist_matrix(v.curve, -v.power))
+        letters[pos:pos + 2] = v, _twisted(u, v.curve, -v.power)
     else:
         raise ValueError("direction must be 'left' or 'right'")
     return PositiveFactorization(Word(letters, fact.genus), fact.claimed_target)

@@ -1,0 +1,104 @@
+"""Hand-picked mutants of the kernels that carry a sign or a bound.
+
+Each mutant names a file, an exact old text that occurs once in it, the
+text that replaces it and the tests that must fail once it does.  The
+runner copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
+directory, applies one mutant there, runs only its tests and reports every
+mutant that some named test survives.  It exits 1 on such a survivor or
+when a mutant's old text no longer occurs exactly once, so the list follows
+the code.  This is classical mutation analysis (DeMillo, Lipton and
+Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978).
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+pytest does not collect this file; ``test_mutants.py`` checks the old texts.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (name, file, old text, new text, tests that must fail)
+MUTANTS = [
+    ("transvection-sign", "src/monolab/homology.py",
+     "k = power * pairing(x, c)", "k = -power * pairing(x, c)",
+     ["tests/test_homology.py::test_transvection_sign_convention",
+      "tests/test_words.py::test_elementary_transformation_matches_the_dense_conjugation"]),
+    ("elimination-pivot-sign", "src/monolab/lattices.py",
+     "minus += (p > 0) != (prev > 0)", "minus += (p > 0) == (prev > 0)",
+     ["tests/test_lattices.py::test_signature_examples",
+      "tests/test_sympy_oracle.py::test_signature_matches_eigenvalue_sign_counts"]),
+    ("radical-determinant", "src/monolab/lattices.py",
+     "0 if a else prev", "prev if a else prev",
+     ["tests/test_sympy_oracle.py::test_det_matches_sympy",
+      "tests/test_linalg.py::test_rank_against_det"]),
+    ("dual-sign", "src/monolab/homology.py",
+     "(i + g, -x) if i < g", "(i + g, x) if i < g",
+     ["tests/test_homology.py::test_twist_matrix_matches_transvection_on_basis",
+      "tests/test_words.py::test_elementary_transformation_matches_the_dense_conjugation"]),
+    ("right-twist-power", "src/monolab/homology.py",
+     "k = power * sum(r[i] * x for i, x in c)", "k = sum(r[i] * x for i, x in c)",
+     ["tests/test_homology.py::test_twist_matrix_zero_class_and_inverse_pair",
+      "tests/test_words.py::test_elementary_transformation_matches_the_dense_conjugation"]),
+]
+
+
+def occurrences(path, old):
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        return fh.read().count(old)
+
+
+def _copy_tree(dest):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(dest, part), ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def run_mutant(name, path, old, new, tests):
+    """'killed' (every named test failed), 'survived k of n', or 'stale'
+    (the old text is not there once)."""
+    if occurrences(path, old) != 1:
+        return "stale"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy_tree(tmp)
+        target = os.path.join(tmp, path)
+        with open(target, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(old, new))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"] + tests,
+            cwd=tmp, env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src")),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    # the summary line counts failures; an error or no summary is no kill
+    summary = proc.stdout.strip().splitlines()[-1:] or [""]
+    failed = re.search(r"(\d+) failed", summary[0])
+    failed = int(failed.group(1)) if failed and "error" not in summary[0] else 0
+    return "killed" if failed == len(tests) else "survived %d of %d" % (
+        len(tests) - failed, len(tests))
+
+
+def main(names):
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print("unknown mutants: %s" % ", ".join(sorted(unknown)), file=sys.stderr)
+        return 2
+    bad = 0
+    for mutant in MUTANTS:
+        if names and mutant[0] not in names:
+            continue
+        verdict = run_mutant(*mutant)
+        bad += verdict != "killed"
+        print("%-24s %s" % (mutant[0], verdict))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

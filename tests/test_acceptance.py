@@ -10,7 +10,7 @@ import re
 import pytest
 
 from monolab import schemas
-from monolab._linalg import smith_normal_form
+from monolab._linalg import identity_matrix, smith_normal_form
 from monolab.homology import basis_a, basis_b, fixed_subspace_dim, is_primitive
 from monolab.invariants import (
     b1_homological,
@@ -28,7 +28,7 @@ from monolab.johnson import (
     _table,
 )
 from monolab.hurwitz import OrbitCertificate
-from monolab.lattices import IntLattice, enumerate_pattern
+from monolab.lattices import IntLattice, SublatticeBasis, enumerate_pattern
 from monolab.scenarios import (
     CHAIN_TAU_SIGN,
     CurveTable,
@@ -222,7 +222,6 @@ def test_criterion_09_property_suites():
         assert tau_word(f.conjugated_by(conj)) == sp_action_quotient(
             sp_image(conj), tau_word(f))
     # SNF postconditions on randomized matrices up to 12 x 12
-    from monolab._linalg import det as idet
     for _ in range(40):
         rows = rng.randint(1, 12)
         cols = rng.randint(1, 12)
@@ -235,7 +234,9 @@ def test_criterion_09_property_suites():
         prod = [[sum(prod[i][k] * v[k][j] for k in range(cols)) for j in range(cols)]
                 for i in range(rows)]
         assert prod == [list(r) for r in d]
-        assert idet(u) in (1, -1) and idet(v) in (1, -1)
+        # unimodular: the rows span the whole lattice
+        assert SublatticeBasis(rows, u).rows == identity_matrix(rows)
+        assert SublatticeBasis(cols, v).rows == identity_matrix(cols)
         diag = [d[i][i] for i in range(min(rows, cols))]
         assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1) if diag[i])
     print("ACCEPTANCE 9 (property suites, 1000+ randomized trials): PASS")

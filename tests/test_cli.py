@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import monolab
-from monolab import cli, invariants, johnson, scenarios, schemas, words
+from monolab import cli, hurwitz, invariants, johnson, lattices, scenarios, schemas, words
 from monolab.homology import basis_a, basis_b
 from monolab.scenarios import family
 from monolab.words import TwistLetter, Word, sp_image
@@ -781,3 +781,140 @@ def test_cli_import_loads_no_fractions_or_decimal():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class _Unprintable:
+    """A value whose text form raises ValueError, as an int past the
+    interpreter's digit limit does."""
+
+    def __str__(self):
+        raise ValueError("value has no text form")
+
+    __int__ = __index__ = __str__
+
+
+def _poison(monkeypatch, owner, name, key):
+    """Wrap owner.name, a dict-returning function, so that the value at
+    ``key`` in its result cannot be formatted."""
+    orig = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a, **k: {**orig(*a, **k), key: _Unprintable()})
+
+
+def _late_failure_cases(tmp_path, monkeypatch):
+    """Per text subcommand: its argv, after poisoning a value that is
+    formatted only once earlier lines of its output are."""
+    fact = write_json(tmp_path, "mck.json", mck_fact_doc())
+    gram = _gram_path(tmp_path)
+    torelli = write_json(tmp_path, "tw.json", _torelli_doc(4, 4))
+
+    def verify():
+        _poison(monkeypatch, cli, "verify_factorization", "certification")
+        return ["verify", fact]
+
+    def invariants_spec():
+        _poison(monkeypatch, invariants.InvariantReport, "as_dict", "certification_level")
+        return ["invariants", "--family", "mck", "--genus", "2", "--n", "1"]
+
+    def invariants_grid():
+        full_report, calls = invariants.full_report, []
+
+        def second_fails(spec):
+            calls.append(spec)
+            if len(calls) > 1:
+                raise ValueError("second report fails")
+            return full_report(spec)
+        monkeypatch.setattr(invariants, "full_report", second_fails)
+        return ["invariants", "--family", "mck", "--grid", "2..3,0..1", "--csv"]
+
+    def johnson_text():
+        # a coefficient past the 4300-digit limit, after the first label
+        tau_word = johnson.tau_word
+
+        def huge_last(tw):
+            value = tau_word(tw)
+            coords = list(value.coords)
+            coords[-1] += 10 ** 5000
+            return johnson.QuotientClass(value.genus, coords)
+        monkeypatch.setattr(johnson, "tau_word", huge_last)
+        return ["johnson", torelli]
+
+    def distinguish():
+        _poison(monkeypatch, johnson.Certificate, "as_dict", "certification_level")
+        return ["distinguish", "--family", "mck", "--genus", "2", "--n", "1", "--m", "2"]
+
+    def explore():
+        _poison(monkeypatch, hurwitz.ExploreReport, "as_dict", "explored")
+        return ["hurwitz", "explore", fact, "--mod", "2", "--budget", "50"]
+
+    def compare():
+        _poison(monkeypatch, hurwitz.OrbitCertificate, "as_dict", "certification_level")
+        return ["hurwitz", "compare", fact, fact, "--mod", "2", "--budget", "10"]
+
+    def sig():
+        signature = lattices.signature
+        monkeypatch.setattr(lattices, "signature",
+                            lambda lat: signature(lat)[:2] + (_Unprintable(),))
+        return ["lattice", "sig", gram]
+
+    return {f.__name__: f for f in (verify, invariants_spec, invariants_grid, johnson_text,
+                                    distinguish, explore, compare, sig)}
+
+
+@pytest.mark.parametrize("name", ["verify", "invariants_spec", "invariants_grid",
+                                  "johnson_text", "distinguish", "explore", "compare", "sig"])
+def test_a_failure_while_formatting_leaves_stdout_empty(tmp_path, monkeypatch, capsys, name):
+    argv = _late_failure_cases(tmp_path, monkeypatch)[name]()
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EX_PRECONDITION, err
+    assert out == ""
+
+
+def test_invariant_grid_is_bounded_before_anything_is_built(monkeypatch, capsys):
+    _refuse_to_build(monkeypatch)
+    n1 = cli.MAX_GRID_ROWS // 2  # two g values: one row above the bound
+    code, out, err = run_cli(["invariants", "--family", "mck", "--grid",
+                              "2..3,0..%d" % n1, "--csv"], capsys)
+    assert code == cli.EX_SCHEMA
+    assert "error: --grid:" in err and "MAX_GRID_ROWS = %d" % cli.MAX_GRID_ROWS in err
+    assert out == ""
+    # at the bound the grid passes the check and reaches the build
+    code, out, err = run_cli(["invariants", "--family", "mck", "--grid",
+                              "2..3,1..%d" % n1, "--csv"], capsys)
+    assert code == cli.EX_SOFTWARE
+    assert "a curve table was built" in err and out == ""
+
+
+def _cli_process(argv):
+    src = os.path.dirname(os.path.dirname(monolab.__file__))
+    return subprocess.run([sys.executable, "-m", "monolab"] + argv, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+
+
+def test_duplicate_json_key_is_refused_naming_it(tmp_path):
+    path = tmp_path / "gram.json"
+    path.write_text('{"schema": "%s", "type": "gram", "matrix": [[1]], "matrix": [[0, 1], '
+                    '[1, 0]]}' % schemas.SCHEMA)
+    gram = _gram_path(tmp_path)
+    for argv, message in (
+            (["lattice", "sig", str(path)], "error: %s: duplicate key 'matrix'" % path),
+            (["lattice", "enumerate", gram, "--pattern", '[[{"a": 1, "a": 2}]]'],
+             "error: --pattern: duplicate key 'a'")):
+        proc = _cli_process(argv)
+        assert (proc.returncode, proc.stdout) == (cli.EX_SCHEMA, b""), argv
+        assert message in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+
+
+def test_deeply_nested_json_is_refused_naming_the_path(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    gram = _gram_path(tmp_path)
+    for argv, where in ((["lattice", "sig", str(path)], str(path)),
+                        (["verify", str(path)], str(path)),
+                        (["lattice", "enumerate", gram, "--pattern", "[" * 3000 + "]" * 3000],
+                         "--pattern")):
+        proc = _cli_process(argv)
+        assert (proc.returncode, proc.stdout) == (cli.EX_SCHEMA, b""), argv
+        assert "error: %s: JSON nested too deeply" % where in proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr

@@ -23,23 +23,27 @@ from monolab.words import (
 from helpers import mck_depth3_inputs, random_class, random_positive_factorization
 
 
-def _twist_mod_cases():
+def _move_pair_cases():
     def case(g, m):
         residues = st.tuples(*[st.integers(0, m - 1)] * (2 * g))
-        return st.tuples(st.just(m), residues, st.sampled_from((1, -1)), residues)
+        letter = st.tuples(residues, st.just(False), st.none())
+        return st.tuples(st.just(m), letter, letter)
     return st.tuples(st.integers(1, 6), st.sampled_from((2, 3, 5, 7))).flatmap(
         lambda gm: case(*gm))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(_twist_mod_cases())
-def test_twist_mod_is_the_transvection_mod_m(case):
-    # the reduced move is the integer transvection of homology, sign
-    # convention included, reduced mod m
-    m, c, power, x = case
-    g = len(c) // 2
-    want = transvection(HomologyClass(g, c), power, HomologyClass(g, x)).coords
-    assert hurwitz._twist_mod(c, power, x, m) == tuple(v % m for v in want)
+@given(_move_pair_cases())
+def test_move_pair_is_the_transvection_mod_m(case):
+    # each reduced move twists one letter by the other: the integer
+    # transvection of homology, sign convention included, reduced mod m
+    m, u, v = case
+    g = len(u[0]) // 2
+    cu, cv = HomologyClass(g, u[0]), HomologyClass(g, v[0])
+    left = tuple(x % m for x in transvection(cu, 1, cv).coords)
+    right = tuple(x % m for x in transvection(cv, -1, cu).coords)
+    assert hurwitz._move_pair(u, v, "left", m) == ((left, False, None), u)
+    assert hurwitz._move_pair(u, v, "right", m) == (v, (right, False, None))
 
 
 def fact_of(letters, genus):

@@ -12,7 +12,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
-from monolab._linalg import det, hnf, kernel_basis, rank, smith_normal_form  # noqa: E402
+from monolab._linalg import kernel_basis, rank, smith_normal_form  # noqa: E402
 from monolab.lattices import IntLattice, SublatticeBasis, signature  # noqa: E402
 
 entries = st.integers(-6, 6)
@@ -32,20 +32,42 @@ def test_rank_matches_sympy(mat):
     assert rank(rows) == (sympy.Matrix(rows) if rows else sympy.zeros(0, n)).rank()
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices(min_rows=1, square=True))
-def test_det_matches_sympy(mat):
-    rows, _ = mat
-    assert det(rows) == sympy.Matrix(rows).det()
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices up to 6 x 6; some have an all-zero
+    diagonal (the elimination's pair step) or a repeated row (a radical)."""
+    n = draw(st.integers(0, 6))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = draw(entries)
+    if n and draw(st.booleans()):
+        for i in range(n):
+            g[i][i] = 0
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        j += j >= i
+        # row and column j become copies of i: a congruence that kills det
+        g[j] = list(g[i])
+        for row in g:
+            row[j] = row[i]
+    return g
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_det_matches_sympy(gram):
+    # the determinant is the symmetric elimination's last pivot, or 0
+    assert IntLattice(gram).determinant() == (sympy.Matrix(gram).det() if gram else 1)
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices(min_rows=1, square=True))
 def test_hnf_pivots_multiply_to_the_determinant(mat):
     rows, n = mat
-    d = det(rows)
+    d = sympy.Matrix(rows).det()
     assume(d != 0)
-    h = hnf(rows, n)
+    h = SublatticeBasis(n, rows).rows
     assert len(h) == n
     assert math.prod(h[i][i] for i in range(n)) == abs(d)
 
@@ -59,7 +81,7 @@ def test_hnf_matches_sympy(mat):
     theirs = sympy_hnf(sympy.Matrix([r[::-1] for r in rows]).T if rows else sympy.zeros(n, 0))
     want = sorted((tuple(int(x) for x in col[::-1]) for col in theirs.T.tolist()),
                   key=lambda r: next(i for i, x in enumerate(r) if x))
-    assert hnf(rows, n) == tuple(want)
+    assert SublatticeBasis(n, rows).rows == tuple(want)
 
 
 @settings(max_examples=80, deadline=None)

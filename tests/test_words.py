@@ -132,6 +132,21 @@ def test_elementary_transformation_inverse_moves():
         assert back.letters == fact.letters
 
 
+def test_elementary_transformation_matches_the_dense_conjugation():
+    # the move twists one curve as a vector; the dense path conjugates the
+    # letter by the whole twist matrix
+    rng = random.Random(16)
+    for genus in (2, 3, 4):
+        for _ in range(40):
+            fact = random_positive_factorization(rng, genus, rng.randint(2, 6))
+            pos = rng.randint(0, len(fact) - 2)
+            u, v = fact.letters[pos], fact.letters[pos + 1]
+            left = elementary_transformation(fact, pos, "left").letters
+            right = elementary_transformation(fact, pos, "right").letters
+            assert left[pos:pos + 2] == (v.conjugated(u.matrix()), u)
+            assert right[pos:pos + 2] == (v, u.conjugated(v.inverse().matrix()))
+
+
 def test_hurwitz_moves_preserve_image_and_counts():
     rng = random.Random(4)
     for genus in (2, 3):
