@@ -10,7 +10,8 @@ form (alternating Hermite forms) and ``kernel_basis`` all run on it.
 The two bases of the package's value types live here too, since every
 module that defines one already imports this one: ``Frozen`` (immutable,
 compared by key or by identity) and ``IntVector`` (the integer vectors of
-H_1, the third exterior power and the Johnson quotient).
+H_1, the third exterior power and the Johnson quotient); so does
+``SparseRows``, the sparse rows a document carries until it is written.
 """
 
 import bisect
@@ -222,16 +223,38 @@ def residue(pivot_rows, vec):
     return v
 
 
+class SparseRows(Frozen):
+    """Integer rows of ``dim`` entries, kept as ``{col: value}`` dicts of their
+    nonzeros, for a document: ``schemas.dumps`` writes each as its dense list
+    and ``hermite_pivots`` reads them as they are.  Not a list, so a stray
+    ``json.dumps`` raises instead of writing dicts."""
+
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, dim, rows):
+        self._init(dim=dim, rows=tuple(rows))
+
+
 def hermite_pivots(rows, dim):
     """``{pivot: sparse row}`` if the rows are the canonical Hermite basis,
     else None, in linear time: rows of dim entries, nonzero, with positive,
     strictly increasing pivots and all entries in another row's pivot
-    column in [0, that pivot)."""
+    column in [0, that pivot).  ``rows`` are dense lists or a ``SparseRows``
+    of dimension dim, whose dicts are used as they are once every column is
+    in 0..dim-1 and no entry is zero."""
+    if isinstance(rows, SparseRows):
+        cols = range(dim).__contains__
+        if rows.dim != dim or not all(all(r.values()) and all(map(cols, r)) for r in rows.rows):
+            return None
+        rows = rows.rows
+    elif all(len(row) == dim for row in rows):
+        rows = [sparse(row) for row in rows]
+    else:
+        return None
     out = {}
-    for row in rows:
-        r = sparse(row)
+    for r in rows:
         j = min(r, default=-1)
-        if len(row) != dim or j <= next(reversed(out), -1) or r[j] < 0:
+        if j <= next(reversed(out), -1) or r[j] < 0:
             return None
         out[j] = r
     reduced = all(0 <= x < out[k][k] for j, r in out.items()

@@ -369,7 +369,7 @@ def _cmd_lattice(argv):
         schemas.expect_int_rows(vectors, lattice.rank, "classes.vectors")
         basis, induced = lattices.orthogonal_complement(lattice, vectors)
         return _document("complement_report", {
-            "basis": basis.row_lists(),
+            "basis": basis.sparse_rows,
             "gram": [list(r) for r in induced.gram],
             "parity": lattices.parity(induced)})
     if sub == "enumerate":

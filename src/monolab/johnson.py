@@ -294,8 +294,10 @@ class _TwistDelta(dict):
     contracts the lift of v to the 2-form p iota_s(v), keyed by pair index
     a n + b (a < b), then applies W_c, which sends gamma_a ^ gamma_b to the
     projected c ^ gamma_a ^ gamma_b.  The operator is its own table of those
-    pair columns, each built on first use: at most n(n - 1)/2, none for a
-    separating letter (s = 0).  Build one per call; nothing outlives it."""
+    pair columns, each built on first use and kept as two flat tuples, its
+    rows and its coefficients (``()`` when it is zero): at most n(n - 1)/2,
+    none for a separating letter (s = 0).  Build one per call; nothing
+    outlives it."""
 
     __slots__ = ("tab", "c", "s")
 
@@ -308,7 +310,8 @@ class _TwistDelta(dict):
     def __missing__(self, key):
         acc = {}
         _wedge_pair(acc, self.c, *divmod(key, self.tab.n), 1)
-        col = self[key] = tuple(x for x in sorted(_project(self.tab, acc.items()).items()) if x[1])
+        col = sorted(x for x in _project(self.tab, acc.items()).items() if x[1])
+        col = self[key] = tuple(zip(*col))
         return col
 
     def __call__(self, vec):
@@ -329,7 +332,7 @@ class _TwistDelta(dict):
         img = {}
         for key, y in form.items():
             if y:
-                for r, a in self[key]:
+                for r, a in zip(*self[key]):
                     img[r] = img.get(r, 0) + a * y
         return {r: x for r, x in img.items() if x}
 
@@ -613,8 +616,8 @@ class Certificate(Frozen):
             "witness_primitive": True,
             "content_n": self.content_n,
             "content_m": self.content_m,
-            "basis_n": self.basis_n.row_lists(),
-            "basis_m": self.basis_m.row_lists(),
+            "basis_n": self.basis_n.sparse_rows,
+            "basis_m": self.basis_m.sparse_rows,
             "computed": (
                 "content of the saturated Johnson lattice is %d at parameter %d "
                 "and %d at parameter %d; a conjugation of monodromy groups "

@@ -1,7 +1,8 @@
 """Symmetric integer bilinear forms and integer normal forms, in plain
 integers only: signatures come from fraction-free symmetric elimination,
 never from floating-point eigenvalues, so every reported number is an
-identity.  A pairing applies the Gram matrix to a vector once, then dots."""
+identity.  A pairing applies the Gram matrix to a vector once, then dots.
+Sublattices are sparse Hermite rows up to the document that carries them."""
 
 import itertools
 from operator import mul
@@ -23,7 +24,9 @@ def _dot(u, v):
 
 class SublatticeBasis(Frozen):
     """A sublattice of Z^dim, stored as its canonical Hermite basis: sparse
-    rows keyed by increasing pivot; ``rows`` densifies them on demand."""
+    rows keyed by increasing pivot; ``rows`` densifies them on demand, and
+    ``sparse_rows`` hands them to a document as they are, so they are
+    written dense only by ``schemas.dumps``, one row at a time."""
 
     __slots__ = ("dim", "_pivots")
 
@@ -44,13 +47,10 @@ class SublatticeBasis(Frozen):
     def rows(self):
         return tuple(_linalg.dense(r, self.dim) for r in self._pivots.values())
 
-    def row_lists(self):
-        """The dense rows as fresh lists, one copy each, for a document."""
-        out = [[0] * self.dim for _ in self._pivots]
-        for row, r in zip(out, self._pivots.values()):
-            for k, x in r.items():
-                row[k] = x
-        return out
+    @property
+    def sparse_rows(self):
+        """The rows as they are kept, for a document (see ``SparseRows``)."""
+        return _linalg.SparseRows(self.dim, self._pivots.values())
 
     @property
     def rank(self):

@@ -3,10 +3,17 @@
 One schema version string is embedded in every emitted document and checked
 on the way in.  Validation failures raise SchemaError with a path to the
 offending field; they are input problems, never computation problems.
+
+``dumps`` writes every document: the bytes of ``json.dumps(doc,
+sort_keys=True, indent=1)``, with each list of plain ints joined in one
+call, and ``_linalg.SparseRows`` written as its dense rows, the zeros
+filled in one row at a time.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 
+from ._linalg import SparseRows
 from .homology import HomologyClass, SpMap
 from .invariants import FibrationSpec
 from .johnson import BoundingPairGen, TorelliWord
@@ -78,8 +85,62 @@ def check_version(doc, path="document"):
 
 
 def dumps(doc):
-    """Deterministic serialization: sorted keys, fixed separators."""
-    return json.dumps(doc, sort_keys=True, indent=1)
+    """Deterministic serialization: sorted keys, fixed separators; exactly
+    ``json.dumps(doc, sort_keys=True, indent=1)``, with a ``SparseRows`` in
+    place of the list of its dense rows.  Object keys are strings: any other
+    key raises TypeError."""
+    out = []
+    _write(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _write(value, nl, emit):
+    """Emit the JSON text of value, nested at the indent that ``nl`` (a
+    newline and the current indent) ends with."""
+    inner = nl + " "
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            emit(sep + encode_basestring_ascii(key) + ": ")
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(nl + "}" if value else "{}")
+    elif isinstance(value, SparseRows):
+        sep = "[" + inner
+        for row in value.rows:
+            cells = ["0"] * value.dim
+            for col, x in row.items():
+                cells[col] = _scalar(x)
+            emit(sep + _lines(cells, inner))
+            sep = "," + inner
+        emit(nl + "]" if value.rows else "[]")
+    elif isinstance(value, (list, tuple)):
+        if all(type(x) is int for x in value):
+            emit(_lines(map(str, value), nl))
+            return
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(nl + "]")
+    else:
+        emit(_scalar(value))
+
+
+def _lines(cells, nl):
+    """A list of formatted scalars, one to a line, nested at ``nl``."""
+    inner = nl + " "
+    body = ("," + inner).join(cells)
+    return "[" + inner + body + nl + "]" if body else "[]"
+
+
+def _scalar(value):
+    """A plain int as ``str`` writes it; any other value as ``json.dumps``
+    does (bools, ``null``, floats; an unsupported type raises TypeError)."""
+    return str(value) if type(value) is int else json.dumps(value)
 
 
 # -- homology classes and maps ----------------------------------------------

@@ -46,6 +46,19 @@ MUTANTS = [
      "k = power * sum(r[i] * x for i, x in c)", "k = sum(r[i] * x for i, x in c)",
      ["tests/test_homology.py::test_twist_matrix_zero_class_and_inverse_pair",
       "tests/test_words.py::test_elementary_transformation_matches_the_dense_conjugation"]),
+    ("writer-int-fast-path", "src/monolab/schemas.py",
+     "if all(type(x) is int for x in value):", "if all(isinstance(x, int) for x in value):",
+     ["tests/test_schemas.py::test_dumps_matches_json_dumps",
+      "tests/test_schemas.py::test_dumps_examples"]),
+    ("writer-zero-fill-column", "src/monolab/schemas.py",
+     "cells[col] = _scalar(x)", "cells[col - 1] = _scalar(x)",
+     ["tests/test_schemas.py::test_sparse_rows_write_as_their_dense_lists",
+      "tests/test_schemas.py::test_dumps_examples",
+      "tests/test_cli.py::test_large_distinguish_documents_are_pinned"]),
+    ("sparse-row-column-range", "src/monolab/_linalg.py",
+     "all(r.values()) and all(map(cols, r))", "all(r.values())",
+     ["tests/test_johnson.py::"
+      "test_sparse_row_with_a_column_outside_the_dimension_fails_hermite_form"]),
 ]
 
 

@@ -469,6 +469,24 @@ def test_distinguish_certificates_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (fam, g)
 
 
+# sha256 of the `distinguish --json` stdout of the largest document the
+# family admits at mck g=6 and of the certify benchmark's peak job's shape,
+# recorded from the writer that took dense rows (json.dumps, indent=1)
+LARGE_DISTINGUISH_STDOUT_SHA256 = {
+    ("mck", 6, 1, 3): "904723d1035ade457e97e0e0fd2036890a15ab8e8302597f51c61e4890f97dc3",
+    ("chain", 5, 2, 5): "88fdd6caac526ff909f51c5ce49b8bfcfce78b79b4bfe12ff7f676fd06439fb8",
+}
+
+
+def test_large_distinguish_documents_are_pinned(capsys):
+    for (fam, g, n, m), digest in LARGE_DISTINGUISH_STDOUT_SHA256.items():
+        argv = ["distinguish", "--family", fam, "--genus", str(g), "--n", str(n),
+                "--m", str(m), "--json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, fam
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (fam, g)
+
+
 def _torelli_doc(seed, genus):
     # two conjugated bounding-pair factors, exponents -1 and 2, each behind a
     # three-letter conjugator, so tau goes through the transport path

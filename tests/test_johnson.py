@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -13,7 +14,7 @@ from monolab.homology import (
     twist_matrix,
     zero_class,
 )
-from monolab import _linalg, johnson
+from monolab import _linalg, johnson, schemas
 from monolab._linalg import smith_normal_form
 from monolab.johnson import (
     BoundingPairGen,
@@ -538,12 +539,63 @@ def _tamper(doc, mutation):
         doc["content_m"] *= 2
 
 
+def _decoded(doc):
+    """The document as a reader of its bytes sees it: dense rows."""
+    return json.loads(schemas.dumps(doc))
+
+
 @pytest.mark.parametrize("mutation", sorted(TAMPERED_CHECKS))
 def test_tampered_certificate_fails_at_the_named_check(mutation):
     fam = family("mck", 3)
-    doc = distinguish(1, 3, fam).as_dict()
+    doc = _decoded(distinguish(1, 3, fam).as_dict())
     assert all(ok for _, ok in check_certificate(doc, fam))
     _tamper(doc, mutation)
     with pytest.raises(AssertionError) as err:
         check_certificate(doc, fam)
     assert str(err.value) == "certificate replay failed at: " + TAMPERED_CHECKS[mutation]
+
+
+@pytest.mark.parametrize("kind, g", [("mck", 3), ("chain", 4)])
+@pytest.mark.parametrize("deep", [False, True])
+def test_sparse_and_decoded_certificates_replay_alike(kind, g, deep):
+    # the in-process document hands its rows over sparse; a reader of the
+    # bytes gets them dense; the replay makes the same checks on both
+    fam = family(kind, g)
+    doc = distinguish(1, 3, fam).as_dict()
+    assert isinstance(doc["basis_m"], _linalg.SparseRows)
+    checks = check_certificate(doc, fam, deep=deep)
+    assert all(ok for _, ok in checks)
+    assert check_certificate(_decoded(doc), fam, deep=deep) == checks
+
+
+def _fails_hermite_form(change_last_row):
+    # the sparse basis_m (m = 3) with its last row changed
+    fam = family("mck", 3)
+    doc = distinguish(1, 3, fam).as_dict()
+    basis = doc["basis_m"]
+    rows = list(basis.rows)
+    rows[-1] = change_last_row(rows[-1], basis.dim)
+    doc["basis_m"] = _linalg.SparseRows(basis.dim, rows)
+    with pytest.raises(AssertionError) as err:
+        check_certificate(doc, fam)
+    return str(err.value) == "certificate replay failed at: basis 3 in Hermite form"
+
+
+def test_sparse_row_with_a_column_outside_the_dimension_fails_hermite_form():
+    assert _fails_hermite_form(lambda row, dim: {**row, dim: 1})
+    assert _fails_hermite_form(lambda row, dim: {**row, dim + 5: 1})
+    assert _fails_hermite_form(lambda row, dim: {-1: 1, **row})
+
+
+def test_sparse_row_with_a_zero_entry_fails_hermite_form():
+    assert _fails_hermite_form(lambda row, dim: {**row, max(row) + 1: 0})
+    assert _fails_hermite_form(lambda row, dim: {min(row) - 1: 0, **row})
+
+
+def test_sparse_rows_of_another_dimension_fail_hermite_form():
+    fam = family("mck", 3)
+    doc = distinguish(1, 3, fam).as_dict()
+    basis = doc["basis_m"]
+    doc["basis_m"] = _linalg.SparseRows(basis.dim + 1, basis.rows)
+    with pytest.raises(AssertionError, match="basis 3 in Hermite form"):
+        check_certificate(doc, fam)
