@@ -239,7 +239,8 @@ def hermite_pivots(rows, dim):
     """``{pivot: sparse row}`` if the rows are the canonical Hermite basis,
     else None, in linear time: rows of dim entries, nonzero, with positive,
     strictly increasing pivots and all entries in another row's pivot
-    column in [0, that pivot).  ``rows`` are dense lists or a ``SparseRows``
+    column in [0, that pivot).  ``rows`` are dense lists of plain ints (a
+    decoded ``true`` or ``1.0`` is refused) or a ``SparseRows``
     of dimension dim, whose dicts are used as they are once every column is
     in 0..dim-1 and no entry is zero."""
     if isinstance(rows, SparseRows):
@@ -247,7 +248,7 @@ def hermite_pivots(rows, dim):
         if rows.dim != dim or not all(all(r.values()) and all(map(cols, r)) for r in rows.rows):
             return None
         rows = rows.rows
-    elif all(len(row) == dim for row in rows):
+    elif all(len(row) == dim and all(type(x) is int for x in row) for row in rows):
         rows = [sparse(row) for row in rows]
     else:
         return None

@@ -59,8 +59,9 @@ def _unique_keys(pairs):
 
 
 def _parse_json(text, where):
-    """The JSON value of ``text``; invalid JSON, a repeated key and nesting
-    past the interpreter's recursion limit are refused, naming ``where``."""
+    """The JSON value of ``text``; invalid JSON, a repeated key, nesting
+    past the interpreter's recursion limit and an integer literal past its
+    digit limit are refused, naming ``where``."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -69,6 +70,9 @@ def _parse_json(text, where):
         raise SchemaError("%s: duplicate key %r" % (where, exc.args[0])) from None
     except RecursionError:
         raise SchemaError("%s: JSON nested too deeply" % where) from None
+    except ValueError as exc:
+        # the interpreter's int-from-string limit (sys.get_int_max_str_digits)
+        raise SchemaError("%s: integer literal too long (%s)" % (where, exc)) from None
 
 
 def _load_json(path):

@@ -24,17 +24,22 @@ bounding-pair maps.  No attempt is made to evaluate tau on a raw twist
 word: deciding whether a word is Torelli and presenting it by bounding
 pairs is the caller's job.
 
-tau is computed by transport (Johnson's equivariance, see ``tau_word``).
-The quotient action is built only for twist letters (seeds, checked against
-transport of each literal commutator word; saturate; replay), factored as
-T_c^p = I + D, D = p W_c o iota_s: contract by s = ``homology.dual(c)``,
-wedge with c, project.  D^2 = 0, as s.c = <c, c> = 0 and c ^ c = 0, so
-T^-1 = I - D.  ``sp_action_quotient`` (3x3 minors) is the tests' oracle.
+tau is computed by transport (Johnson's equivariance, see ``tau_word``):
+each factor's bounding-pair vectors are moved through its conjugator one
+letter at a time, and the moved data is wedged sparsely, with no symplectic
+matrix and no dense wedge per factor (``_tau_sum``).  The dense ``wedge3``
+and ``reduce_to_quotient`` stay for closed forms (the family witness) and
+the tests.  The quotient action is built only for twist letters (seeds,
+checked against transport of each literal commutator word; saturate;
+replay), factored as T_c^p = I + D, D = p W_c o iota_s: contract by
+s = ``homology.dual(c)``, wedge with c, project.  D^2 = 0, as
+s.c = <c, c> = 0 and c ^ c = 0, so T^-1 = I - D.  ``sp_action_quotient``
+(3x3 minors) is the tests' oracle.
 
 Two sparse kernels keep the wedge bookkeeping: ``_wedge_pair`` adds a
-multiple of vec ^ gamma_p ^ gamma_q (for the rewrite table and the pair
-columns of W_c) and ``_project`` maps wedge coefficients to the
-retained basis (for ``reduce_to_quotient`` and the pair columns).
+multiple of vec ^ gamma_p ^ gamma_q (for the rewrite table, the pair
+columns of W_c and tau) and ``_project`` maps wedge coefficients to the
+retained basis (for ``reduce_to_quotient``, the pair columns and tau).
 """
 
 import collections
@@ -43,9 +48,14 @@ import itertools
 
 from . import _linalg
 from ._linalg import Frozen, IntVector
-from .homology import GenusMismatchError, HomologyClass, dual, intersection, is_primitive
+from .homology import (
+    GenusMismatchError, HomologyClass, dual, intersection, is_primitive, twist_coords,
+)
 from .lattices import SublatticeBasis
-from .words import TwistLetter, Word, sp_image
+from .words import TwistLetter, Word
+
+# read only by perfbench's tracer self-check; it goes with the by-name tracer
+from .words import sp_image  # noqa: F401
 
 
 class SaturationBudgetError(RuntimeError):
@@ -398,15 +408,48 @@ class BoundingPairGen(Frozen):
         return self.cls.genus
 
 
-def tau_bounding_pair(gen, m=None):
-    """Johnson value of the bounding-pair map: (sum_j alpha_j ^ beta_j) ^ cls;
-    given a symplectic map ``m``, m_* of it: the wedge of the data moved by m."""
-    move = m.apply if m is not None else (lambda x: x)
-    cls = move(gen.cls)
-    total = Wedge3.zero(gen.genus)
-    for a, b in gen.side_basis:
-        total = total + wedge3(move(a), move(b), cls)
-    return reduce_to_quotient(total)
+def tau_bounding_pair(gen):
+    """Johnson value of the bounding-pair map: (sum_j alpha_j ^ beta_j) ^ cls."""
+    return _tau_sum(gen.genus, ((Word((), gen.genus), gen, 1),))
+
+
+def _tau_sum(genus, factors):
+    """sum e * w_* tau(gen) over the factors (w, gen, e), by transport.
+
+    Each factor's vectors, cls and its side pairs, are moved through w one
+    letter at a time by ``twist_coords``, rightmost letter first (a
+    separating letter acts as the identity); no matrix is built.  The moved
+    side pairs give the 2-form e sum_j alpha_j ^ beta_j, keyed by pair index
+    p n + q (p < q), and each of its terms adds e f cls ^ gamma_p ^ gamma_q
+    through ``_wedge_pair`` to one triple dict, projected once at the end."""
+    tab = _table(genus)
+    n, perm, acc = tab.n, tab.perm, {}
+    for w, gen, e in factors:
+        if not e:
+            continue
+        moves = [(l.curve.coords, l.power) for l in reversed(w.letters) if not l.separating]
+
+        def moved(v):
+            x = v.coords
+            for c, p in moves:
+                x = twist_coords(c, p, x)
+            return [(m, x[i]) for m, i in enumerate(perm) if x[i]]
+
+        form = {}
+        for a, b in gen.side_basis:
+            b = moved(b)
+            for p, x in moved(a):
+                for q, y in b:
+                    if p < q:
+                        form[p * n + q] = form.get(p * n + q, 0) + e * x * y
+                    elif q < p:
+                        form[q * n + p] = form.get(q * n + p, 0) - e * x * y
+        cls = moved(gen.cls)
+        for key, f in form.items():
+            if f:
+                _wedge_pair(acc, cls, *divmod(key, n), f)
+    img = _project(tab, acc.items())
+    return QuotientClass(genus, [img.get(r, 0) for r in range(tab.dim_quot)])
 
 
 class TorelliWord(Frozen):
@@ -473,12 +516,9 @@ def bounding_pair_word(gen):
 def tau_word(tw):
     """tau of a Torelli word, additive over factors.  By Johnson's
     equivariance tau(w x w^{-1}) = w_* tau(x) (Math. Ann. 249, 1980), a
-    factor (w, gen, e) adds e * tau_bounding_pair(gen, sp_image(w))."""
-    total = QuotientClass.zero(tw.genus)
-    for w, gen, e in tw.factors:
-        if e:
-            total = total + e * tau_bounding_pair(gen, sp_image(w))
-    return total
+    factor (w, gen, e) adds e * w_* tau_bounding_pair(gen), the wedge of the
+    bounding pair's vectors moved through w (see ``_tau_sum``)."""
+    return _tau_sum(tw.genus, tw.factors)
 
 
 def commutator_tau(k, tw, n):

@@ -4,10 +4,12 @@ Each mutant names a file, an exact old text that occurs once in it, the
 text that replaces it and the tests that must fail once it does.  The
 runner copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
 directory, applies one mutant there, runs only its tests and reports every
-mutant that some named test survives.  It exits 1 on such a survivor or
-when a mutant's old text no longer occurs exactly once, so the list follows
-the code.  This is classical mutation analysis (DeMillo, Lipton and
-Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978).
+mutant that some named test survives.  A named test is killed when at
+least one of its node ids (any case of a parametrized test) is reported
+FAILED.  It exits 1 on such a survivor or when a mutant's old text no
+longer occurs exactly once, so the list follows the code.  This is
+classical mutation analysis (DeMillo, Lipton and Sayward, "Hints on test
+data selection", IEEE Computer 11(4), 1978).
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -16,7 +18,6 @@ pytest does not collect this file; ``test_mutants.py`` checks the old texts.
 """
 
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -55,6 +56,19 @@ MUTANTS = [
      ["tests/test_schemas.py::test_sparse_rows_write_as_their_dense_lists",
       "tests/test_schemas.py::test_dumps_examples",
       "tests/test_cli.py::test_large_distinguish_documents_are_pinned"]),
+    ("tau-two-form-sign", "src/monolab/johnson.py",
+     "form.get(q * n + p, 0) - e * x * y", "form.get(q * n + p, 0) + e * x * y",
+     ["tests/test_johnson.py::test_tau_word_matches_the_dense_oracle",
+      "tests/test_cli.py::test_johnson_stdout_is_pinned",
+      "tests/test_cli.py::test_distinguish_certificates_are_pinned"]),
+    ("tau-letter-order", "src/monolab/johnson.py",
+     "for l in reversed(w.letters)", "for l in w.letters",
+     ["tests/test_johnson.py::test_tau_word_matches_the_dense_oracle",
+      "tests/test_cli.py::test_johnson_stdout_is_pinned",
+      "tests/test_cli.py::test_distinguish_certificates_are_pinned"]),
+    ("replay-plain-int", "src/monolab/_linalg.py",
+     "all(type(x) is int for x in row)", "True",
+     ["tests/test_johnson.py::test_a_basis_entry_that_is_not_a_plain_int_fails_hermite_form"]),
     ("sparse-row-column-range", "src/monolab/_linalg.py",
      "all(r.values()) and all(map(cols, r))", "all(r.values())",
      ["tests/test_johnson.py::"
@@ -87,15 +101,15 @@ def run_mutant(name, path, old, new, tests):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text.replace(old, new))
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"] + tests,
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider"] + tests,
             cwd=tmp, env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src")),
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-    # the summary line counts failures; an error or no summary is no kill
-    summary = proc.stdout.strip().splitlines()[-1:] or [""]
-    failed = re.search(r"(\d+) failed", summary[0])
-    failed = int(failed.group(1)) if failed and "error" not in summary[0] else 0
-    return "killed" if failed == len(tests) else "survived %d of %d" % (
-        len(tests) - failed, len(tests))
+    # "FAILED <node id>[<case>] - <message>"; an error is no kill
+    failed = [line[len("FAILED "):] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")]
+    survivors = [t for t in tests if not any(
+        node == t or node.startswith((t + "[", t + " ")) for node in failed)]
+    return "survived %d of %d" % (len(survivors), len(tests)) if survivors else "killed"
 
 
 def main(names):

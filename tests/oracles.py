@@ -6,13 +6,17 @@ Hermite reduction, on dense lists.  ``fraction_signature`` is the rational
 diagonalization ``lattices.signature`` used before it went fraction-free.
 The differential tests compare each pair on every public result.
 ``embed_h`` is the embedding of H into the wedge cube, which only the tests
-use.
+use.  ``dense_tau_word`` is ``johnson.tau_word`` as it was before it moved
+vectors letter by letter: one symplectic matrix and dense wedges per factor.
 """
 
 from fractions import Fraction
 
 from monolab._linalg import xgcd
-from monolab.johnson import Wedge3, _gamma_coords, _table, _wedge_pair
+from monolab.johnson import (
+    QuotientClass, Wedge3, _gamma_coords, _table, _wedge_pair, reduce_to_quotient, wedge3,
+)
+from monolab.words import sp_image
 
 
 def fraction_signature(gram):
@@ -145,3 +149,16 @@ def embed_h(c):
     for trip, x in acc.items():
         out[tab.triple_index[trip]] = x
     return Wedge3(c.genus, out)
+
+
+def dense_tau_word(tw):
+    """sum e * reduce_to_quotient(sum_j wedge3(M a_j, M b_j, M cls)) over the
+    factors (w, gen, e) of a Torelli word, M = sp_image(w)."""
+    total = QuotientClass.zero(tw.genus)
+    for w, gen, e in tw.factors:
+        m = sp_image(w)
+        wedge = Wedge3.zero(tw.genus)
+        for a, b in gen.side_basis:
+            wedge = wedge + wedge3(m.apply(a), m.apply(b), m.apply(gen.cls))
+        total = total + e * reduce_to_quotient(wedge)
+    return total

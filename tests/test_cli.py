@@ -936,3 +936,14 @@ def test_deeply_nested_json_is_refused_naming_the_path(tmp_path):
         assert (proc.returncode, proc.stdout) == (cli.EX_SCHEMA, b""), argv
         assert "error: %s: JSON nested too deeply" % where in proc.stderr.decode()
         assert b"Traceback" not in proc.stderr
+
+
+def test_a_too_long_integer_literal_is_refused_naming_the_path(tmp_path):
+    # the interpreter refuses a literal past 4300 digits inside json.loads
+    path = tmp_path / "gram.json"
+    path.write_text('{"schema": "%s", "type": "gram", "matrix": [[1%s]]}'
+                    % (schemas.SCHEMA, "0" * 4999))
+    proc = _cli_process(["lattice", "sig", str(path)])
+    assert (proc.returncode, proc.stdout) == (cli.EX_SCHEMA, b"")
+    assert "error: %s: integer literal too long" % path in proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr

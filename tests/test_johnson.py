@@ -14,7 +14,7 @@ from monolab.homology import (
     twist_matrix,
     zero_class,
 )
-from monolab import _linalg, johnson, schemas
+from monolab import _linalg, homology, johnson, schemas
 from monolab._linalg import smith_normal_form
 from monolab.johnson import (
     BoundingPairGen,
@@ -37,7 +37,7 @@ from monolab.johnson import (
 from monolab.words import TwistLetter, Word, sp_image
 from monolab.scenarios import family
 from helpers import fraction_solve, naive_wedge_cube, random_class
-from oracles import DenseEchelonLattice, embed_h
+from oracles import DenseEchelonLattice, dense_tau_word, embed_h
 
 
 def gamma_vector(genus, j):
@@ -411,6 +411,39 @@ def test_tau_word_is_the_transport_of_tau_bounding_pair(data):
     assert tau_word(tw) == want
 
 
+def _conjugators(g):
+    separating = st.builds(
+        lambda h, p: TwistLetter(zero_class(g), p, separating=True, split=(h, g - h)),
+        st.integers(1, g - 1), st.sampled_from((1, -1)))
+    return st.lists(st.one_of(_letters(g), separating), max_size=6)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda g: st.tuples(st.just(g), st.lists(
+    st.tuples(_conjugators(g), _bounding_pairs(g), st.integers(-2, 2)),
+    min_size=1, max_size=3))))
+def test_tau_word_matches_the_dense_oracle(data):
+    # the vectors moved letter by letter against one sp_image matrix and
+    # dense wedges per factor
+    g, factors = data
+    tw = TorelliWord([(Word(letters, g), gen, e) for letters, gen, e in factors], g)
+    assert tau_word(tw) == dense_tau_word(tw)
+
+
+def test_seeds_and_tau_word_build_no_symplectic_matrix(monkeypatch):
+    families = [family("mck", 3), family("chain", 4)]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an SpMap was built")
+
+    monkeypatch.setattr(homology.SpMap, "__init__", refuse)
+    for fam in families:
+        letter = Word(fam.base_letters[:1], fam.surface_genus)
+        assert not tau_word(fam.twist).is_zero()
+        assert len(fam.unit_seeds) == len(fam.base_letters)
+        assert commutator_tau(letter, fam.twist, 2) == 2 * fam.unit_seeds[0]
+
+
 def test_commutator_tau_trivial_cases():
     g = 4
     gen = BoundingPairGen(basis_b(g, 2), [(basis_a(g, 1), basis_b(g, 1))])
@@ -553,6 +586,19 @@ def test_tampered_certificate_fails_at_the_named_check(mutation):
     with pytest.raises(AssertionError) as err:
         check_certificate(doc, fam)
     assert str(err.value) == "certificate replay failed at: " + TAMPERED_CHECKS[mutation]
+
+
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_a_basis_entry_that_is_not_a_plain_int_fails_hermite_form(entry):
+    # decoded, `true` equals 1 and `1.0` breaks the gcd; neither is an entry
+    fam = family("mck", 3)
+    doc = _decoded(distinguish(1, 2, fam).as_dict())
+    assert all(ok for _, ok in check_certificate(doc, fam))
+    row = next(r for r in doc["basis_n"] if 1 in r)
+    row[row.index(1)] = entry
+    with pytest.raises(AssertionError) as err:
+        check_certificate(doc, fam)
+    assert str(err.value) == "certificate replay failed at: basis 1 in Hermite form"
 
 
 @pytest.mark.parametrize("kind, g", [("mck", 3), ("chain", 4)])
