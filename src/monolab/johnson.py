@@ -36,6 +36,9 @@ s = ``homology.dual(c)``, wedge with c, project.  D^2 = 0, as
 s.c = <c, c> = 0 and c ^ c = 0, so T^-1 = I - D.  ``sp_action_quotient``
 (3x3 minors) is the tests' oracle.
 
+``distinguish`` saturates once, at parameter 1, and scales the result;
+no lattice is kept between calls.
+
 Two sparse kernels keep the wedge bookkeeping: ``_wedge_pair`` adds a
 multiple of vec ^ gamma_p ^ gamma_q (for the rewrite table, the pair
 columns of W_c and tau) and ``_project`` maps wedge coefficients to the
@@ -347,19 +350,19 @@ class _TwistDelta(dict):
         return {r: x for r, x in img.items() if x}
 
 
-def _letter_keys(letters, genus):
-    """(coords, power) of each nonseparating letter; separating letters act
-    as the identity.  An inverse needs no operator: T = I + D, and D^2 = 0
+def _letter_deltas(letters, genus):
+    """The ``_TwistDelta`` of each nonseparating letter; separating letters
+    act as the identity.  An inverse needs no operator: T = I + D, and D^2 = 0
     (D = p W_c o iota_s, see ``_TwistDelta``; iota_s(c ^ w) = (s.c) w -
     c ^ iota_s(w) with s.c = <c, c> = 0, and c ^ c = 0), so T^-1 = I - D and
     a lattice is stable under T^-1 iff under T, iff D maps it into itself."""
-    keys = []
+    deltas = []
     for letter in letters:
         if letter.genus != genus:
             raise GenusMismatchError("action generator genus differs from seeds")
         if not letter.curve.is_zero():
-            keys.append((letter.curve.coords, letter.power))
-    return keys
+            deltas.append(_TwistDelta(genus, letter.curve.coords, letter.power))
+    return deltas
 
 
 # --------------------------------------------------------------------------
@@ -543,23 +546,23 @@ def commutator_tau(k, tw, n):
 # saturation and certificates
 
 
-MAX_CLOSURE_CACHE = 32
 MAX_SATURATION_STEPS = 200000
-_closure_cache = {}
 
 
 def saturate(seeds, action_gens):
     """Smallest subgroup containing the seeds and stable under the twist
     letters ``action_gens`` and their inverses, as a Hermite basis.
 
-    The closure commutes with integer scaling, so any common content of the
-    seeds is factored out first and restored at the end; this keeps the
-    arithmetic on primitive data and lets all scalings of one seed family
-    share a single cached closure (see ``_closure``).  Termination is
-    guaranteed (ascending chains of subgroups of a finite-rank free abelian
-    group stabilize); MAX_SATURATION_STEPS bounds the insert attempts,
-    seeds included, and guards against implementation bugs only.  The cache is
-    cleared when it holds MAX_CLOSURE_CACHE closures.
+    Each vector is tried as soon as it is made, and only growth is queued:
+    if v grew the lattice L, ``insert`` hands back r = v - u with u in L,
+    partly reduced and so sparser, and L + Zr = L + Zv, so the queued
+    vectors span the lattice at every step.  Each queued r has (T - I) r
+    tried for every letter T (in the lattice iff T r is), so the result is
+    stable under every letter and, by ``_letter_deltas``, every inverse.
+    Termination is guaranteed (ascending chains of subgroups of a
+    finite-rank free abelian group stabilize); MAX_SATURATION_STEPS bounds
+    the insert attempts, seeds included, and guards against implementation
+    bugs only.  Nothing is kept between calls.
     """
     seeds = list(seeds)
     if not seeds:
@@ -568,34 +571,7 @@ def saturate(seeds, action_gens):
     if any(s.genus != genus for s in seeds):
         raise GenusMismatchError("seeds must share a genus")
     dim = _table(genus).dim_quot
-    scale = _linalg.gcd_all(x for s in seeds for x in s.coords)
-    if scale == 0:
-        return SublatticeBasis._from_hermite(dim, {})
-    reduced = [tuple(x // scale for x in s.coords) for s in seeds]
-
-    gen_keys = _letter_keys(action_gens, genus)
-    cache_key = (genus, tuple(sorted(set(reduced))), tuple(sorted(gen_keys)))
-    rows = _closure_cache.get(cache_key)
-    if rows is None:
-        rows = _closure(dim, reduced, [_TwistDelta(genus, *k) for k in gen_keys])
-        if len(_closure_cache) >= MAX_CLOSURE_CACHE:
-            _closure_cache.clear()
-        _closure_cache[cache_key] = rows
-    if scale != 1:
-        rows = {j: {k: scale * x for k, x in r.items()} for j, r in rows.items()}
-    return SublatticeBasis._from_hermite(dim, rows)
-
-
-def _closure(dim, seed_vectors, deltas):
-    """Sparse Hermite rows of the closure, ``{pivot: row}``; see ``saturate``.
-
-    Each vector is tried as soon as it is made, and only growth is queued:
-    if v grew the lattice L, ``insert`` hands back r = v - u with u in L,
-    partly reduced and so sparser, and L + Zr = L + Zv, so the queued
-    vectors span the lattice at every step.  Each queued r has (T - I) r
-    tried for every letter T (in the lattice iff T r is), so the result is
-    stable under every letter and, by ``_letter_keys``, every inverse.
-    """
+    deltas = _letter_deltas(action_gens, genus)
     lat = _linalg.EchelonLattice(dim)
     grown = collections.deque()
     steps = 0
@@ -611,13 +587,13 @@ def _closure(dim, seed_vectors, deltas):
         if (r := lat.insert(vec)) is not None:
             grown.append(r)
 
-    for vec in seed_vectors:
-        attempt(vec)
+    for s in seeds:
+        attempt(s.coords)
     while grown:
         vec = grown.popleft()
         for delta in deltas:
             attempt(delta(vec))
-    return lat.hermite()
+    return SublatticeBasis._from_hermite(dim, lat.hermite())
 
 
 class Certificate(Frozen):
@@ -684,6 +660,10 @@ def distinguish(n, m, family):
     ``witness_class()`` (a primitive class whose n-th multiple is a seed).
     For n == m no certificate exists and None is returned; equality of the
     fibrations is deliberately not claimed.
+
+    One closure, at parameter 1, scaled by n and m: the closure commutes
+    with scaling, and the seeds at k are k times the unit seeds (tau is a
+    homomorphism on the Torelli group), as checked here for k = n, m.
     """
     n, m = int(n), int(m)
     if n < 0 or m < 0:
@@ -693,9 +673,12 @@ def distinguish(n, m, family):
     witness = family.witness_class()
     if not is_primitive(witness):
         raise AssertionError("family witness class is not primitive")
-    gens = family.action_generators()
-    basis_n = saturate(family.seed_classes(n), gens)
-    basis_m = saturate(family.seed_classes(m), gens)
+    unit_seeds = family.seed_classes(1)
+    for k in (n, m):
+        if family.seed_classes(k) != [k * s for s in unit_seeds]:
+            raise AssertionError("seeds at %d are not %d times the unit seeds" % (k, k))
+    unit = saturate(unit_seeds, family.action_generators())
+    basis_n, basis_m = unit.scaled(n), unit.scaled(m)
     d_n, d_m = basis_n.content(), basis_m.content()
     if d_n == d_m:
         raise AssertionError(
@@ -724,7 +707,7 @@ def check_certificate(cert_dict, family, deep=True):
     dim = _table(genus).dim_quot
     checks = []
     if deep:
-        deltas = [_TwistDelta(genus, *k) for k in _letter_keys(family.action_generators(), genus)]
+        deltas = _letter_deltas(family.action_generators(), genus)
 
     def record(name, ok):
         checks.append((name, bool(ok)))

@@ -59,6 +59,12 @@ class SublatticeBasis(Frozen):
     def member(self, vec):
         return not _linalg.residue(self._pivots, vec)
 
+    def scaled(self, k):
+        """k times the lattice, k >= 0: k times a Hermite row is still in
+        Hermite form, and k = 0 gives the zero lattice, with no rows."""
+        rows = {j: {c: k * x for c, x in r.items()} for j, r in self._pivots.items()} if k else {}
+        return SublatticeBasis._from_hermite(self.dim, rows)
+
     def content(self):
         """Largest d with the lattice inside d * Z^dim; 0 for the zero lattice."""
         return gcd_all(x for row in self._pivots.values() for x in row.values())

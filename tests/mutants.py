@@ -4,12 +4,12 @@ Each mutant names a file, an exact old text that occurs once in it, the
 text that replaces it and the tests that must fail once it does.  The
 runner copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
 directory, applies one mutant there, runs only its tests and reports every
-mutant that some named test survives.  A named test is killed when at
-least one of its node ids (any case of a parametrized test) is reported
-FAILED.  It exits 1 on such a survivor or when a mutant's old text no
-longer occurs exactly once, so the list follows the code.  This is
-classical mutation analysis (DeMillo, Lipton and Sayward, "Hints on test
-data selection", IEEE Computer 11(4), 1978).
+mutant that some named test survives, with each mutant's wall time and the
+total.  A named test is killed when at least one of its node ids (any case
+of a parametrized test) is reported FAILED.  It exits 1 on such a survivor
+or when a mutant's old text no longer occurs exactly once, so the list
+follows the code.  This is classical mutation analysis (DeMillo, Lipton and
+Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978).
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -22,6 +22,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -73,6 +74,17 @@ MUTANTS = [
      "all(r.values()) and all(map(cols, r))", "all(r.values())",
      ["tests/test_johnson.py::"
       "test_sparse_row_with_a_column_outside_the_dimension_fails_hermite_form"]),
+    ("scaled-zero-rows", "src/monolab/lattices.py",
+     " if k else {}", "",
+     ["tests/test_acceptance.py::test_criterion_05_distinguishing_certificates",
+      "tests/test_scenarios.py::test_saturation_scaling_oracle"]),
+    ("seed-linearity-check", "src/monolab/johnson.py",
+     "if family.seed_classes(k) != [k * s for s in unit_seeds]:", "if False:",
+     ["tests/test_cli.py::test_seeds_that_do_not_scale_linearly_fail_the_self_check"]),
+    ("twist-delta-contraction-sign", "src/monolab/johnson.py",
+     "form.get(key, 0) - t * x", "form.get(key, 0) + t * x",
+     ["tests/test_johnson.py::test_twist_delta_matches_the_dense_action",
+      "tests/test_scenarios.py::test_unit_seeds_match_commutator_tau"]),
 ]
 
 
@@ -117,13 +129,16 @@ def main(names):
     if unknown:
         print("unknown mutants: %s" % ", ".join(sorted(unknown)), file=sys.stderr)
         return 2
-    bad = 0
+    bad, start = 0, time.perf_counter()
     for mutant in MUTANTS:
         if names and mutant[0] not in names:
             continue
+        began = time.perf_counter()
         verdict = run_mutant(*mutant)
         bad += verdict != "killed"
-        print("%-24s %s" % (mutant[0], verdict))
+        print("%-28s %-16s %6.1f s" % (mutant[0], verdict, time.perf_counter() - began),
+              flush=True)
+    print("%-28s %-16s %6.1f s" % ("total", "", time.perf_counter() - start))
     return 1 if bad else 0
 
 

@@ -438,12 +438,24 @@ def test_hurwitz_compare_budget_below_two_is_refused(tmp_path, capsys):
 
 
 def test_saturation_budget_error_is_a_precondition_failure(monkeypatch, capsys):
-    monkeypatch.setattr(johnson, "_closure_cache", {})
     monkeypatch.setattr(johnson, "MAX_SATURATION_STEPS", 3)
     code, out, err = run_cli(["distinguish", "--family", "mck", "--genus", "2",
                               "--n", "1", "--m", "2"], capsys)
     assert code == cli.EX_PRECONDITION
     assert "precondition failed: saturation exceeded 3 steps" in err
+    assert out == ""
+
+
+def test_seeds_that_do_not_scale_linearly_fail_the_self_check(monkeypatch, capsys):
+    # distinguish scales one unit closure by n and m, which holds only when
+    # the seeds at n are n times the unit seeds; n^2 times them must not
+    # be certified
+    monkeypatch.setattr(scenarios.FamilySpec, "seed_classes",
+                        lambda self, n: [n * n * s for s in self.unit_seeds])
+    code, out, err = run_cli(["distinguish", "--family", "mck", "--genus", "2",
+                              "--n", "1", "--m", "2"], capsys)
+    assert code == cli.EX_SOFTWARE
+    assert "internal self-check failed: seeds at 2 are not 2 times the unit seeds" in err
     assert out == ""
 
 

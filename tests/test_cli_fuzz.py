@@ -1,15 +1,18 @@
 """Fuzz the command line: every input ends in a documented exit code, and a
 failure never leaves anything on stdout.
 
-Two parts: documents encoded from a real family member with one node
-replaced by a random JSON value, and argument lists drawn from the
-subcommands, flags and a few good and bad values.  Both run
-derandomized, so a failure reproduces on every run.
+Three parts: documents encoded from a real family member with one node
+replaced by a random JSON value; the bytes of those documents truncated,
+spliced, with one byte replaced, a BOM put in front or a digit run replaced
+by a token the decoder must refuse; and argument lists drawn from the
+subcommands, flags and a few good and bad values.  All run derandomized, so
+a failure reproduces on every run.
 """
 
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -141,6 +144,43 @@ def test_mutated_documents_exit_cleanly(files, mutation):
     kind, path, value = mutation
     with open(files["mutant"], "w", encoding="utf-8") as fh:
         json.dump(_replace(DOCS[kind], path, value), fh)
+    for argv in _argvs(kind, files["mutant"], files):
+        _check(argv)
+
+
+DOC_BYTES = {kind: json.dumps(doc).encode() for kind, doc in DOCS.items()}
+# each stands in for a digit run: JSON extensions, a float, an overflowing
+# float, a bool, a lone surrogate and a literal past the interpreter's limit
+DIGIT_TOKENS = [b"NaN", b"Infinity", b"1e400", b"1.0", b"true", b'"\\ud800"', b"7" * 5000]
+
+
+@st.composite
+def _byte_mutations(draw):
+    kind = draw(st.sampled_from(sorted(DOC_BYTES)))
+    data = DOC_BYTES[kind]
+    how = draw(st.sampled_from(("truncate", "replace", "splice", "bom", "digits")))
+    if how == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif how == "replace":
+        i = draw(st.integers(0, len(data) - 1))
+        data = data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1:]
+    elif how == "splice":
+        other = DOC_BYTES[draw(st.sampled_from(sorted(DOC_BYTES)))]
+        data = data[:draw(st.integers(0, len(data)))] + other[draw(st.integers(0, len(other))):]
+    elif how == "bom":
+        data = b"\xef\xbb\xbf" + data
+    else:
+        run = draw(st.sampled_from(list(re.finditer(rb"\d+", data))))
+        data = data[:run.start()] + draw(st.sampled_from(DIGIT_TOKENS)) + data[run.end():]
+    return kind, data
+
+
+@settings(FUZZ, max_examples=300)
+@given(_byte_mutations())
+def test_mutated_bytes_exit_cleanly(files, mutation):
+    kind, data = mutation
+    with open(files["mutant"], "wb") as fh:
+        fh.write(data)
     for argv in _argvs(kind, files["mutant"], files):
         _check(argv)
 

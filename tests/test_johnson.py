@@ -14,7 +14,7 @@ from monolab.homology import (
     twist_matrix,
     zero_class,
 )
-from monolab import _linalg, homology, johnson, schemas
+from monolab import _linalg, homology, schemas
 from monolab._linalg import smith_normal_form
 from monolab.johnson import (
     BoundingPairGen,
@@ -261,21 +261,10 @@ def test_pair_table_is_bounded_by_the_pairs():
                 assert not delta
 
 
-def test_closure_cache_never_grows_past_its_cap(monkeypatch):
-    monkeypatch.setattr(johnson, "MAX_CLOSURE_CACHE", 3)
-    monkeypatch.setattr(johnson, "_closure_cache", {})
-    g = 3
-    gens = [TwistLetter(basis_a(g, 1), 1)]
-    for idx in range(10):
-        saturate([_simple_seed(g, idx % _table(g).dim_quot)], gens)
-        assert 1 <= len(johnson._closure_cache) <= 3
-
-
-def test_saturate_equals_the_closure_that_queues_every_image(monkeypatch):
+def test_saturate_equals_the_closure_that_queues_every_image():
     # the closure as it was first written: a dense lattice, every letter and
     # its inverse, and a queue that keeps every image, expanding the ones
     # whose insert grew the lattice
-    monkeypatch.setattr(johnson, "_closure_cache", {})
     fam = family("mck", 3)
     seeds, gens = fam.seed_classes(1), fam.action_generators()
     genus = fam.surface_genus

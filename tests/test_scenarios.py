@@ -251,13 +251,17 @@ def test_unit_seeds_check_a_dropped_pair_column(monkeypatch):
 
 
 def test_saturation_scaling_oracle():
-    # closure at parameter n equals n times the closure at parameter one
-    fam = family("mck", 2)
-    gens = fam.action_generators()
-    base = saturate(fam.seed_classes(1), gens)
-    for n in (2, 5):
-        scaled = saturate(fam.seed_classes(n), gens)
-        assert scaled.rows == tuple(tuple(n * x for x in r) for r in base.rows)
+    # closure at parameter n equals n times the closure at parameter one,
+    # each computed on its own; n = 0 is the zero lattice, with no rows
+    for kind, g in (("mck", 2), ("chain", 3)):
+        fam = family(kind, g)
+        gens = fam.action_generators()
+        base = saturate(fam.seed_classes(1), gens)
+        for n in (0, 2, 5):
+            scaled = saturate(fam.seed_classes(n), gens)
+            want = tuple(tuple(n * x for x in r) for r in base.rows) if n else ()
+            assert scaled.rows == want, (kind, g, n)
+            assert base.scaled(n) == scaled, (kind, g, n)
 
 
 def test_single_seed_orbit_lattice_content():
