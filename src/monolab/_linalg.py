@@ -225,7 +225,7 @@ def residue(pivot_rows, vec):
 
 class SparseRows(Frozen):
     """Integer rows of ``dim`` entries, kept as ``{col: value}`` dicts of their
-    nonzeros, for a document: ``schemas.dumps`` writes each as its dense list
+    nonzeros, for a document: ``schemas.write`` writes each as its dense list
     and ``hermite_pivots`` reads them as they are.  Not a list, so a stray
     ``json.dumps`` raises instead of writing dicts."""
 

@@ -6,11 +6,16 @@ the path or flag), 3 a checked precondition failed (the message names it),
 64 unknown subcommand, 66 an input path that is missing or cannot be read
 (a directory, no permission; the message names the path), 70 an internal
 self-check failed (a fault in monolab, not in the input), 74 stdout was
-closed before the output was written (the reader left early).  Each
+closed before the whole output was written (the reader left early).  A text
 subcommand returns its whole stdout as one string, which ``run`` writes
-once, so a failure leaves stdout empty.  Output is deterministic byte for
-byte for fixed inputs and flags: keys are sorted, orderings canonical, and
-nothing timestamps.
+once; a JSON subcommand returns its document, which ``run`` writes in
+pieces (``schemas.write``) once the subcommand has returned, so every check
+has passed before the first byte and a failure leaves stdout empty.  The
+only failure left while writing is a closed stdout.  An exact integer of
+any length prints; an integer literal in an input may have at most
+MAX_INPUT_DIGITS digits.  Output is deterministic byte for byte for fixed
+inputs and flags: keys are sorted, orderings canonical, and nothing
+timestamps.
 """
 
 import json
@@ -35,6 +40,11 @@ EX_IOERR = 74
 # rows of one `invariants --grid` table; the paper's largest grid has 44
 MAX_GRID_ROWS = 10000
 
+# digits of one integer literal in an input file or flag; the interpreter's
+# default int-from-string limit, which ``run`` lifts so that any computed
+# int prints
+MAX_INPUT_DIGITS = 4300
+
 
 class UsageError(Exception):
     pass
@@ -58,12 +68,24 @@ def _unique_keys(pairs):
     return doc
 
 
+def _bounded(parse, text):
+    """``parse(text)`` with the interpreter's int-from-string limit set to
+    MAX_INPUT_DIGITS for this parse only: a longer integer literal raises
+    ValueError, inside the C parser, at no cost per integer."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_INPUT_DIGITS)
+    try:
+        return parse(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _parse_json(text, where):
     """The JSON value of ``text``; invalid JSON, a repeated key, nesting
-    past the interpreter's recursion limit and an integer literal past its
-    digit limit are refused, naming ``where``."""
+    past the interpreter's recursion limit and an integer literal of more
+    than MAX_INPUT_DIGITS digits are refused, naming ``where``."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return _bounded(lambda t: json.loads(t, object_pairs_hook=_unique_keys), text)
     except json.JSONDecodeError as exc:
         raise SchemaError("%s: invalid JSON (%s)" % (where, exc)) from exc
     except _DuplicateKey as exc:
@@ -71,7 +93,6 @@ def _parse_json(text, where):
     except RecursionError:
         raise SchemaError("%s: JSON nested too deeply" % where) from None
     except ValueError as exc:
-        # the interpreter's int-from-string limit (sys.get_int_max_str_digits)
         raise SchemaError("%s: integer literal too long (%s)" % (where, exc)) from None
 
 
@@ -91,7 +112,7 @@ def _load_json(path):
 
 def _document(doc_type, fields):
     """The JSON document of one report: schema and type, then the fields."""
-    return schemas.dumps({"schema": schemas.SCHEMA, "type": doc_type, **fields})
+    return {"schema": schemas.SCHEMA, "type": doc_type, **fields}
 
 
 class _Args:
@@ -127,7 +148,7 @@ class _Args:
                 raise UsageError("missing required flag --%s" % name)
             return default
         try:
-            return int(self.values[name])
+            return _bounded(int, self.values[name])
         except ValueError:
             raise UsageError("flag --%s expects an integer" % name)
 
@@ -187,8 +208,8 @@ def _invariant_grid(fam, grid):
     _check_family(fam)
     try:
         g_part, n_part = grid.split(",")
-        g0, g1 = (int(x) for x in g_part.split(".."))
-        n0, n1 = (int(x) for x in n_part.split(".."))
+        g0, g1 = (_bounded(int, x) for x in g_part.split(".."))
+        n0, n1 = (_bounded(int, x) for x in n_part.split(".."))
     except ValueError:
         raise UsageError("--grid expects g0..g1,n0..n1")
     rows = max(0, g1 - g0 + 1) * max(0, n1 - n0 + 1)
@@ -301,7 +322,7 @@ def _cmd_conjugate(argv):
         out = global_conjugation(fact, conj)
     else:
         out = partial_conjugation(fact, args.get_int("prefix"), conj)
-    return schemas.dumps(schemas.encode_factorization(out.word, out.claimed_target))
+    return schemas.encode_factorization(out.word, out.claimed_target)
 
 
 def _cmd_hurwitz(argv):
@@ -402,7 +423,7 @@ def _cmd_scenario(argv):
     if sub in scenarios.FAMILY_KINDS:
         _check_genus(sub, g)
         n = args.get_int("n", 0)
-        return schemas.dumps(schemas.encode_fibration_spec(scenarios.family(sub, g).spec(n)))
+        return schemas.encode_fibration_spec(scenarios.family(sub, g).spec(n))
     if sub == "curves":
         context = args.get("context", "mck")
         if context not in scenarios.FAMILY_KINDS:
@@ -436,6 +457,9 @@ def run(argv):
     if handler is None:
         print("unknown subcommand: %s" % command, file=sys.stderr)
         return EX_UNKNOWN_COMMAND
+    limit = sys.get_int_max_str_digits()
+    # any exact int prints: inputs keep their own bound (MAX_INPUT_DIGITS)
+    sys.set_int_max_str_digits(0)
     try:
         out = handler(argv[1:])
     except InputFileError as exc:
@@ -452,8 +476,15 @@ def run(argv):
     except AssertionError as exc:
         print("internal self-check failed: %s" % exc, file=sys.stderr)
         return EX_SOFTWARE
-    print(out)
-    return EX_OK
+    else:
+        if isinstance(out, str):
+            print(out)
+        else:
+            schemas.write(out, sys.stdout.write)
+            sys.stdout.write("\n")
+        return EX_OK
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main():

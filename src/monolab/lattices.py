@@ -26,7 +26,7 @@ class SublatticeBasis(Frozen):
     """A sublattice of Z^dim, stored as its canonical Hermite basis: sparse
     rows keyed by increasing pivot; ``rows`` densifies them on demand, and
     ``sparse_rows`` hands them to a document as they are, so they are
-    written dense only by ``schemas.dumps``, one row at a time."""
+    written dense only by ``schemas.write``, one row at a time."""
 
     __slots__ = ("dim", "_pivots")
 

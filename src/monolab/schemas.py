@@ -4,10 +4,12 @@ One schema version string is embedded in every emitted document and checked
 on the way in.  Validation failures raise SchemaError with a path to the
 offending field; they are input problems, never computation problems.
 
-``dumps`` writes every document: the bytes of ``json.dumps(doc,
+``write`` writes every document in pieces to a callback, and ``dumps``
+joins the same pieces into one string: the text of ``json.dumps(doc,
 sort_keys=True, indent=1)``, with each list of plain ints joined in one
-call, and ``_linalg.SparseRows`` written as its dense rows, the zeros
-filled in one row at a time.
+piece, and ``_linalg.SparseRows`` written as its dense rows, the zeros
+filled in one row at a time.  No piece holds more than one scalar, one list
+of plain ints or one dense row.
 """
 
 import json
@@ -84,13 +86,18 @@ def check_version(doc, path="document"):
         _fail(path + ".schema", "expected %r, got %r" % (SCHEMA, version))
 
 
+def write(doc, emit):
+    """Deterministic serialization in pieces: ``emit`` receives each piece of
+    the text of ``json.dumps(doc, sort_keys=True, indent=1)`` in order, with
+    a ``SparseRows`` in place of the list of its dense rows.  Object keys are
+    strings: any other key raises TypeError."""
+    _write(doc, "\n", emit)
+
+
 def dumps(doc):
-    """Deterministic serialization: sorted keys, fixed separators; exactly
-    ``json.dumps(doc, sort_keys=True, indent=1)``, with a ``SparseRows`` in
-    place of the list of its dense rows.  Object keys are strings: any other
-    key raises TypeError."""
+    """The text ``write`` emits, as one string."""
     out = []
-    _write(doc, "\n", out.append)
+    write(doc, out.append)
     return "".join(out)
 
 

@@ -3,12 +3,13 @@
 Each mutant names a file, an exact old text that occurs once in it, the
 text that replaces it and the tests that must fail once it does.  The
 runner copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
-directory, applies one mutant there, runs only its tests and reports every
-mutant that some named test survives, with each mutant's wall time and the
-total.  A named test is killed when at least one of its node ids (any case
-of a parametrized test) is reported FAILED.  It exits 1 on such a survivor
-or when a mutant's old text no longer occurs exactly once, so the list
-follows the code.  This is classical mutation analysis (DeMillo, Lipton and
+directory, applies one mutant there, runs only its tests under the
+``mutants`` hypothesis profile of ``conftest.py`` (no shrinking: the first
+failing example is enough) and reports every mutant that some named test
+survives, with each mutant's wall time and the total.  A named test is
+killed when at least one of its node ids (any case of a parametrized test)
+is reported FAILED.  It exits 1 on such a survivor or when a mutant's old
+text no longer occurs exactly once, so the list follows the code.  This is classical mutation analysis (DeMillo, Lipton and
 Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978).
 
     python tests/mutants.py            # every mutant
@@ -85,6 +86,13 @@ MUTANTS = [
      "form.get(key, 0) - t * x", "form.get(key, 0) + t * x",
      ["tests/test_johnson.py::test_twist_delta_matches_the_dense_action",
       "tests/test_scenarios.py::test_unit_seeds_match_commutator_tau"]),
+    ("output-limit-lift", "src/monolab/cli.py",
+     "sys.set_int_max_str_digits(0)", "sys.get_int_max_str_digits()",
+     ["tests/test_cli.py::test_a_5000_digit_coefficient_prints_exactly"]),
+    ("input-digit-bound", "src/monolab/cli.py",
+     "sys.set_int_max_str_digits(MAX_INPUT_DIGITS)", "sys.set_int_max_str_digits(0)",
+     ["tests/test_cli.py::test_input_literals_are_bounded_at_max_input_digits",
+      "tests/test_cli.py::test_a_too_long_integer_literal_is_refused_naming_the_path"]),
 ]
 
 
@@ -113,7 +121,8 @@ def run_mutant(name, path, old, new, tests):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text.replace(old, new))
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider"] + tests,
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             "--hypothesis-profile=mutants"] + tests,
             cwd=tmp, env=dict(os.environ, PYTHONPATH=os.path.join(tmp, "src")),
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     # "FAILED <node id>[<case>] - <message>"; an error is no kill

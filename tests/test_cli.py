@@ -858,15 +858,14 @@ def _late_failure_cases(tmp_path, monkeypatch):
         return ["invariants", "--family", "mck", "--grid", "2..3,0..1", "--csv"]
 
     def johnson_text():
-        # a coefficient past the 4300-digit limit, after the first label
-        tau_word = johnson.tau_word
+        # the last coefficient cannot be formatted, after the first label
+        labelled = johnson.QuotientClass.labelled
 
-        def huge_last(tw):
-            value = tau_word(tw)
-            coords = list(value.coords)
-            coords[-1] += 10 ** 5000
-            return johnson.QuotientClass(value.genus, coords)
-        monkeypatch.setattr(johnson, "tau_word", huge_last)
+        def unprintable_last(value):
+            labels = labelled(value)
+            labels[-1] = (labels[-1][0], _Unprintable())
+            return labels
+        monkeypatch.setattr(johnson.QuotientClass, "labelled", unprintable_last)
         return ["johnson", torelli]
 
     def distinguish():
@@ -959,3 +958,79 @@ def test_a_too_long_integer_literal_is_refused_naming_the_path(tmp_path):
     assert (proc.returncode, proc.stdout) == (cli.EX_SCHEMA, b"")
     assert "error: %s: integer literal too long" % path in proc.stderr.decode()
     assert b"Traceback" not in proc.stderr
+
+
+def test_a_5000_digit_coefficient_prints_exactly(tmp_path, monkeypatch, capsys):
+    # the output has no digit limit; only input literals are bounded
+    tau_word = johnson.tau_word
+
+    def huge_last(tw):
+        value = tau_word(tw)
+        coords = list(value.coords)
+        coords[-1] += 10 ** 5000
+        return johnson.QuotientClass(value.genus, coords)
+    monkeypatch.setattr(johnson, "tau_word", huge_last)
+    doc = _torelli_doc(4, 4)
+    path = write_json(tmp_path, "tw.json", doc)
+    limit = sys.get_int_max_str_digits()
+    text_code, text, _ = run_cli(["johnson", path], capsys)
+    json_code, out, _ = run_cli(["johnson", path, "--json"], capsys)
+    assert sys.get_int_max_str_digits() == limit  # the lift stays inside run
+    assert (text_code, json_code) == (0, 0)
+    value = huge_last(schemas.decode_torelli_word(doc))
+    name, coef = value.labelled()[-1]
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(coef)
+        assert "  %s: %s" % (name, digits) in text.splitlines()
+        assert json.loads(out)["coords"] == list(value.coords)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) >= 5000
+
+
+def test_input_literals_are_bounded_at_max_input_digits(tmp_path, capsys):
+    assert cli.MAX_INPUT_DIGITS == 4300
+    gram = _gram_path(tmp_path)
+    for digits in (cli.MAX_INPUT_DIGITS, cli.MAX_INPUT_DIGITS + 1):
+        literal = "1" + "0" * (digits - 1)
+        path = tmp_path / ("gram%d.json" % digits)
+        path.write_text('{"schema": "%s", "type": "gram", "matrix": [[%s]]}'
+                        % (schemas.SCHEMA, literal))
+        cases = ((["lattice", "sig", str(path)], str(path)),
+                 (["lattice", "enumerate", gram, "--pattern", "[[%s]]" % literal],
+                  "--pattern"))
+        for argv, where in cases:
+            code, out, err = run_cli(argv, capsys)
+            if digits == cli.MAX_INPUT_DIGITS:
+                assert code == cli.EX_OK, err
+            else:
+                assert (code, out) == (cli.EX_SCHEMA, ""), argv
+                assert "error: %s: integer literal too long" % where in err
+        # an integer flag has the same bound
+        code, out, err = run_cli(["lattice", "enumerate", gram, "--pattern", "[[0]]",
+                                  "--bound", literal], capsys)
+        if digits == cli.MAX_INPUT_DIGITS:
+            assert code == cli.EX_PRECONDITION, err  # a box that large is refused
+        else:
+            assert (code, out) == (cli.EX_SCHEMA, "")
+            assert "error: flag --bound expects an integer" in err
+
+
+def test_a_reader_that_leaves_early_gets_exit_74_without_a_traceback():
+    # stdout is written in pieces: the reader takes 4 KB of a 173 KB
+    # document and closes the pipe while the rest is being written
+    src = os.path.dirname(os.path.dirname(monolab.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monolab", "distinguish", "--family", "chain", "--genus", "5",
+         "--n", "2", "--m", "5", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    try:
+        head = proc.stdout.read(4096)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert head.startswith(b'{\n "certificate": {') and len(head) == 4096
+    assert proc.returncode == cli.EX_IOERR == 74
+    assert b"Traceback" not in err

@@ -1,4 +1,5 @@
-"""``schemas.dumps`` against the standard library's writer it replaces."""
+"""``schemas.write`` and ``schemas.dumps`` against the standard library's
+writer they replace."""
 
 import functools
 import json
@@ -33,7 +34,9 @@ values = st.recursive(
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(values)
 def test_dumps_matches_json_dumps(value):
-    assert schemas.dumps(value) == reference(value)
+    pieces = []
+    schemas.write(value, pieces.append)
+    assert "".join(pieces) == schemas.dumps(value) == reference(value)
 
 
 @st.composite
@@ -94,19 +97,24 @@ def test_json_dumps_refuses_sparse_rows():
         json.dumps({"basis": SparseRows(2, [{0: 1}])})
 
 
-def test_dumps_peak_is_bounded_by_its_output():
-    # the shape of the certify benchmark's peak job: the whole distinguish
-    # report, its rows handed over sparse
-    fam = family("chain", 5)
+def test_write_peak_is_bounded_by_its_longest_piece():
+    # a chain g=7 distinguish report (1.7 MB) written into a discarding
+    # emit: the writer holds one piece at a time, a dense row or a list of
+    # ints, whose entries are str objects of about 50 bytes while it is built
+    fam = family("chain", 7)
     cert = distinguish(2, 5, fam).as_dict()
     checks = check_certificate(cert, fam, deep=False)
     doc = {"schema": schemas.SCHEMA, "type": "distinguish_report", "certificate": cert,
            "replayed_checks": [name for name, _ in checks]}
+    pieces = []
+    schemas.write(doc, pieces.append)
+    longest, size = max(map(len, pieces)), sum(map(len, pieces))
+    del pieces
     tracemalloc.start()
     try:
-        out = schemas.dumps(doc)
+        schemas.write(doc, lambda piece: None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(out) > 100000
-    assert peak <= 3 * len(out), (peak, len(out))
+    assert size > 10 ** 6 and 16 * longest + 65536 < size // 10
+    assert peak <= 16 * longest + 65536, (peak, longest)
