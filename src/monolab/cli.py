@@ -5,13 +5,17 @@ Exit codes: 0 computation ran (any verdict), 2 malformed input or usage
 the path or flag), 3 a checked precondition failed (the message names it),
 64 unknown subcommand, 66 an input path that is missing or cannot be read
 (a directory, no permission; the message names the path), 70 an internal
-self-check failed (a fault in monolab, not in the input), 74 stdout was
-closed before the whole output was written (the reader left early).  A text
+self-check failed (a fault in monolab, not in the input), 74 stdout could
+not be written (the reader left early, a full device).  A text
 subcommand returns its whole stdout as one string, which ``run`` writes
 once; a JSON subcommand returns its document, which ``run`` writes in
 pieces (``schemas.write``) once the subcommand has returned, so every check
 has passed before the first byte and a failure leaves stdout empty.  The
-only failure left while writing is a closed stdout.  An exact integer of
+only failure left while writing is an ``OSError`` from writing or flushing
+stdout.  Failure messages go to stderr only: a closed or unwritable stderr
+changes neither stdout nor the exit code.  ``main`` ends the process with
+``os._exit`` once ``run`` has flushed stdout, so interpreter teardown and
+atexit handlers are skipped (monolab registers none).  An exact integer of
 any length prints; an integer literal in an input may have at most
 MAX_INPUT_DIGITS digits.  Output is deterministic byte for byte for fixed
 inputs and flags: keys are sorted, orderings canonical, and nothing
@@ -445,17 +449,46 @@ _COMMANDS = {
 }
 
 
+def _warn(message):
+    """One line to stderr.  With fd 2 closed ``sys.stderr`` is None, and
+    ``print`` would fall back to stdout; an unwritable stderr is ignored."""
+    if sys.stderr is not None:
+        try:
+            print(message, file=sys.stderr, flush=True)
+        except OSError:
+            pass
+
+
+def _write_out(out):
+    """Write a subcommand's text or document to stdout and flush it: EX_OK,
+    or EX_IOERR when writing or flushing raises or fd 1 is closed."""
+    if sys.stdout is None:
+        return EX_IOERR
+    try:
+        if isinstance(out, str):
+            print(out)
+        else:
+            schemas.write(out, sys.stdout.write)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError:
+        return EX_IOERR
+    return EX_OK
+
+
 def run(argv):
     """Dispatch one invocation; returns the exit code."""
     if not argv or argv[0] in ("-h", "--help", "help"):
-        out = sys.stdout if argv else sys.stderr
-        print("usage: monolab <command> [options]", file=out)
-        print("commands: " + " | ".join(sorted(_COMMANDS)), file=out)
-        return EX_OK if argv else EX_UNKNOWN_COMMAND
+        usage = ("usage: monolab <command> [options]\ncommands: "
+                 + " | ".join(sorted(_COMMANDS)))
+        if argv:
+            return _write_out(usage)
+        _warn(usage)
+        return EX_UNKNOWN_COMMAND
     command = argv[0]
     handler = _COMMANDS.get(command)
     if handler is None:
-        print("unknown subcommand: %s" % command, file=sys.stderr)
+        _warn("unknown subcommand: %s" % command)
         return EX_UNKNOWN_COMMAND
     limit = sys.get_int_max_str_digits()
     # any exact int prints: inputs keep their own bound (MAX_INPUT_DIGITS)
@@ -463,40 +496,30 @@ def run(argv):
     try:
         out = handler(argv[1:])
     except InputFileError as exc:
-        print(exc, file=sys.stderr)
+        _warn(exc)
         return EX_NO_INPUT
     except (UsageError, SchemaError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        _warn("error: %s" % exc)
         return EX_SCHEMA
     except (ConjugationError, FactorizationError, GenusMismatchError,
             invariants.FibrationError, scenarios.ScenarioValidationError,
             johnson.SaturationBudgetError, ValueError, IndexError) as exc:
-        print("precondition failed: %s" % exc, file=sys.stderr)
+        _warn("precondition failed: %s" % exc)
         return EX_PRECONDITION
     except AssertionError as exc:
-        print("internal self-check failed: %s" % exc, file=sys.stderr)
+        _warn("internal self-check failed: %s" % exc)
         return EX_SOFTWARE
     else:
-        if isinstance(out, str):
-            print(out)
-        else:
-            schemas.write(out, sys.stdout.write)
-            sys.stdout.write("\n")
-        return EX_OK
+        return _write_out(out)
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def main():
-    try:
-        code = run(sys.argv[1:])
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so that the flush at
-        # interpreter shutdown cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EX_IOERR
-    sys.exit(code)
+    """Run one invocation and end the process at its last flushed byte:
+    ``os._exit`` skips interpreter teardown (and so atexit handlers), and
+    with it a second flush of a stdout that already failed."""
+    os._exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -11,14 +11,18 @@ A reduced state is a tuple of letters ``(coords mod m, separating,
 split)``.  Each search interns the letters it meets in a private table
 (``_Letters``) and keys on packed states: one fixed-width id per letter,
 equal exactly when the ``canonical_form`` bytes are, which are for
-reports and tests.  The table's moves and local products are filled once
-per id pair, and the table is held by the search and its report alone.
-Budgets are capped at ``MAX_BUDGET``, which bounds the ids.
+reports and tests.  The table's moves and local products (one flat tuple
+of residues each) are filled once per id pair, and the table is held by
+the search and its report alone.  The ids are bounded by the number of
+letter classes the roots can reach and by the budget, capped at
+``MAX_BUDGET``; the id width is the smaller bound's.  ``same_orbit``'s
+parent maps hold one move code per state, and a parent is recovered by
+the inverse move.
 """
 
 from collections import deque
 
-from ._linalg import Frozen, identity_matrix
+from ._linalg import Frozen
 from .homology import GenusMismatchError, _right_twist, twist_coords
 
 MAX_BUDGET = 200000
@@ -56,11 +60,13 @@ def canonical_form(state, cfg):
 
 
 def _pair_product(cu, cv, g, m):
-    """The written-order product T_u T_v of two letter matrices, mod m."""
-    rows = [list(r) for r in identity_matrix(2 * g)]
+    """The written-order product T_u T_v of two letter matrices, mod m, as
+    one flat tuple of its (2g)^2 entries, row by row."""
+    n = 2 * g
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     _right_twist(rows, cu, 1)
     _right_twist(rows, cv, 1)
-    return tuple(tuple(x % m for x in r) for r in rows)
+    return tuple(x % m for r in rows for x in r)
 
 
 def _move_pair(u, v, direction, m):
@@ -94,17 +100,26 @@ class _Letters:
     first sight, and a state packs to ``width`` big-endian bytes per id.
 
     Move code 2 pos + d is the move at ``pos`` in direction
-    ``_DIRECTIONS[d]``.  Its result for a two-letter slice is filled once,
-    and the slices' local products are interned (equal ids exactly when the
-    matrices are equal); ``step`` still compares the two on every
-    application.  A search expands at most ``budget`` states, each by
-    2(n - 1) moves that make at most two letters each, so the ids stay below
-    the letters of the roots plus 2 * 2(n - 1) * budget.
+    ``_DIRECTIONS[d]``, and ``code ^ 1`` undoes it (``_move_pair``).  Its
+    result for a two-letter slice is filled once, and the slices' local
+    products are interned (equal ids exactly when the matrices are equal);
+    ``step`` still compares the two on every application.
+
+    The ids stay below the smaller of two bounds.  A search expands at most
+    ``budget`` states, each by 2(n - 1) moves that make at most two letters
+    each, so it meets at most the letters of the roots plus
+    2 * 2(n - 1) * budget.  And a letter's coordinates are residues mod m,
+    while a move hands each letter's (separating, split) tags to its
+    replacement unchanged, so every letter of a search carries one of the
+    roots' tags: at most m^(2g) letters per tag.
     """
 
     def __init__(self, roots, cfg, budget):
         n = len(roots[0])
-        bound = sum(len(r) for r in roots) + 2 * 2 * max(n - 1, 0) * budget
+        moves_bound = sum(len(r) for r in roots) + 2 * 2 * max(n - 1, 0) * budget
+        tags = {letter[1:] for r in roots for letter in r}
+        classes = len(tags) * cfg.modulus ** (2 * cfg.genus)
+        bound = min(moves_bound, classes)
         self.width = w = max(1, ((bound - 1).bit_length() + 7) // 8)
         self.cfg = cfg
         self.letters = []
@@ -280,7 +295,7 @@ def same_orbit(f1, f2, cfg, budget):
     letters = _Letters((s1, s2), cfg, budget)
     step, codes = letters.step, range(2 * (len(s1) - 1))
     roots = letters.pack(s1), letters.pack(s2)
-    # parent maps: packed state -> (packed parent, move code from the parent)
+    # parent maps: packed state -> move code from its parent
     parents = ({roots[0]: None}, {roots[1]: None})
     frontiers = (deque([roots[0]]), deque([roots[1]]))
     explored = 2
@@ -294,7 +309,7 @@ def same_orbit(f1, f2, cfg, budget):
             nxt = step(state, code)
             if nxt in mine:
                 continue
-            mine[nxt] = (state, code)
+            mine[nxt] = code
             explored += 1
             if nxt in other:
                 meet = nxt
@@ -307,11 +322,17 @@ def same_orbit(f1, f2, cfg, budget):
                                 "budget exhausted before the searches met")
 
     def moves_back(parent_map, state):
-        """The moves from the root to ``state``, last move first."""
+        """The moves from the root to ``state``, last move first.  Each
+        parent is ``step(state, code ^ 1)``: on reduced letters the left
+        move at a position replaces (u, v) by (T_u v, u) and the right move
+        there replaces (T_u v, u) by (u, T_u^-1 T_u v) = (u, v), tags
+        included, and the same holds the other way round."""
         moves = []
-        while parent_map[state] is not None:
-            state, code = parent_map[state]
+        code = parent_map[state]
+        while code is not None:
+            state = step(state, code ^ 1)
             moves.append((code >> 1, _DIRECTIONS[code & 1]))
+            code = parent_map[state]
         return moves
 
     # s1 -> meet, then meet -> s2 by undoing s2's path in reverse; the

@@ -70,8 +70,12 @@ class SaturationBudgetError(RuntimeError):
 
 
 # The quotient, and the lattice rows saturated in it, have C(2G, 3) - 2G
-# coordinates: 1120 at G = 10 (mck g = 5, about 1.6 s to distinguish), 2000 at
-# G = 12, 1313200 at schemas.MAX_GENUS.  12 admits every desk-scale input.
+# coordinates: 1120 at G = 10, 2000 at G = 12, 1313200 at schemas.MAX_GENUS.
+# 12 admits every desk-scale input.  Measured through the CLI, one process
+# per job on a shared 2-CPU machine (Python 3.11), `distinguish --n 1 --m 3`
+# takes 0.5-0.84 s for mck g = 5 (G = 10) with --json --deep-check, 0.9-1.5 s
+# for mck g = 6 (G = 12) with --deep-check, and 0.9-1.1 s for chain g = 12
+# with --json --deep-check, whose 56 MB document streams out at 18 MB RSS.
 MAX_QUOTIENT_GENUS = 12
 
 

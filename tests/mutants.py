@@ -93,6 +93,28 @@ MUTANTS = [
      "sys.set_int_max_str_digits(MAX_INPUT_DIGITS)", "sys.set_int_max_str_digits(0)",
      ["tests/test_cli.py::test_input_literals_are_bounded_at_max_input_digits",
       "tests/test_cli.py::test_a_too_long_integer_literal_is_refused_naming_the_path"]),
+    ("move-back-inverse", "src/monolab/hurwitz.py",
+     "state = step(state, code ^ 1)", "state = step(state, code)",
+     ["tests/test_hurwitz.py::test_same_orbit_outputs_are_pinned",
+      "tests/test_hurwitz.py::test_witness_replay_validates"]),
+    ("class-count-tags", "src/monolab/hurwitz.py",
+     "classes = len(tags) * cfg.modulus", "classes = cfg.modulus",
+     ["tests/test_hurwitz.py::test_search_tables_are_bounded_per_search",
+      "tests/test_hurwitz.py::test_roots_with_two_separating_splits_stay_below_the_class_count"]),
+    ("stdout-flush-before-exit", "src/monolab/cli.py",
+     "sys.stdout.flush()", "pass",
+     ["tests/test_cli.py::test_process_stdout_is_what_run_prints"]),
+    ("unit-seeds-literal-check", "src/monolab/scenarios.py",
+     "if tau_word(literal) != seed:", "if False:",
+     ["tests/test_scenarios.py::test_unit_seeds_check_a_sign_flipped_contraction",
+      "tests/test_scenarios.py::test_unit_seeds_check_a_dropped_pair_column"]),
+    ("hermite-reduced-entries", "src/monolab/_linalg.py",
+     "return out if reduced else None", "return out",
+     ["tests/test_johnson.py::test_tampered_certificate_fails_at_the_named_check"]),
+    ("pairing-sign", "src/monolab/homology.py",
+     "u[i] * v[g + i] - u[g + i] * v[i]", "u[g + i] * v[i] - u[i] * v[g + i]",
+     ["tests/test_homology.py::test_basis_pairings",
+      "tests/test_homology.py::test_transvection_sign_convention"]),
 ]
 
 

@@ -914,10 +914,16 @@ def test_invariant_grid_is_bounded_before_anything_is_built(monkeypatch, capsys)
     assert "a curve table was built" in err and out == ""
 
 
-def _cli_process(argv):
-    src = os.path.dirname(os.path.dirname(monolab.__file__))
-    return subprocess.run([sys.executable, "-m", "monolab"] + argv, capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+def _cli_process(argv, patch=None, **kwargs):
+    """``python -m monolab ARGV`` (or ``python -c PATCH ARGV``), with
+    stdout and stderr captured unless ``kwargs`` redirect them, and stdout
+    block-buffered as it is by default (no PYTHONUNBUFFERED)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(monolab.__file__))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    head = ["-c", patch] if patch else ["-m", "monolab"]
+    return subprocess.run([sys.executable] + head + argv, env=env, timeout=60, **kwargs)
 
 
 def test_duplicate_json_key_is_refused_naming_it(tmp_path):
@@ -1034,3 +1040,73 @@ def test_a_reader_that_leaves_early_gets_exit_74_without_a_traceback():
     assert head.startswith(b'{\n "certificate": {') and len(head) == 4096
     assert proc.returncode == cli.EX_IOERR == 74
     assert b"Traceback" not in err
+
+
+# The process exit path: each case below runs `python -m monolab`.
+
+# patched witness class, as in test_failed_self_check_exits_70, then the
+# package's __main__ as `python -m monolab` runs it
+_SELF_CHECK_FAILS = (
+    "import runpy, sys; from monolab import scenarios; "
+    "w = scenarios.FamilySpec.witness_class; "
+    "scenarios.FamilySpec.witness_class = lambda self: 2 * w(self); "
+    "sys.argv[0] = 'monolab'; runpy.run_module('monolab', run_name='__main__')")
+
+
+def _failing_cases(tmp_path):
+    """(argv, patch, exit code, stderr message) for each failure code."""
+    return [
+        (["lattice", "sig", _gram_path(tmp_path), "--bogus"], None, cli.EX_SCHEMA,
+         "error: unknown flag --bogus"),
+        (["scenario", "mck", "--genus", "1"], None, cli.EX_PRECONDITION,
+         "precondition failed: "),
+        (["nosuch"], None, cli.EX_UNKNOWN_COMMAND, "unknown subcommand: nosuch"),
+        (["verify", str(tmp_path / "missing.json")], None, cli.EX_NO_INPUT,
+         "input file not found: "),
+        (["distinguish", "--family", "mck", "--genus", "2", "--n", "1", "--m", "2"],
+         _SELF_CHECK_FAILS, cli.EX_SOFTWARE,
+         "internal self-check failed: family witness class is not primitive"),
+    ]
+
+
+def test_process_stdout_is_what_run_prints(capsys):
+    # a document of more than 64 KB and a text of less than 8 KB, both past
+    # the last flush before os._exit
+    for argv, size in (
+            (["distinguish", "--family", "mck", "--genus", "3", "--n", "1", "--m", "2",
+              "--json"], lambda n: n > 64 * 1024),
+            (["invariants", "--family", "mck", "--genus", "2", "--n", "1"],
+             lambda n: 0 < n < 8 * 1024)):
+        code, out, err = run_cli(argv, capsys)
+        proc = _cli_process(argv)
+        assert (proc.returncode, proc.stderr) == (code, b"") == (0, b""), argv
+        assert proc.stdout == out.encode() and size(len(proc.stdout)), argv
+
+
+def test_process_failures_keep_their_code_and_message_and_leave_stdout_empty(
+        tmp_path, capsys):
+    for argv, patch, code, message in _failing_cases(tmp_path):
+        proc = _cli_process(argv, patch)
+        assert (proc.returncode, proc.stdout) == (code, b""), argv
+        err = proc.stderr.decode()
+        assert message in err and b"Traceback" not in proc.stderr, argv
+        if patch is None:
+            assert run_cli(argv, capsys) == (code, "", err), argv
+
+
+def test_a_full_device_as_stdout_exits_74_without_a_traceback():
+    for argv in (["--help"], ["scenario", "curves", "--context", "mck", "--genus", "2"],
+                 ["invariants", "--family", "mck", "--genus", "2", "--n", "1"]):
+        with open("/dev/full", "wb") as full:
+            proc = _cli_process(argv, stdout=full)
+        assert proc.returncode == cli.EX_IOERR == 74, argv
+        assert proc.stderr == b"", argv
+
+
+def test_a_closed_or_full_stderr_changes_neither_stdout_nor_the_exit_code(tmp_path):
+    for argv, patch, code, _ in _failing_cases(tmp_path):
+        proc = _cli_process(argv, patch, stderr=None, preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stdout) == (code, b""), argv
+        with open("/dev/full", "wb") as full:
+            proc = _cli_process(argv, patch, stderr=full)
+        assert (proc.returncode, proc.stdout) == (code, b""), argv

@@ -74,7 +74,8 @@ def test_pair_product_equals_the_dense_product_mod_m():
                 cu, cv = (tuple(x % m for x in random_class(rng, g).coords)
                           for _ in range(2))
                 for pair in ((cu, cv), (cu, zero), (zero, cv)):
-                    assert _pair_product(*pair, g, m) == dense_product_mod(pair, g, m)
+                    flat = tuple(x for r in dense_product_mod(pair, g, m) for x in r)
+                    assert _pair_product(*pair, g, m) == flat
 
 
 def test_search_tables_are_bounded_per_search():
@@ -87,16 +88,60 @@ def test_search_tables_are_bounded_per_search():
     before = module_tables()
     fact = family("mck", 2).base
     n = len(fact.letters)
-    for m, budget in ((3, 1), (3, 300), (257, 300)):
+    tags = {(l.separating, l.split) for l in fact.letters}
+    assert len(tags) == 2
+    # (3, 1) and (257, 300) take the budget bound; (2, 300) and (3, 2000)
+    # take the class count, 2 * 2^8 and 2 * 3^8 letters
+    for m, budget in ((3, 1), (3, 300), (2, 300), (3, 2000), (257, 300)):
         report = orbit_explore(fact, QuotientConfig(m, 4), budget)
         table = report.letters
-        bound = n + 2 * 2 * (n - 1) * budget
-        assert len(table.letters) < bound <= 256 ** table.width
+        bound = min(n + 2 * 2 * (n - 1) * budget, len(tags) * m ** 8)
+        assert len(table.letters) <= bound <= 256 ** table.width
         assert 256 ** (table.width - 1) < bound
         assert all(len(state) == n * table.width for state in report.states)
+        if m == 3 and budget == 2000:
+            assert table.width == 2  # 3 bytes by the budget bound
     f1, f2 = mck_depth3_inputs()
     assert same_orbit(f1, f2, QuotientConfig(5, 4), 20000).verdict == "same-orbit"
     assert module_tables() == before == set()
+
+
+def test_roots_with_two_separating_splits_stay_below_the_class_count():
+    # every nonzero class mod 2 in genus 4 once, and a separating letter of
+    # each split: 257 letters, more than the 2^8 classes of one tag, fewer
+    # than the 3 * 2^8 of the roots' three tags
+    g, m = 4, 2
+    zero = HomologyClass(g, (0,) * 8)
+    letters = [TwistLetter(HomologyClass(g, [(k >> i) & 1 for i in range(8)]))
+               for k in range(1, 256)]
+    letters += [TwistLetter(zero, 1, True, (1, 3)), TwistLetter(zero, 1, True, (2, 2))]
+    fact = fact_of(letters, g)
+    cfg = QuotientConfig(m, g)
+    report = orbit_explore(fact, cfg, 20)
+    table = report.letters
+    assert 2 ** 8 < len(table.letters) <= 3 * 2 ** 8 <= 256 ** table.width
+    assert table.width == 2
+    assert all(len(state) == len(letters) * 2 for state in report.states)
+    cert = same_orbit(fact, elementary_transformation(fact, 0, "left"), cfg, 20)
+    assert cert.witness == ((0, "left"),)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(2, 6),
+       st.sampled_from((2, 3, 5, 257)), st.lists(st.integers(0, 2 ** 16), max_size=8))
+def test_a_move_code_and_its_flip_undo_each_other(seed, g, n, m, walk):
+    # step(step(s, c), c ^ 1) == s for every code c at every state of a
+    # random walk: same_orbit recovers each parent this way
+    cfg = QuotientConfig(m, g)
+    start = reduce_factorization(random_positive_factorization(random.Random(seed), g, n), cfg)
+    table = hurwitz._Letters((start,), cfg, 1000)
+    codes = range(2 * (n - 1))
+    states = [table.pack(start)]
+    for k in walk:
+        states.append(table.step(states[-1], codes[k % len(codes)]))
+    for state in states:
+        for code in codes:
+            assert table.step(table.step(state, code), code ^ 1) == state
 
 
 def test_canonical_form_deterministic_and_injective():
