@@ -57,7 +57,8 @@ class IntVector(Frozen):
 
     Subclasses give the dimension (``_dim``, which also validates the
     genus), the dimension error (``_dim_error``), the mixing check
-    (``_check``) and ``__repr__``; the arithmetic is shared.
+    (``_check``) and ``__repr__``; the arithmetic is shared.  ``1 * v`` is
+    v itself: a value is immutable, so a copy would buy nothing.
     """
 
     __slots__ = ("genus", "coords")
@@ -89,7 +90,8 @@ class IntVector(Frozen):
         return type(self)(self.genus, tuple(-x for x in self.coords))
 
     def __rmul__(self, k):
-        return type(self)(self.genus, tuple(int(k) * x for x in self.coords))
+        k = int(k)
+        return self if k == 1 else type(self)(self.genus, tuple(k * x for x in self.coords))
 
     def is_zero(self):
         return not any(self.coords)
@@ -141,12 +143,18 @@ class EchelonLattice:
 
     Rows are sparse ``{col: value}`` dicts of their nonzeros, indexed by
     their pivot (least) column; inputs may be dense or such dicts.  Gcd
-    exchanges make the lattice only ever grow.  ``insert`` returns None if it
-    did not grow, else a copy of the partly reduced vector at the first step
-    that changed the basis (a new pivot or a gcd exchange): vec minus a
-    vector of the old lattice, spanning the same growth.  ``hermite`` gives
-    the canonical Hermite basis (positive pivots, entries above each in
-    [0, pivot)), which is unique; ``lattices.SublatticeBasis`` holds it.
+    exchanges make the lattice only ever grow.  Every stored row has a
+    positive pivot and is reduced into [0, pivot) at each pivot column to
+    its right that existed when it was stored, so it is as sparse as the
+    Hermite step makes it; it is a fresh dict, and no row is ever mutated
+    in place, so a stored row may be shared.  ``insert`` returns None if it
+    did not grow, else a vector spanning the same growth, vec minus a
+    vector of the old lattice: when vec became a new pivot row with no
+    exchange on the way, the stored row itself (its negation if the pivot
+    was negative), else a copy of the partly reduced vector at the first
+    gcd exchange.  ``hermite`` gives the canonical Hermite basis (positive
+    pivots, entries above each in [0, pivot)), which is unique;
+    ``lattices.SublatticeBasis`` holds it.
     """
 
     def __init__(self, dim, rows=()):
@@ -171,17 +179,28 @@ class EchelonLattice:
             j = min(v)
             row = self.pivot_rows.get(j)
             if row is None:
-                self.pivot_rows[j] = v if v[j] > 0 else {k: -x for k, x in v.items()}
-                return grown or dict(v)
+                if v[j] > 0:
+                    row = self._store(j, v)
+                    return grown or row
+                row = self._store(j, {k: -x for k, x in v.items()})
+                return grown or {k: -x for k, x in row.items()}
             a, b = v[j], row[j]
             if a % b == 0:
                 _sub_multiple(v, a // b, row)
             else:
                 grown = grown or dict(v)
                 g, x, y = xgcd(b, a)
-                self.pivot_rows[j] = _combination(x, row, y, v)
+                self._store(j, _combination(x, row, y, v))
                 v = _combination(-(a // g), row, b // g, v)
         return grown
+
+    def _store(self, j, row):
+        """Store row (pivot j, positive; a working dict) as the pivot row at
+        j, reduced at the pivots right of j and copied fresh: a working dict
+        keeps its old table after its entries are deleted.  Returns it."""
+        _reduce_right(row, self.pivot_rows)
+        row = self.pivot_rows[j] = {k: x for k, x in row.items()}
+        return row
 
     def member(self, vec):
         return not self.reduce(vec)
@@ -189,19 +208,14 @@ class EchelonLattice:
     def hermite(self):
         """The canonical Hermite basis, ``{pivot: sparse row}`` by pivot.  Built
         bottom up: reducing with a final row changes only columns right of
-        its pivot, so each row is reduced at its pivot columns left to right."""
+        its pivot, so each row is reduced at the final rows' pivots left to
+        right.  A stored row that needs no step is shared, not copied."""
         done = {}
         for c in sorted(self.pivot_rows, reverse=True):
-            row = dict(self.pivot_rows[c])
-            todo, i = sorted(row.keys() & done.keys()), 0
-            while i < len(todo):
-                k, i = todo[i], i + 1
-                q = row.get(k, 0) // done[k][k]
-                if q:
-                    _sub_multiple(row, q, done[k])
-                    for t in done[k]:
-                        if t > k and t in done:
-                            bisect.insort(todo, t, i)
+            row = self.pivot_rows[c]
+            work = dict(row)
+            if _reduce_right(work, done):
+                row = {k: x for k, x in work.items()}
             done[c] = row
         return dict(reversed(done.items()))
 
@@ -282,6 +296,25 @@ def _combination(x, r, y, w):
     """x * r + y * w for sparse r and w, over the union of their supports."""
     out = {k: x * r.get(k, 0) + y * w.get(k, 0) for k in r.keys() | w.keys()}
     return {k: t for k, t in out.items() if t}
+
+
+def _reduce_right(row, rows):
+    """Reduce row (positive pivot) in place into [0, pivot) at each pivot
+    column of the echelon rows ``rows`` right of its own, left to right:
+    subtracting a row changes only columns from its pivot on, so a column
+    is final once passed.  True iff some step changed row."""
+    j, changed = min(row), False
+    todo, i = sorted(k for k in row.keys() & rows.keys() if k > j), 0
+    while i < len(todo):
+        k, i = todo[i], i + 1
+        q = row.get(k, 0) // rows[k][k]
+        if q:
+            changed = True
+            _sub_multiple(row, q, rows[k])
+            for t in rows[k]:
+                if t > k and t in rows:
+                    bisect.insort(todo, t, i)
+    return changed
 
 
 def _sub_multiple(v, q, row):

@@ -71,11 +71,15 @@ class SaturationBudgetError(RuntimeError):
 
 # The quotient, and the lattice rows saturated in it, have C(2G, 3) - 2G
 # coordinates: 1120 at G = 10, 2000 at G = 12, 1313200 at schemas.MAX_GENUS.
-# 12 admits every desk-scale input.  Measured through the CLI, one process
-# per job on a shared 2-CPU machine (Python 3.11), `distinguish --n 1 --m 3`
-# takes 0.5-0.84 s for mck g = 5 (G = 10) with --json --deep-check, 0.9-1.5 s
-# for mck g = 6 (G = 12) with --deep-check, and 0.9-1.1 s for chain g = 12
-# with --json --deep-check, whose 56 MB document streams out at 18 MB RSS.
+# 12 admits every desk-scale input.  The closure makes about growths x
+# letters insert attempts, each one D application and one reduction against
+# rows kept reduced: at G = 12, 2615 attempts and 248 growths to rank 195 for
+# mck g = 6 (13 letters), 48024 attempts to rank 2000 = dim for chain g = 12
+# (24 letters).  Measured through the CLI, one process per job on a shared
+# 2-CPU machine (Python 3.11), min of 5, `distinguish --n 1 --m 3
+# --deep-check` takes 0.27 s and 15.2 MB max RSS for mck g = 5 (G = 10, with
+# --json), 0.55 s and 16.3 MB for mck g = 6 (G = 12), and 0.53 s and 17.5 MB
+# for chain g = 12 with --json, whose 56 MB document streams out.
 MAX_QUOTIENT_GENUS = 12
 
 
@@ -355,18 +359,17 @@ class _TwistDelta(dict):
 
 
 def _letter_deltas(letters, genus):
-    """The ``_TwistDelta`` of each nonseparating letter; separating letters
-    act as the identity.  An inverse needs no operator: T = I + D, and D^2 = 0
-    (D = p W_c o iota_s, see ``_TwistDelta``; iota_s(c ^ w) = (s.c) w -
-    c ^ iota_s(w) with s.c = <c, c> = 0, and c ^ c = 0), so T^-1 = I - D and
-    a lattice is stable under T^-1 iff under T, iff D maps it into itself."""
-    deltas = []
+    """The ``_TwistDelta`` of each nonseparating letter, each built as it is
+    reached; separating letters act as the identity.  An inverse needs no
+    operator: T = I + D, and D^2 = 0 (D = p W_c o iota_s, see
+    ``_TwistDelta``; iota_s(c ^ w) = (s.c) w - c ^ iota_s(w) with
+    s.c = <c, c> = 0, and c ^ c = 0), so T^-1 = I - D and a lattice is
+    stable under T^-1 iff under T, iff D maps it into itself."""
     for letter in letters:
         if letter.genus != genus:
             raise GenusMismatchError("action generator genus differs from seeds")
         if not letter.curve.is_zero():
-            deltas.append(_TwistDelta(genus, letter.curve.coords, letter.power))
-    return deltas
+            yield _TwistDelta(genus, letter.curve.coords, letter.power)
 
 
 # --------------------------------------------------------------------------
@@ -566,7 +569,9 @@ def saturate(seeds, action_gens):
     Termination is guaranteed (ascending chains of subgroups of a
     finite-rank free abelian group stabilize); MAX_SATURATION_STEPS bounds
     the insert attempts, seeds included, and guards against implementation
-    bugs only.  Nothing is kept between calls.
+    bugs only.  The letter operators and their pair columns are dropped
+    before the Hermite pass, which shares every stored row that needs no
+    further step; nothing is kept between calls.
     """
     seeds = list(seeds)
     if not seeds:
@@ -575,7 +580,7 @@ def saturate(seeds, action_gens):
     if any(s.genus != genus for s in seeds):
         raise GenusMismatchError("seeds must share a genus")
     dim = _table(genus).dim_quot
-    deltas = _letter_deltas(action_gens, genus)
+    deltas = list(_letter_deltas(action_gens, genus))
     lat = _linalg.EchelonLattice(dim)
     grown = collections.deque()
     steps = 0
@@ -597,6 +602,7 @@ def saturate(seeds, action_gens):
         vec = grown.popleft()
         for delta in deltas:
             attempt(delta(vec))
+    del deltas
     return SublatticeBasis._from_hermite(dim, lat.hermite())
 
 
@@ -704,19 +710,30 @@ def check_certificate(cert_dict, family, deep=True):
     the seeds, re-verifies every containment against the shipped bases,
     re-derives the contents by gcd, and re-checks the divisibility
     contradiction.  With ``deep=True`` it also re-verifies that each shipped
-    lattice is stable under the family action.  Returns the checks made.
+    lattice is stable under the family action: directly at n, building one
+    letter operator at a time and dropping it before the next.  At m the
+    verdict comes from the exact identity m * basis_n == n * basis_m, row
+    by row with the same pivots (k times a Hermite form is the Hermite form
+    of k L): then basis_m spans m/n times the lattice of basis_n, which the
+    action keeps stable iff it keeps that one.  Where the identity fails,
+    or basis_n is the zero lattice, m is checked directly too.  Returns the
+    checks made.
     """
     n, m = int(cert_dict["n"]), int(cert_dict["m"])
     genus = family.surface_genus
     dim = _table(genus).dim_quot
     checks = []
-    if deep:
-        deltas = _letter_deltas(family.action_generators(), genus)
+    letters = family.action_generators() if deep else ()
+    shipped = []
 
     def record(name, ok):
         checks.append((name, bool(ok)))
         if not ok:
             raise AssertionError("certificate replay failed at: " + name)
+
+    def stable(basis, pivots):
+        return all(all(basis.member(delta(row)) for row in pivots.values())
+                   for delta in _letter_deltas(letters, genus))
 
     record("parameters differ", n != m)
     witness = QuotientClass(genus, cert_dict["witness_class"])
@@ -732,11 +749,21 @@ def check_certificate(cert_dict, family, deep=True):
         record("witness multiple contained at %d" % param,
                (not any(target)) or basis.member(target))
         if deep:
+            # n != m here, so a nonzero basis_n that scales to basis_m has n != 0
             record("lattice stable under the action at %d" % param,
-                   all(basis.member(delta(row)) for delta in deltas
-                       for row in pivots.values()))
+                   (shipped and _scales_to(n, shipped[0], m, pivots))
+                   or stable(basis, pivots))
+        shipped.append(pivots)
     record(
         "contents give the divisibility contradiction",
         int(cert_dict["content_n"]) != int(cert_dict["content_m"]),
     )
     return checks
+
+
+def _scales_to(n, pivots_n, m, pivots_m):
+    """True iff basis_n is not the zero lattice and m * basis_n == n * basis_m
+    row by row, both given as ``{pivot: sparse row}`` with the same pivots."""
+    return bool(pivots_n) and pivots_n.keys() == pivots_m.keys() and all(
+        rn.keys() == rm.keys() and all(m * x == n * rm[c] for c, x in rn.items())
+        for rn, rm in zip(pivots_n.values(), pivots_m.values()))

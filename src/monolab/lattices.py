@@ -61,7 +61,10 @@ class SublatticeBasis(Frozen):
 
     def scaled(self, k):
         """k times the lattice, k >= 0: k times a Hermite row is still in
-        Hermite form, and k = 0 gives the zero lattice, with no rows."""
+        Hermite form, and k = 0 gives the zero lattice, with no rows.  At
+        k = 1 it is the basis itself, an immutable value, not a copy."""
+        if k == 1:
+            return self
         rows = {j: {c: k * x for c, x in r.items()} for j, r in self._pivots.items()} if k else {}
         return SublatticeBasis._from_hermite(self.dim, rows)
 

@@ -115,6 +115,30 @@ MUTANTS = [
      "u[i] * v[g + i] - u[g + i] * v[i]", "u[g + i] * v[i] - u[i] * v[g + i]",
      ["tests/test_homology.py::test_basis_pairings",
       "tests/test_homology.py::test_transvection_sign_convention"]),
+    ("stability-reused-unchecked", "src/monolab/johnson.py",
+     "(shipped and _scales_to(n, shipped[0], m, pivots))", "shipped",
+     ["tests/test_johnson.py::test_a_basis_m_that_is_not_the_scaled_basis_n_is_checked_directly",
+      "tests/test_johnson.py::test_tampered_certificate_fails_at_the_named_check"]),
+    ("insert-reduction-skipped", "src/monolab/_linalg.py",
+     "_reduce_right(row, self.pivot_rows)", "None",
+     ["tests/test_linalg.py::test_insert_stores_rows_reduced_at_the_pivots_to_their_right",
+      "tests/test_linalg.py::test_sparse_echelon_matches_the_dense_oracle"]),
+    ("kernel-row-doubled", "src/monolab/_linalg.py",
+     "dense(lat.pivot_rows[p], m + n)[m:] for p",
+     "dense({k: 2 * x for k, x in lat.pivot_rows[p].items()}, m + n)[m:] for p",
+     ["tests/test_linalg.py::test_kernel_basis",
+      "tests/test_sympy_oracle.py::test_kernel_basis_is_the_saturated_kernel"]),
+    ("smith-divisibility-merge", "src/monolab/_linalg.py",
+     "if x and d[j] % x), None)", "if False), None)",
+     ["tests/test_linalg.py::test_snf_examples",
+      "tests/test_sympy_oracle.py::test_smith_diagonal_matches_sympy"]),
+    ("letters-direction-order", "src/monolab/hurwitz.py",
+     '_DIRECTIONS = ("left", "right")', '_DIRECTIONS = ("right", "left")',
+     ["tests/test_hurwitz.py::test_explore_equals_the_search_on_letter_tuples",
+      "tests/test_hurwitz.py::test_same_orbit_outputs_are_pinned"]),
+    ("id-width-one-byte", "src/monolab/hurwitz.py",
+     "self.width = w = max(1, ((bound - 1).bit_length() + 7) // 8)", "self.width = w = 1",
+     ["tests/test_hurwitz.py::test_search_tables_are_bounded_per_search"]),
 ]
 
 

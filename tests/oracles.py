@@ -1,7 +1,8 @@
 """Dense reference implementations kept only to check the package against.
 
 ``DenseEchelonLattice`` is the row reduction ``_linalg.EchelonLattice`` used
-before its rows went sparse: the same gcd exchanges and the same canonical
+before its rows went sparse: the same gcd exchanges, the same reduction of
+each row it stores at the pivots to its right, and the same canonical
 Hermite reduction, on dense lists.  ``fraction_signature`` is the rational
 diagonalization ``lattices.signature`` used before it went fraction-free.
 The differential tests compare each pair on every public result.
@@ -108,7 +109,7 @@ class DenseEchelonLattice:
             if row is None:
                 if v[j] < 0:
                     v = [-x for x in v]
-                self.pivot_rows[j] = v
+                self.pivot_rows[j] = self._reduced(v, j)
                 return True
             a, b = v[j], row[j]
             if a % b == 0:
@@ -118,10 +119,20 @@ class DenseEchelonLattice:
                 g, x, y = xgcd(b, a)
                 new_row = [x * r + y * w for r, w in zip(row, v)]
                 v = [(b // g) * w - (a // g) * r for r, w in zip(row, v)]
-                self.pivot_rows[j] = new_row
+                self.pivot_rows[j] = self._reduced(new_row, j)
                 changed = True
             j = self._leading(v, j + 1)
         return changed
+
+    def _reduced(self, row, j):
+        """row reduced into [0, pivot) at every pivot column right of j, in
+        increasing order, as it is stored."""
+        for k in sorted(self.pivot_rows):
+            if k > j:
+                q = row[k] // self.pivot_rows[k][k]
+                if q:
+                    row = [x - q * y for x, y in zip(row, self.pivot_rows[k])]
+        return row
 
     def member(self, vec):
         return not any(self.reduce(vec))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from monolab.johnson import (
     tau_word,
     wedge3,
 )
+from monolab.lattices import SublatticeBasis
 from monolab.words import TwistLetter, Word, sp_image
 from monolab.scenarios import family
 from helpers import fraction_solve, naive_wedge_cube, random_class
@@ -601,6 +603,72 @@ def test_sparse_and_decoded_certificates_replay_alike(kind, g, deep):
     checks = check_certificate(doc, fam, deep=deep)
     assert all(ok for _, ok in checks)
     assert check_certificate(_decoded(doc), fam, deep=deep) == checks
+
+
+def _unstable_lattice(fam):
+    """The span of the unit seeds and the witness: in Hermite form, of
+    content 1, holding the unit seeds and the witness, but of rank 4 where
+    the closure has rank 42 (mck g=3), so not stable under the action."""
+    dim = _table(fam.surface_genus).dim_quot
+    return SublatticeBasis(dim, [s.coords for s in fam.seed_classes(1)]
+                           + [fam.witness_class().coords])
+
+
+def _replay_failure(doc, fam):
+    with pytest.raises(AssertionError) as err:
+        check_certificate(doc, fam)
+    return str(err.value)
+
+
+def test_a_basis_m_that_is_not_the_scaled_basis_n_is_checked_directly():
+    # basis_m = 3 * span(seeds, witness) passes every check before the
+    # stability one; it is not 3 times basis_n, so its stability is not
+    # read from basis_n's, and the direct check at 3 fails
+    fam = family("mck", 3)
+    doc = _decoded(distinguish(1, 3, fam).as_dict())
+    doc["basis_m"] = [list(r) for r in _unstable_lattice(fam).scaled(3).rows]
+    assert _replay_failure(doc, fam) == (
+        "certificate replay failed at: lattice stable under the action at 3")
+
+
+def test_a_zero_basis_n_gives_a_direct_check_at_m():
+    # at n = 0 basis_n is the zero lattice, which scales to nothing: the
+    # replay of the true certificate passes, and a tampered basis_m fails
+    fam = family("mck", 3)
+    doc = _decoded(distinguish(0, 3, fam).as_dict())
+    assert doc["basis_n"] == [] and all(ok for _, ok in check_certificate(doc, fam))
+    doc["basis_m"] = [list(r) for r in _unstable_lattice(fam).scaled(3).rows]
+    assert _replay_failure(doc, fam) == (
+        "certificate replay failed at: lattice stable under the action at 3")
+
+
+def test_consistently_tampered_bases_fail_at_n():
+    # basis_m = 3 * basis_n, so the identity holds and the verdict at 3 is
+    # read from the one at 1, which the direct check refuses
+    fam = family("mck", 3)
+    doc = _decoded(distinguish(1, 3, fam).as_dict())
+    small = _unstable_lattice(fam)
+    doc["basis_n"] = [list(r) for r in small.rows]
+    doc["basis_m"] = [list(r) for r in small.scaled(3).rows]
+    assert (doc["content_n"], doc["content_m"]) == (small.content(), 3 * small.content())
+    assert _replay_failure(doc, fam) == (
+        "certificate replay failed at: lattice stable under the action at 1")
+
+
+def test_distinguish_and_deep_replay_peak_below_1_3_mb_at_mck_g5():
+    # the closure keeps each lattice row once (reduced on insert, shared
+    # by the Hermite pass) and the replay one letter operator at a time;
+    # the basis table of surface genus 10 is built first, as it is cached
+    _table(10)
+    tracemalloc.start()
+    try:
+        fam = family("mck", 5)
+        cert = distinguish(1, 3, fam)
+        assert all(ok for _, ok in check_certificate(cert.as_dict(), fam))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 2**20
 
 
 def _fails_hermite_form(change_last_row):

@@ -198,3 +198,26 @@ def test_sparse_echelon_matches_the_dense_oracle(case):
             assert _densify(sparse.reduce(p), dim) == dense.reduce(p)
     hermite = tuple(tuple(_densify(r, dim)) for r in sparse.hermite().values())
     assert hermite == dense.hnf_rows()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(row_sets())
+def test_insert_stores_rows_reduced_at_the_pivots_to_their_right(case):
+    # one insert visits its columns left to right, so each row it stores at
+    # pivot j meets the rows right of j as they were before the insert; no
+    # row is changed in place, and a new positive pivot row is handed back
+    dim, rows, _ = case
+    lat = EchelonLattice(dim)
+    for r in rows:
+        before = dict(lat.pivot_rows)
+        copies = {j: dict(row) for j, row in before.items()}
+        grown = lat.insert(r)
+        stored = {j: row for j, row in lat.pivot_rows.items() if before.get(j) is not row}
+        assert (grown is None) == (not stored)
+        for j, row in stored.items():
+            assert row[j] > 0 and min(row) == j
+            assert all(0 <= row.get(k, 0) < before[k][k] for k in before if k > j)
+        assert all(before[j] == copies[j] for j in before)
+        lead = next((k for k, x in enumerate(r) if x), None)
+        if lead is not None and lead not in before and r[lead] > 0:
+            assert grown is lat.pivot_rows[lead]
