@@ -1,12 +1,13 @@
 """Command-line front end.  The only module that touches files or stdout.
 
-Exit codes: 0 computation ran (any verdict), 2 malformed input or usage
-(an input file that is not UTF-8 JSON, a repeated flag; the message names
-the path or flag), 3 a checked precondition failed (the message names it),
-64 unknown subcommand, 66 an input path that is missing or cannot be read
-(a directory, no permission; the message names the path), 70 an internal
-self-check failed (a fault in monolab, not in the input), 74 stdout could
-not be written (the reader left early, a full device).  A text
+Exit codes: 0 computation ran (any verdict), 2 malformed input or usage (an
+input file that is not UTF-8 JSON, a repeated flag, a flag or a positional
+count that the subcommand's declaration in ``_command`` does not list; the
+message names the path or flag), 3 a checked precondition failed (the
+message names it), 64 unknown subcommand, 66 an input path that is missing
+or cannot be read (a directory, no permission; the message names the path),
+70 an internal self-check failed (a fault in monolab, not in the input), 74
+stdout could not be written (the reader left early, a full device).  A text
 subcommand returns its whole stdout as one string, which ``run`` writes
 once; a JSON subcommand returns its document, which ``run`` writes in
 pieces (``schemas.write``) once the subcommand has returned, so every check
@@ -25,6 +26,7 @@ timestamps.
 import json
 import os
 import sys
+from collections import namedtuple
 
 from . import hurwitz, invariants, johnson, lattices, scenarios, schemas
 from ._linalg import gcd_all
@@ -119,45 +121,34 @@ def _document(doc_type, fields):
     return {"schema": schemas.SCHEMA, "type": doc_type, **fields}
 
 
-class _Args:
-    """Tiny positional/flag parser with a fixed, documented flag set."""
+class _Args(dict):
+    """A command line's flags (name -> value, True for a switch), positionals
+    and command words; ``argv`` is parsed against ``flags`` (name -> takes a
+    value), refusing an unknown flag, one given twice and one with no value."""
 
-    def __init__(self, argv, flags_with_value=(), switches=()):
-        self.positional = []
-        self.values = {}
-        self.switches = set()
-        i = 0
-        while i < len(argv):
-            arg = argv[i]
-            if arg.startswith("--"):
-                name = arg[2:]
-                if name in self.values or name in self.switches:
-                    raise UsageError("flag --%s given twice" % name)
-                if name in switches:
-                    self.switches.add(name)
-                elif name in flags_with_value:
-                    i += 1
-                    if i >= len(argv):
-                        raise UsageError("flag --%s needs a value" % name)
-                    self.values[name] = argv[i]
-                else:
-                    raise UsageError("unknown flag --%s" % name)
-            else:
+    def __init__(self, words, argv, flags):
+        self.words, self.positional = words, []
+        rest = iter(argv)
+        for arg in rest:
+            if not arg.startswith("--"):
                 self.positional.append(arg)
-            i += 1
+                continue
+            name = arg[2:]
+            if name in self:
+                raise UsageError("flag --%s given twice" % name)
+            if name not in flags:
+                raise UsageError("unknown flag --%s" % name)
+            self[name] = next(rest, None) if flags[name] else True
+            if self[name] is None:
+                raise UsageError("flag --%s needs a value" % name)
 
     def get_int(self, name, default=None):
-        if name not in self.values:
-            if default is None:
-                raise UsageError("missing required flag --%s" % name)
+        if name not in self:
             return default
         try:
-            return _bounded(int, self.values[name])
+            return _bounded(int, self[name])
         except ValueError:
             raise UsageError("flag --%s expects an integer" % name)
-
-    def get(self, name, default=None):
-        return self.values.get(name, default)
 
 
 def _format_table(pairs):
@@ -165,26 +156,72 @@ def _format_table(pairs):
     return "\n".join("%-*s  %s" % (width, k, v) for k, v in pairs)
 
 
+# command words (("verify",) or ("hurwitz", "explore")) -> the modes of the
+# command, each a handler with its usage, positional count, flags (name ->
+# takes a value) and required flags
+_COMMANDS = {}
+_Mode = namedtuple("_Mode", "handler usage positional flags required")
+
+
+def _command(words, *units):
+    """Register the decorated handler for ``monolab WORDS UNITS``; a unit is a
+    positional ``<name>``, a switch ``--name`` or a flag ``--name V``, optional
+    in brackets.  Of a command's modes, in the order registered, the first
+    whose first required flag is given, or that requires none, is picked."""
+    def register(handler):
+        heads = [u.strip("[]").split(None, 1) for u in units]
+        flags = {h[0][2:]: len(h) == 2 for h in heads if h[0].startswith("--")}
+        required = [u.split()[0][2:] for u in units if u.startswith("--")]
+        positional = sum(u.startswith("<") for u in units)
+        _COMMANDS.setdefault(tuple(words.split()), []).append(
+            _Mode(handler, " ".join((words,) + units), positional, flags, required))
+        return handler
+    return register
+
+
+def _dispatch(argv):
+    """The output of the handler argv names, once argv meets its declaration:
+    an unknown flag, one the picked mode does not read, a wrong positional
+    count or a missing required flag is a UsageError naming it."""
+    words = tuple(argv[:1])
+    if words not in _COMMANDS:  # a group: the next word names the subcommand
+        words = tuple(argv[:2])
+        if words not in _COMMANDS:
+            subs = "|".join(w[1] for w in _COMMANDS if w[0] == argv[0])
+            raise UsageError("%s takes one of %s, got %r" % (argv[0], subs, argv[1:2]))
+    modes = _COMMANDS[words]
+    args = _Args(words, argv[len(words):], {f: v for m in modes for f, v in m.flags.items()})
+    mode = next((m for m in modes if not m.required or m.required[0] in args), modes[0])
+    usage = "usage: monolab " + mode.usage
+    unread = [f for f in args if f not in mode.flags]
+    if unread:
+        raise UsageError("flag --%s is not read here; %s" % (unread[0], usage))
+    if len(args.positional) != mode.positional:
+        raise UsageError("expected %d positional argument(s), got %r; %s"
+                         % (mode.positional, args.positional, usage))
+    missing = [f for f in mode.required if f not in args]
+    if missing:
+        raise UsageError("missing required flag --%s; %s" % (missing[0], usage))
+    return mode.handler(args)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_verify(argv):
-    args = _Args(argv, switches=("json",))
-    if len(args.positional) != 1:
-        raise UsageError("usage: verify <factorization.json> [--json]")
-    doc = _load_json(args.positional[0])
-    word, target = schemas.decode_factorization(doc)
+@_command("verify", "<factorization.json>", "[--json]")
+def _cmd_verify(args):
+    word, target = schemas.decode_factorization(_load_json(args.positional[0]))
     report = verify_factorization(word, target)
-    if "json" in args.switches:
+    if "json" in args:
         return _document("verify_report", report)
     return "\n".join(("Sp-level identity: %s" % report["verdict"],
                       "letters: %d, genus: %d" % (report["letters"], report["genus"]),
                       "certification: %s" % report["certification"]))
 
 
-def _check_family(fam):
+def _check_family(fam, what="family"):
     if fam not in scenarios.FAMILY_KINDS:
-        raise UsageError("unknown family %r; expected mck or chain" % fam)
+        raise UsageError("unknown %s %r; expected mck or chain" % (what, fam))
 
 
 def _check_genus(kind, g, flag="--genus"):
@@ -196,19 +233,11 @@ def _check_genus(kind, g, flag="--genus"):
                          % (flag, g, genus, schemas.MAX_GENUS))
 
 
-def _spec_from_args(args):
-    fam = args.get("family")
-    if fam is None:
-        raise UsageError("need a spec file or --family mck|chain")
-    _check_family(fam)
-    g, n = args.get_int("genus"), args.get_int("n", 0)
-    _check_genus(fam, g)
-    return scenarios.family(fam, g).spec(n)
-
-
-def _invariant_grid(fam, grid):
+@_command("invariants", "--grid g0..g1,n0..n1", "--family mck|chain", "[--csv]")
+def _cmd_invariants_grid(args):
     """The --csv table of one family over g0..g1 by n0..n1, refused before
     anything is built when it has more than MAX_GRID_ROWS rows."""
+    fam, grid = args.get("family"), args.get("grid")
     _check_family(fam)
     try:
         g_part, n_part = grid.split(",")
@@ -237,21 +266,20 @@ def _invariant_grid(fam, grid):
     return "\n".join(lines)
 
 
-def _cmd_invariants(argv):
-    args = _Args(argv, flags_with_value=("family", "genus", "n", "grid"),
-                 switches=("json", "csv"))
-    grid = args.get("grid")
-    if grid is not None:
-        if args.get("family") is None:
-            raise UsageError("--grid requires --family")
-        return _invariant_grid(args.get("family"), grid)
+# registered bottom up, after the grid: --grid, then --family, else a spec file
+@_command("invariants", "<spec.json>", "[--json]")
+@_command("invariants", "--family mck|chain", "--genus G", "[--n N]", "[--json]")
+def _cmd_invariants(args):
     if args.positional:
-        doc = _load_json(args.positional[0])
-        spec = schemas.decode_fibration_spec(doc)
+        spec = schemas.decode_fibration_spec(_load_json(args.positional[0]))
     else:
-        spec = _spec_from_args(args)
+        fam = args.get("family")
+        _check_family(fam)
+        g, n = args.get_int("genus"), args.get_int("n", 0)
+        _check_genus(fam, g)
+        spec = scenarios.family(fam, g).spec(n)
     d = invariants.full_report(spec).as_dict()
-    if "json" in args.switches:
+    if "json" in args:
         return _document("invariant_report", d)
     lines = [_format_table([(k, d[k]) for k in
                             ("chi", "sigma", "b1", "b2", "b2_plus", "b2_minus")])]
@@ -261,15 +289,13 @@ def _cmd_invariants(argv):
     return "\n".join(lines)
 
 
-def _cmd_johnson(argv):
-    args = _Args(argv, switches=("json",))
-    if len(args.positional) != 1:
-        raise UsageError("usage: johnson <torelli_word.json> [--json]")
+@_command("johnson", "<torelli_word.json>", "[--json]")
+def _cmd_johnson(args):
     tw = schemas.decode_torelli_word(_load_json(args.positional[0]))
     value = johnson.tau_word(tw)
     content = gcd_all(value.coords)
     primitive = (content == 1)
-    if "json" in args.switches:
+    if "json" in args:
         return _document("johnson_value", {
             "genus": value.genus,
             "coords": list(value.coords),
@@ -285,9 +311,9 @@ def _cmd_johnson(argv):
     return "\n".join(lines)
 
 
-def _cmd_distinguish(argv):
-    args = _Args(argv, flags_with_value=("family", "genus", "n", "m"),
-                 switches=("json", "deep-check"))
+@_command("distinguish", "--family mck|chain", "--genus G", "--n N", "--m M", "[--json]",
+          "[--deep-check]")
+def _cmd_distinguish(args):
     fam_name = args.get("family")
     _check_family(fam_name)
     g = args.get_int("genus")
@@ -298,14 +324,14 @@ def _cmd_distinguish(argv):
     cert = johnson.distinguish(n, m, fam)
     if cert is None:
         verdict = "no certificate (equal parameters); equivalence is not claimed"
-        if "json" in args.switches:
+        if "json" in args:
             return _document("distinguish_report", {
                 "family": fam_name, "genus": g, "n": n, "m": m,
                 "certificate": None, "verdict": verdict})
         return verdict
     cert_doc = cert.as_dict()
-    checks = johnson.check_certificate(cert_doc, fam, deep="deep-check" in args.switches)
-    if "json" in args.switches:
+    checks = johnson.check_certificate(cert_doc, fam, deep="deep-check" in args)
+    if "json" in args:
         return _document("distinguish_report", {
             "certificate": cert_doc, "replayed_checks": [name for name, _ in checks]})
     return "\n".join(("certificate: contents d_%d = %d, d_%d = %d"
@@ -315,138 +341,113 @@ def _cmd_distinguish(argv):
                       "certification: %s" % cert_doc["certification_level"]))
 
 
-def _cmd_conjugate(argv):
-    args = _Args(argv, flags_with_value=("word", "prefix"), switches=("json",))
-    if len(args.positional) != 1 or args.get("word") is None:
-        raise UsageError("usage: conjugate <factorization.json> --word <word.json> [--prefix K]")
+@_command("conjugate", "<factorization.json>", "--word <word.json>", "[--prefix K]")
+def _cmd_conjugate(args):
     word, target = schemas.decode_factorization(_load_json(args.positional[0]))
     conj = schemas.decode_word(_load_json(args.get("word")))
     fact = PositiveFactorization(word, target)
-    if args.get("prefix") is None:
+    if "prefix" not in args:
         out = global_conjugation(fact, conj)
     else:
         out = partial_conjugation(fact, args.get_int("prefix"), conj)
     return schemas.encode_factorization(out.word, out.claimed_target)
 
 
-def _cmd_hurwitz(argv):
-    if not argv:
-        raise UsageError("usage: hurwitz explore|compare ...")
-    sub, rest = argv[0], argv[1:]
-    args = _Args(rest, flags_with_value=("mod", "budget"), switches=("json",))
-    mod = args.get_int("mod")
-    budget = args.get_int("budget", 10000)
-    if sub == "explore":
-        if len(args.positional) != 1:
-            raise UsageError("usage: hurwitz explore <factorization.json> --mod M [--budget B]")
-        word, target = schemas.decode_factorization(_load_json(args.positional[0]))
-        fact = PositiveFactorization(word, target)
-        cfg = hurwitz.QuotientConfig(mod, word.genus)
-        report = hurwitz.orbit_explore(fact, cfg, budget).as_dict()
-        if "json" in args.switches:
-            return _document("orbit_report", report)
-        return _format_table(sorted(report.items()))
-    if sub == "compare":
-        if len(args.positional) != 2:
-            raise UsageError("usage: hurwitz compare <f1.json> <f2.json> --mod M [--budget B]")
-        facts = []
-        for p in args.positional:
-            word, target = schemas.decode_factorization(_load_json(p))
-            facts.append(PositiveFactorization(word, target))
-        cfg = hurwitz.QuotientConfig(mod, facts[0].genus)
-        cert = hurwitz.same_orbit(facts[0], facts[1], cfg, budget).as_dict()
-        if "json" in args.switches:
-            return _document("orbit_certificate", cert)
-        lines = ["verdict: %s" % cert["verdict"]]
-        if cert["reason"]:
-            lines.append("reason: %s" % cert["reason"])
-        lines.append("explored: %d of budget %d" % (cert["explored"], cert["budget"]))
-        lines.append("certification: %s" % cert["certification_level"])
-        return "\n".join(lines)
-    raise UsageError("unknown hurwitz subcommand %r" % sub)
+@_command("hurwitz explore", "<factorization.json>", "--mod M", "[--budget B]", "[--json]")
+def _cmd_hurwitz_explore(args):
+    mod, budget = args.get_int("mod"), args.get_int("budget", 10000)
+    word, target = schemas.decode_factorization(_load_json(args.positional[0]))
+    fact = PositiveFactorization(word, target)
+    cfg = hurwitz.QuotientConfig(mod, word.genus)
+    report = hurwitz.orbit_explore(fact, cfg, budget).as_dict()
+    if "json" in args:
+        return _document("orbit_report", report)
+    return _format_table(sorted(report.items()))
 
 
-def _cmd_lattice(argv):
-    if not argv:
-        raise UsageError("usage: lattice sig|parity|complement|enumerate ...")
-    sub, rest = argv[0], argv[1:]
-    args = _Args(rest, flags_with_value=("classes", "pattern", "bound"), switches=("json",))
-    if len(args.positional) != 1:
-        raise UsageError("lattice commands take one gram.json input")
+@_command("hurwitz compare", "<f1.json>", "<f2.json>", "--mod M", "[--budget B]", "[--json]")
+def _cmd_hurwitz_compare(args):
+    mod, budget = args.get_int("mod"), args.get_int("budget", 10000)
+    facts = []
+    for p in args.positional:
+        word, target = schemas.decode_factorization(_load_json(p))
+        facts.append(PositiveFactorization(word, target))
+    cfg = hurwitz.QuotientConfig(mod, facts[0].genus)
+    cert = hurwitz.same_orbit(facts[0], facts[1], cfg, budget).as_dict()
+    if "json" in args:
+        return _document("orbit_certificate", cert)
+    lines = ["verdict: %s" % cert["verdict"]]
+    if cert["reason"]:
+        lines.append("reason: %s" % cert["reason"])
+    lines.append("explored: %d of budget %d" % (cert["explored"], cert["budget"]))
+    lines.append("certification: %s" % cert["certification_level"])
+    return "\n".join(lines)
+
+
+@_command("lattice sig", "<gram.json>", "[--json]")
+def _cmd_lattice_sig(args):
     lattice = schemas.decode_gram(_load_json(args.positional[0]))
-    if sub == "sig":
-        plus, minus, zero = lattices.signature(lattice)
-        doc = {"b_plus": plus, "b_minus": minus, "b_zero": zero, "signature": plus - minus}
-        par = lattices.parity(lattice)
-        if par == "odd" and plus > 0 and minus > 0 and zero == 0:
-            doc["classification_note"] = (
-                "odd indefinite => p<1> (+) q<-1> (cited classification, not computed)"
-            )
-        if "json" in args.switches:
-            return _document("signature_report", doc)
-        return _format_table(sorted(doc.items()))
-    if sub == "parity":
-        return lattices.parity(lattice)
-    if sub == "complement":
-        classes_path = args.get("classes")
-        if classes_path is None:
-            raise UsageError("complement needs --classes <json with 'vectors'>")
-        cdoc = _load_json(classes_path)
-        vectors = cdoc.get("vectors") if isinstance(cdoc, dict) else None
-        if not isinstance(vectors, list):
-            raise SchemaError("classes file needs a 'vectors' list")
-        schemas.expect_int_rows(vectors, lattice.rank, "classes.vectors")
-        basis, induced = lattices.orthogonal_complement(lattice, vectors)
-        return _document("complement_report", {
-            "basis": basis.sparse_rows,
-            "gram": [list(r) for r in induced.gram],
-            "parity": lattices.parity(induced)})
-    if sub == "enumerate":
-        pattern_raw = args.get("pattern")
-        if pattern_raw is None:
-            raise UsageError("enumerate needs --pattern '<json matrix>'")
-        pattern = _parse_json(pattern_raw, "--pattern")
-        if not isinstance(pattern, list):
-            raise SchemaError("--pattern: expected a square matrix of integers")
-        schemas.expect_int_rows(pattern, len(pattern), "--pattern")
-        bound = args.get_int("bound", 5)
-        tuples = lattices.enumerate_pattern(lattice, pattern, bound)
-        return _document("enumeration_report", {
-            "bound": bound,
-            "completeness": "complete within box [-%d, %d]" % (bound, bound),
-            "tuples": [[list(v) for v in t] for t in tuples]})
-    raise UsageError("unknown lattice subcommand %r" % sub)
+    plus, minus, zero = lattices.signature(lattice)
+    doc = {"b_plus": plus, "b_minus": minus, "b_zero": zero, "signature": plus - minus}
+    par = lattices.parity(lattice)
+    if par == "odd" and plus > 0 and minus > 0 and zero == 0:
+        doc["classification_note"] = (
+            "odd indefinite => p<1> (+) q<-1> (cited classification, not computed)"
+        )
+    if "json" in args:
+        return _document("signature_report", doc)
+    return _format_table(sorted(doc.items()))
 
 
-def _cmd_scenario(argv):
-    if not argv:
-        raise UsageError("usage: scenario mck|chain|curves ...")
-    sub, rest = argv[0], argv[1:]
-    args = _Args(rest, flags_with_value=("genus", "n", "context"))
-    g = args.get_int("genus")
-    if sub in scenarios.FAMILY_KINDS:
-        _check_genus(sub, g)
-        n = args.get_int("n", 0)
-        return schemas.encode_fibration_spec(scenarios.family(sub, g).spec(n))
-    if sub == "curves":
-        context = args.get("context", "mck")
-        if context not in scenarios.FAMILY_KINDS:
-            raise UsageError("unknown --context %r; expected mck or chain" % context)
-        _check_genus(context, g)
-        return _document("curve_table", scenarios.CurveTable(context, g).as_dict())
-    raise UsageError("unknown scenario subcommand %r" % sub)
+@_command("lattice parity", "<gram.json>")
+def _cmd_lattice_parity(args):
+    return lattices.parity(schemas.decode_gram(_load_json(args.positional[0])))
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "invariants": _cmd_invariants,
-    "johnson": _cmd_johnson,
-    "distinguish": _cmd_distinguish,
-    "conjugate": _cmd_conjugate,
-    "hurwitz": _cmd_hurwitz,
-    "lattice": _cmd_lattice,
-    "scenario": _cmd_scenario,
-}
+@_command("lattice complement", "<gram.json>", "--classes <json with 'vectors'>")
+def _cmd_lattice_complement(args):
+    lattice = schemas.decode_gram(_load_json(args.positional[0]))
+    cdoc = _load_json(args.get("classes"))
+    vectors = cdoc.get("vectors") if isinstance(cdoc, dict) else None
+    if not isinstance(vectors, list):
+        raise SchemaError("classes file needs a 'vectors' list")
+    schemas.expect_int_rows(vectors, lattice.rank, "classes.vectors")
+    basis, induced = lattices.orthogonal_complement(lattice, vectors)
+    return _document("complement_report", {
+        "basis": basis.sparse_rows,
+        "gram": [list(r) for r in induced.gram],
+        "parity": lattices.parity(induced)})
+
+
+@_command("lattice enumerate", "<gram.json>", "--pattern '<json matrix>'", "[--bound B]")
+def _cmd_lattice_enumerate(args):
+    lattice = schemas.decode_gram(_load_json(args.positional[0]))
+    pattern = _parse_json(args.get("pattern"), "--pattern")
+    if not isinstance(pattern, list):
+        raise SchemaError("--pattern: expected a square matrix of integers")
+    schemas.expect_int_rows(pattern, len(pattern), "--pattern")
+    bound = args.get_int("bound", 5)
+    tuples = lattices.enumerate_pattern(lattice, pattern, bound)
+    return _document("enumeration_report", {
+        "bound": bound,
+        "completeness": "complete within box [-%d, %d]" % (bound, bound),
+        "tuples": [[list(v) for v in t] for t in tuples]})
+
+
+@_command("scenario mck", "--genus G", "[--n N]")
+@_command("scenario chain", "--genus G", "[--n N]")
+def _cmd_scenario_family(args):
+    kind, g = args.words[1], args.get_int("genus")
+    _check_genus(kind, g)
+    return schemas.encode_fibration_spec(scenarios.family(kind, g).spec(args.get_int("n", 0)))
+
+
+@_command("scenario curves", "--genus G", "[--context mck|chain]")
+def _cmd_scenario_curves(args):
+    g, context = args.get_int("genus"), args.get("context", "mck")
+    _check_family(context, "--context")
+    _check_genus(context, g)
+    return _document("curve_table", scenarios.CurveTable(context, g).as_dict())
 
 
 def _warn(message):
@@ -480,21 +481,19 @@ def run(argv):
     """Dispatch one invocation; returns the exit code."""
     if not argv or argv[0] in ("-h", "--help", "help"):
         usage = ("usage: monolab <command> [options]\ncommands: "
-                 + " | ".join(sorted(_COMMANDS)))
+                 + " | ".join(sorted({words[0] for words in _COMMANDS})))
         if argv:
             return _write_out(usage)
         _warn(usage)
         return EX_UNKNOWN_COMMAND
-    command = argv[0]
-    handler = _COMMANDS.get(command)
-    if handler is None:
-        _warn("unknown subcommand: %s" % command)
+    if not any(words[0] == argv[0] for words in _COMMANDS):
+        _warn("unknown subcommand: %s" % argv[0])
         return EX_UNKNOWN_COMMAND
     limit = sys.get_int_max_str_digits()
     # any exact int prints: inputs keep their own bound (MAX_INPUT_DIGITS)
     sys.set_int_max_str_digits(0)
     try:
-        out = handler(argv[1:])
+        out = _dispatch(argv)
     except InputFileError as exc:
         _warn(exc)
         return EX_NO_INPUT

@@ -42,6 +42,8 @@ class FibrationSpec(Frozen):
         if signature_reference is not None:
             if not signature_reference.hyperelliptic:
                 raise FibrationError("signature reference must itself be hyperelliptic")
+            if signature_reference.fiber_genus != fiber_genus:
+                raise FibrationError("signature reference has a different fiber genus")
             if _counts(signature_reference.cycles) != _counts(cycles):
                 raise FibrationError("signature reference has different cycle counts")
         self._init(
@@ -81,22 +83,16 @@ def endo_signature(spec):
     """Signature by the local hyperelliptic formula.
 
     Requires a hyperelliptic spec, or one carrying a hyperelliptic
-    reference with identical cycle counts (see the module docstring).
+    reference, which the constructor checks has the same fiber genus and
+    cycle counts: the formula reads only those (see the module docstring).
     """
-    if spec.hyperelliptic:
-        h = spec.fiber_genus
-        s0, sep = _counts(spec.cycles)
-    elif spec.signature_reference is not None:
-        ref = spec.signature_reference
-        h = ref.fiber_genus
-        s0, sep = _counts(ref.cycles)
-        if (s0, sep) != _counts(spec.cycles):
-            raise FibrationError("signature reference counts diverged")
-    else:
+    if not spec.hyperelliptic and spec.signature_reference is None:
         raise FibrationError(
             "signature is computed only for hyperelliptic data "
             "(or data twisted from it with matching cycle counts)"
         )
+    h = spec.fiber_genus
+    s0, sep = _counts(spec.cycles)
     # (2h+1) sigma, in integers; sigma itself only if the division is exact
     numerator = -(h + 1) * s0
     for j, count in sep:

@@ -188,8 +188,8 @@ def _decode_letter(doc, genus, path):
         _fail(path, "expected a letter object")
     coords = _expect_coords(doc.get("coords"), genus, path + ".coords")
     power = doc.get("power", 1)
-    if power not in (1, -1):
-        _fail(path + ".power", "expected +1 or -1")
+    if type(power) is not int or power not in (1, -1):
+        _fail(path + ".power", "expected the integer 1 or -1")
     separating = doc.get("separating", False)
     if not isinstance(separating, bool):
         _fail(path + ".separating", "expected a boolean")
@@ -279,6 +279,8 @@ def decode_torelli_word(doc, path="torelli_word"):
         if not isinstance(fdoc, dict):
             _fail(fpath, "expected an object")
         conj = decode_word(fdoc.get("conjugator"), fpath + ".conjugator")
+        if conj.genus != genus:
+            _fail(fpath + ".conjugator.genus", "expected the document's genus %d" % genus)
         gen_doc = fdoc.get("generator")
         if not isinstance(gen_doc, dict):
             _fail(fpath + ".generator", "expected an object")

@@ -139,6 +139,19 @@ MUTANTS = [
     ("id-width-one-byte", "src/monolab/hurwitz.py",
      "self.width = w = max(1, ((bound - 1).bit_length() + 7) // 8)", "self.width = w = 1",
      ["tests/test_hurwitz.py::test_search_tables_are_bounded_per_search"]),
+    ("arity-check-skipped", "src/monolab/cli.py",
+     "if len(args.positional) != mode.positional:", "if False:",
+     ["tests/test_cli.py::test_an_unread_flag_or_a_stray_positional_exits_2_naming_it"]),
+    ("mode-refusal-skipped", "src/monolab/cli.py",
+     "unread = [f for f in args if f not in mode.flags]", "unread = []",
+     ["tests/test_cli.py::test_an_unread_flag_or_a_stray_positional_exits_2_naming_it",
+      "tests/test_cli.py::test_flags_of_another_mode_are_refused"]),
+    ("reference-genus-unchecked", "src/monolab/invariants.py",
+     "if signature_reference.fiber_genus != fiber_genus:", "if False:",
+     ["tests/test_cli.py::test_a_signature_reference_of_another_fiber_genus_is_refused"]),
+    ("power-type-loosened", "src/monolab/schemas.py",
+     "type(power) is not int or ", "",
+     ["tests/test_cli.py::test_a_power_that_is_not_the_integer_1_or_minus_1_is_refused"]),
 ]
 
 

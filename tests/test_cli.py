@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -361,11 +362,13 @@ def test_invariants_grid_failure_leaves_stdout_empty(capsys):
 
 
 def test_distinguish_checks_its_family_like_every_subcommand(capsys):
-    for extra in (["--family", "cycle"], []):
+    # an unknown family is named; a missing --family is named as the flag
+    for extra, message in ((["--family", "cycle"], "unknown family 'cycle'"),
+                           ([], "missing required flag --family")):
         code, out, err = run_cli(["distinguish", "--genus", "3", "--n", "1", "--m", "3"]
                                  + extra, capsys)
         assert code == cli.EX_SCHEMA, extra
-        assert "unknown family" in err and out == ""
+        assert message in err and out == ""
 
 
 def _fact_path_with_target(tmp_path, target):
@@ -1110,3 +1113,201 @@ def test_a_closed_or_full_stderr_changes_neither_stdout_nor_the_exit_code(tmp_pa
         with open("/dev/full", "wb") as full:
             proc = _cli_process(argv, patch, stderr=full)
         assert (proc.returncode, proc.stdout) == (code, b""), argv
+
+
+# -- the command table: each mode accepts exactly the flags it reads ----------
+
+
+def _mode_inputs(tmp_path):
+    """A path to one good input of each kind a subcommand reads."""
+    fam = family("mck", 2)
+    docs = {"fact": mck_fact_doc(), "word": schemas.encode_word(fam.twist.twist_word()),
+            "torelli": _torelli_doc(4, 4), "spec": schemas.encode_fibration_spec(fam.spec(1)),
+            "gram": {"schema": schemas.SCHEMA, "type": "gram", "matrix": [[0, 1], [1, 0]]},
+            "classes": {"vectors": []}}
+    return {name: write_json(tmp_path, name + ".json", doc) for name, doc in docs.items()}
+
+
+# per mode: a cheap command line that exits 0, and a flag (with its value)
+# that another mode reads and this one does not
+MODES = {
+    "verify": (["verify", "{fact}", "--json"], ["--mod", "3"]),
+    "invariants_spec": (["invariants", "{spec}", "--json"], ["--genus", "9"]),
+    "invariants_family": (["invariants", "--family", "mck", "--genus", "2", "--n", "1"],
+                          ["--csv"]),
+    "invariants_grid": (["invariants", "--family", "mck", "--grid", "2..2,0..1", "--csv"],
+                        ["--json"]),
+    "johnson": (["johnson", "{torelli}"], ["--deep-check"]),
+    "distinguish": (["distinguish", "--family", "mck", "--genus", "2", "--n", "1", "--m", "2"],
+                    ["--budget", "5"]),
+    "conjugate": (["conjugate", "{fact}", "--word", "{word}", "--prefix", "6"], ["--json"]),
+    "hurwitz_explore": (["hurwitz", "explore", "{fact}", "--mod", "2", "--budget", "20"],
+                        ["--bound", "3"]),
+    "hurwitz_compare": (["hurwitz", "compare", "{fact}", "{fact}", "--mod", "2",
+                         "--budget", "20"], ["--n", "1"]),
+    "lattice_sig": (["lattice", "sig", "{gram}"], ["--bound", "3"]),
+    "lattice_parity": (["lattice", "parity", "{gram}"], ["--json"]),
+    "lattice_complement": (["lattice", "complement", "{gram}", "--classes", "{classes}"],
+                           ["--pattern", "[[0]]"]),
+    "lattice_enumerate": (["lattice", "enumerate", "{gram}", "--pattern", "[[0]]",
+                           "--bound", "1"], ["--classes", "{classes}"]),
+    "scenario_mck": (["scenario", "mck", "--genus", "2", "--n", "1"], ["--context", "chain"]),
+    "scenario_chain": (["scenario", "chain", "--genus", "3"], ["--context", "mck"]),
+    "scenario_curves": (["scenario", "curves", "--genus", "2"], ["--n", "1"]),
+}
+
+
+def _no_file_read(path):
+    raise AssertionError("an input file was read: %s" % path)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_an_unread_flag_or_a_stray_positional_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                                                mode):
+    paths = _mode_inputs(tmp_path)
+    argv, unread = ([a.format(**paths) for a in part] for part in MODES[mode])
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EX_OK, err
+    # refused before any input file is read
+    monkeypatch.setattr(cli, "_load_json", _no_file_read)
+    for extra, named in ((unread, "flag %s" % unread[0]), (["stray.json"], "'stray.json'")):
+        code, out, err = run_cli(argv + extra, capsys)
+        assert (code, out) == (cli.EX_SCHEMA, ""), extra
+        assert named in err, (extra, err)
+
+
+def test_flags_of_another_mode_are_refused(tmp_path, monkeypatch, capsys):
+    paths = _mode_inputs(tmp_path)
+    monkeypatch.setattr(cli, "_load_json", _no_file_read)
+    for argv, named in (
+            (["lattice", "parity", paths["gram"], "--json", "--bound", "3", "--classes",
+              "missing.json"], "unknown flag --json"),
+            (["invariants", paths["spec"], "--family", "chain", "--genus", "9"],
+             "['%s']" % paths["spec"]),
+            (["invariants", paths["spec"], "--n", "1"], "flag --n is not read"),
+            (["invariants", "--family", "mck", "--grid", "2..2,0..1", "--genus", "2"],
+             "flag --genus is not read")):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EX_SCHEMA, ""), argv
+        assert named in err, (argv, err)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["conjugate", "f.json"], "--word"),
+    (["hurwitz", "explore", "f.json"], "--mod"),
+    (["hurwitz", "compare", "f.json", "g.json", "--budget", "5"], "--mod"),
+    (["lattice", "complement", "g.json"], "--classes"),
+    (["lattice", "enumerate", "g.json", "--bound", "1"], "--pattern"),
+    (["invariants", "--grid", "2..2,0..1", "--csv"], "--family"),
+    (["invariants", "--family", "mck"], "--genus"),
+    (["distinguish", "--family", "mck", "--genus", "2", "--n", "1"], "--m"),
+    (["scenario", "curves", "--context", "mck"], "--genus"),
+])
+def test_a_missing_required_flag_exits_2_naming_it(monkeypatch, capsys, argv, flag):
+    monkeypatch.setattr(cli, "_load_json", _no_file_read)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EX_SCHEMA, "")
+    assert "error: missing required flag %s;" % flag in err
+
+
+def test_a_group_without_a_known_subcommand_exits_2_naming_them(capsys):
+    for argv, named in ((["hurwitz"], "explore|compare"),
+                        (["lattice", "frob"], "sig|parity|complement|enumerate, got ['frob']"),
+                        (["scenario", "--genus", "2"], "curves, got ['--genus']")):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EX_SCHEMA, ""), argv
+        assert named in err, (argv, err)
+
+
+def test_the_readme_lists_every_declared_usage():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = set(fh.read().splitlines())
+    usages = [m.usage for modes in cli._COMMANDS.values() for m in modes]
+    assert len(usages) == 16 and [u for u in usages if u not in lines] == []
+
+
+GEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
+
+
+def _gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _expected_handler(argv):
+    if argv[0] == "invariants":
+        return cli._cmd_invariants_grid if "--grid" in argv else cli._cmd_invariants
+    if argv[0] == "scenario" and argv[1] != "curves":
+        return cli._cmd_scenario_family
+    group = argv[0] in ("hurwitz", "lattice", "scenario")
+    return getattr(cli, "_cmd_" + "_".join(argv[:2] if group else argv[:1]))
+
+
+def test_every_benchmark_command_line_parses_to_its_handler(monkeypatch, capsys):
+    # the handlers are stubbed: each records itself and computes nothing
+    picked = []
+    for words, modes in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, words, [
+            m._replace(handler=lambda args, m=m: picked.append(m.handler) or "")
+            for m in modes])
+    gen = _gen()
+    for workload in gen.WORKLOADS:
+        jobs, _ = gen.build(workload, 1)
+        for job in jobs:
+            del picked[:]
+            code, _, err = run_cli(job["argv"], capsys)
+            assert (code, err) == (job["exit"], ""), job["argv"]
+            assert picked == [_expected_handler(job["argv"])], job["argv"]
+
+
+# -- document fields the decoders check --------------------------------------
+
+
+def test_a_signature_reference_of_another_fiber_genus_is_refused(tmp_path, capsys):
+    # same counts and split type, fiber genus 7: the formula at h = 7 would
+    # give sigma -2 for this genus-4 spec, whose signature is -4
+    doc = schemas.encode_fibration_spec(family("mck", 2).spec(1))
+    ref = doc["signature_reference"]
+    ref["fiber_genus"] = 7
+    for letter in ref["cycles"]:
+        c = letter["coords"]
+        letter["coords"] = c[:4] + [0, 0, 0] + c[4:] + [0, 0, 0]
+        if letter["separating"]:
+            letter["split"] = [2, 5]
+    code, out, err = run_cli(["invariants", write_json(tmp_path, "s.json", doc)], capsys)
+    assert (code, out) == (cli.EX_SCHEMA, "")
+    assert "error: fibration_spec: signature reference has a different fiber genus" in err
+    doc["signature_reference"] = schemas.encode_fibration_spec(family("mck", 2).base_spec)
+    code, out, err = run_cli(["invariants", write_json(tmp_path, "s.json", doc)], capsys)
+    assert code == cli.EX_OK and "sigma     -4" in out, err
+
+
+@pytest.mark.parametrize("power", [True, 1.0, -1.0, 2, "1"])
+def test_a_power_that_is_not_the_integer_1_or_minus_1_is_refused(tmp_path, capsys, power):
+    fam = family("mck", 2)
+    fact, word = mck_fact_doc(), schemas.encode_word(fam.twist.twist_word())
+    spec = schemas.encode_fibration_spec(fam.spec(1))
+    good = {name: write_json(tmp_path, name + ".json", doc)
+            for name, doc in (("fact", fact), ("word", word))}
+    fact["letters"][0]["power"] = word["letters"][1]["power"] = power
+    spec["cycles"][2]["power"] = power
+    for argv, field in (
+            (["verify", write_json(tmp_path, "f.json", fact)], "factorization.letters[0]"),
+            (["conjugate", good["fact"], "--word", write_json(tmp_path, "w.json", word)],
+             "word.letters[1]"),
+            (["invariants", write_json(tmp_path, "s.json", spec)], "fibration_spec.cycles[2]")):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EX_SCHEMA, ""), argv
+        assert "error: %s.power: expected the integer 1 or -1" % field in err, err
+
+
+def test_a_conjugator_of_another_genus_is_refused_naming_it(tmp_path, capsys):
+    doc = _torelli_doc(4, 4)
+    doc["factors"][1]["conjugator"] = schemas.encode_word(Word((), 3))
+    code, out, err = run_cli(["johnson", write_json(tmp_path, "tw.json", doc)], capsys)
+    assert (code, out) == (cli.EX_SCHEMA, "")
+    assert "error: torelli_word.factors[1].conjugator.genus: expected the document's genus 4" \
+        in err
