@@ -3,11 +3,12 @@
 Exit codes: 0 computation ran (any verdict), 2 malformed input or usage (an
 input file that is not UTF-8 JSON, a repeated flag, a flag or a positional
 count that the subcommand's declaration in ``_command`` does not list; the
-message names the path or flag), 3 a checked precondition failed (the
-message names it), 64 unknown subcommand, 66 an input path that is missing
-or cannot be read (a directory, no permission; the message names the path),
-70 an internal self-check failed (a fault in monolab, not in the input), 74
-stdout could not be written (the reader left early, a full device).  A text
+message names the path or flag, a field error the field and then the file),
+3 a checked precondition failed (the message names it), 64 unknown
+subcommand, 66 an input path that is missing or cannot be read (a
+directory, no permission; the message names the path), 70 an internal
+self-check failed (a fault in monolab, not in the input), 74 stdout could
+not be written (the reader left early, a full device).  A text
 subcommand returns its whole stdout as one string, which ``run`` writes
 once; a JSON subcommand returns its document, which ``run`` writes in
 pieces (``schemas.write``) once the subcommand has returned, so every check
@@ -116,6 +117,16 @@ def _load_json(path):
     return _parse_json(text, path)
 
 
+def _decode_file(decode, path, *extra):
+    """``decode(doc, *extra)`` of the JSON file at ``path``; a SchemaError
+    names the field first and the file after it."""
+    doc = _load_json(path)
+    try:
+        return decode(doc, *extra)
+    except SchemaError as exc:
+        raise SchemaError("%s (in %s)" % (exc, path)) from None
+
+
 def _document(doc_type, fields):
     """The JSON document of one report: schema and type, then the fields."""
     return {"schema": schemas.SCHEMA, "type": doc_type, **fields}
@@ -210,7 +221,7 @@ def _dispatch(argv):
 
 @_command("verify", "<factorization.json>", "[--json]")
 def _cmd_verify(args):
-    word, target = schemas.decode_factorization(_load_json(args.positional[0]))
+    word, target = _decode_file(schemas.decode_factorization, args.positional[0])
     report = verify_factorization(word, target)
     if "json" in args:
         return _document("verify_report", report)
@@ -271,7 +282,7 @@ def _cmd_invariants_grid(args):
 @_command("invariants", "--family mck|chain", "--genus G", "[--n N]", "[--json]")
 def _cmd_invariants(args):
     if args.positional:
-        spec = schemas.decode_fibration_spec(_load_json(args.positional[0]))
+        spec = _decode_file(schemas.decode_fibration_spec, args.positional[0])
     else:
         fam = args.get("family")
         _check_family(fam)
@@ -291,7 +302,7 @@ def _cmd_invariants(args):
 
 @_command("johnson", "<torelli_word.json>", "[--json]")
 def _cmd_johnson(args):
-    tw = schemas.decode_torelli_word(_load_json(args.positional[0]))
+    tw = _decode_file(schemas.decode_torelli_word, args.positional[0])
     value = johnson.tau_word(tw)
     content = gcd_all(value.coords)
     primitive = (content == 1)
@@ -329,22 +340,21 @@ def _cmd_distinguish(args):
                 "family": fam_name, "genus": g, "n": n, "m": m,
                 "certificate": None, "verdict": verdict})
         return verdict
-    cert_doc = cert.as_dict()
-    checks = johnson.check_certificate(cert_doc, fam, deep="deep-check" in args)
+    checks = johnson.check_certificate(cert, fam, deep="deep-check" in args)
     if "json" in args:
         return _document("distinguish_report", {
-            "certificate": cert_doc, "replayed_checks": [name for name, _ in checks]})
+            "certificate": cert, "replayed_checks": [name for name, _ in checks]})
     return "\n".join(("certificate: contents d_%d = %d, d_%d = %d"
-                      % (n, cert.content_n, m, cert.content_m),
-                      "verdict: %s" % cert_doc["verdict"],
+                      % (n, cert["content_n"], m, cert["content_m"]),
+                      "verdict: %s" % cert["verdict"],
                       "replayed %d certificate checks" % len(checks),
-                      "certification: %s" % cert_doc["certification_level"]))
+                      "certification: %s" % cert["certification_level"]))
 
 
 @_command("conjugate", "<factorization.json>", "--word <word.json>", "[--prefix K]")
 def _cmd_conjugate(args):
-    word, target = schemas.decode_factorization(_load_json(args.positional[0]))
-    conj = schemas.decode_word(_load_json(args.get("word")))
+    word, target = _decode_file(schemas.decode_factorization, args.positional[0])
+    conj = _decode_file(schemas.decode_word, args.get("word"))
     fact = PositiveFactorization(word, target)
     if "prefix" not in args:
         out = global_conjugation(fact, conj)
@@ -356,7 +366,7 @@ def _cmd_conjugate(args):
 @_command("hurwitz explore", "<factorization.json>", "--mod M", "[--budget B]", "[--json]")
 def _cmd_hurwitz_explore(args):
     mod, budget = args.get_int("mod"), args.get_int("budget", 10000)
-    word, target = schemas.decode_factorization(_load_json(args.positional[0]))
+    word, target = _decode_file(schemas.decode_factorization, args.positional[0])
     fact = PositiveFactorization(word, target)
     cfg = hurwitz.QuotientConfig(mod, word.genus)
     report = hurwitz.orbit_explore(fact, cfg, budget).as_dict()
@@ -368,10 +378,8 @@ def _cmd_hurwitz_explore(args):
 @_command("hurwitz compare", "<f1.json>", "<f2.json>", "--mod M", "[--budget B]", "[--json]")
 def _cmd_hurwitz_compare(args):
     mod, budget = args.get_int("mod"), args.get_int("budget", 10000)
-    facts = []
-    for p in args.positional:
-        word, target = schemas.decode_factorization(_load_json(p))
-        facts.append(PositiveFactorization(word, target))
+    facts = [PositiveFactorization(*_decode_file(schemas.decode_factorization, p))
+             for p in args.positional]
     cfg = hurwitz.QuotientConfig(mod, facts[0].genus)
     cert = hurwitz.same_orbit(facts[0], facts[1], cfg, budget).as_dict()
     if "json" in args:
@@ -386,7 +394,7 @@ def _cmd_hurwitz_compare(args):
 
 @_command("lattice sig", "<gram.json>", "[--json]")
 def _cmd_lattice_sig(args):
-    lattice = schemas.decode_gram(_load_json(args.positional[0]))
+    lattice = _decode_file(schemas.decode_gram, args.positional[0])
     plus, minus, zero = lattices.signature(lattice)
     doc = {"b_plus": plus, "b_minus": minus, "b_zero": zero, "signature": plus - minus}
     par = lattices.parity(lattice)
@@ -401,17 +409,13 @@ def _cmd_lattice_sig(args):
 
 @_command("lattice parity", "<gram.json>")
 def _cmd_lattice_parity(args):
-    return lattices.parity(schemas.decode_gram(_load_json(args.positional[0])))
+    return lattices.parity(_decode_file(schemas.decode_gram, args.positional[0]))
 
 
 @_command("lattice complement", "<gram.json>", "--classes <json with 'vectors'>")
 def _cmd_lattice_complement(args):
-    lattice = schemas.decode_gram(_load_json(args.positional[0]))
-    cdoc = _load_json(args.get("classes"))
-    vectors = cdoc.get("vectors") if isinstance(cdoc, dict) else None
-    if not isinstance(vectors, list):
-        raise SchemaError("classes file needs a 'vectors' list")
-    schemas.expect_int_rows(vectors, lattice.rank, "classes.vectors")
+    lattice = _decode_file(schemas.decode_gram, args.positional[0])
+    vectors = _decode_file(schemas.decode_classes, args.get("classes"), lattice.rank)
     basis, induced = lattices.orthogonal_complement(lattice, vectors)
     return _document("complement_report", {
         "basis": basis.sparse_rows,
@@ -421,7 +425,7 @@ def _cmd_lattice_complement(args):
 
 @_command("lattice enumerate", "<gram.json>", "--pattern '<json matrix>'", "[--bound B]")
 def _cmd_lattice_enumerate(args):
-    lattice = schemas.decode_gram(_load_json(args.positional[0]))
+    lattice = _decode_file(schemas.decode_gram, args.positional[0])
     pattern = _parse_json(args.get("pattern"), "--pattern")
     if not isinstance(pattern, list):
         raise SchemaError("--pattern: expected a square matrix of integers")

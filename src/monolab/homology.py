@@ -9,9 +9,10 @@ is the transvection x -> x + <x, c> c; the left-handed twist subtracts.
 This one sign convention is fixed here, in ``pairing`` and ``dual``, and
 every other module takes it from those two functions.  ``twist_coords`` is
 the one vector transvection: ``transvection``, the Hurwitz moves of
-``words`` and the mod-m moves of ``hurwitz`` all call it.
-All values are immutable and all operations are pure, except ``_right_twist``,
-the one twist-product kernel, which updates caller-owned rows in place.
+``words`` and the mod-m moves of ``hurwitz`` all call it.  ``twist_product``
+is the one product of twist matrices: ``twist_matrix``, ``words.sp_image``
+and the Hurwitz pair check all call it.  All values are immutable and all
+operations are pure.
 """
 
 from . import _linalg
@@ -180,18 +181,24 @@ class SpMap(Frozen):
         return self @ other == other @ self
 
 
-def _right_twist(rows, coords, power):
-    """Right-multiply integer ``rows`` in place by T_c^power, c = ``coords``.
+def twist_product(genus, twists):
+    """The rows, as lists, of the written-order product of the twists T_c^p,
+    each given as (c = coordinates, p).
 
-    T_c = I + c s^T with s = ``dual(c)``: the update M T_c^p = M + p (M c) s^T
-    visits only the nonzero entries of c and s."""
-    c = [(i, x) for i, x in enumerate(coords) if x]
-    s = dual(coords)
-    for r in rows:
-        k = power * sum(r[i] * x for i, x in c)
-        if k:
-            for i, x in s:
-                r[i] += k * x
+    From the identity, each T_c = I + c s^T with s = ``dual(c)`` multiplies
+    the rows on the right: M T_c^p = M + p (M c) s^T visits only the
+    nonzero entries of c and s."""
+    n = 2 * genus
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for coords, power in twists:
+        c = [(i, x) for i, x in enumerate(coords) if x]
+        s = dual(coords)
+        for r in rows:
+            k = power * sum(r[i] * x for i, x in c)
+            if k:
+                for i, x in s:
+                    r[i] += k * x
+    return rows
 
 
 def twist_matrix(c, power=1):
@@ -201,9 +208,7 @@ def twist_matrix(c, power=1):
     """
     if power not in (1, -1):
         raise ValueError("power must be +1 or -1")
-    rows = [list(r) for r in identity_matrix(2 * c.genus)]
-    _right_twist(rows, c.coords, power)
-    return SpMap(c.genus, rows)
+    return SpMap(c.genus, twist_product(c.genus, [(c.coords, power)]))
 
 
 def is_primitive(v):

@@ -23,7 +23,7 @@ the inverse move.
 from collections import deque
 
 from ._linalg import Frozen
-from .homology import GenusMismatchError, _right_twist, twist_coords
+from .homology import GenusMismatchError, twist_coords, twist_product
 
 MAX_BUDGET = 200000
 _DIRECTIONS = ("left", "right")
@@ -62,11 +62,7 @@ def canonical_form(state, cfg):
 def _pair_product(cu, cv, g, m):
     """The written-order product T_u T_v of two letter matrices, mod m, as
     one flat tuple of its (2g)^2 entries, row by row."""
-    n = 2 * g
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    _right_twist(rows, cu, 1)
-    _right_twist(rows, cv, 1)
-    return tuple(x % m for r in rows for x in r)
+    return tuple(x % m for r in twist_product(g, ((cu, 1), (cv, 1))) for x in r)
 
 
 def _move_pair(u, v, direction, m):

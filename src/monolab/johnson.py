@@ -606,65 +606,10 @@ def saturate(seeds, action_gens):
     return SublatticeBasis._from_hermite(dim, lat.hermite())
 
 
-class Certificate(Frozen):
-    """A machine-checkable record that two family members differ.
-
-    Everything in it is an exact integer statement about the saturated
-    Johnson lattices of the two parameters.  The topological reading (the
-    fibrations are inequivalent) additionally cites the standard facts
-    recorded in ``cited``; the certificate never claims equivalence of
-    anything.
-    """
-
-    __slots__ = (
-        "family",
-        "genus_param",
-        "n",
-        "m",
-        "witness",
-        "content_n",
-        "content_m",
-        "basis_n",
-        "basis_m",
-    )
-
-    def __init__(self, family, genus_param, n, m, witness, content_n, content_m, basis_n, basis_m):
-        self._init(family=family, genus_param=genus_param, n=n, m=m, witness=witness,
-                   content_n=content_n, content_m=content_m, basis_n=basis_n, basis_m=basis_m)
-
-    def as_dict(self):
-        return {
-            "family": self.family,
-            "genus": self.genus_param,
-            "n": self.n,
-            "m": self.m,
-            "witness_class": list(self.witness.coords),
-            "witness_primitive": True,
-            "content_n": self.content_n,
-            "content_m": self.content_m,
-            "basis_n": self.basis_n.sparse_rows,
-            "basis_m": self.basis_m.sparse_rows,
-            "computed": (
-                "content of the saturated Johnson lattice is %d at parameter %d "
-                "and %d at parameter %d; a conjugation of monodromy groups "
-                "would carry one lattice onto the other and preserve content"
-                % (self.content_n, self.n, self.content_m, self.m)
-            ),
-            "verdict": "inequivalent (Johnson-lattice contents differ)",
-            "certification_level": (
-                "exact integer computation at the symplectic/Johnson shadow; "
-                "the topological reading cites the facts below"
-            ),
-            "cited": [
-                "monodromy groups of equivalent fibrations are conjugate",
-                "the Johnson invariant is equivariant for the symplectic action",
-                "Torelli words of the untwisted family evaluate to zero",
-            ],
-        }
-
-
 def distinguish(n, m, family):
-    """Certificate that parameters n != m of a family are inequivalent.
+    """Certificate that parameters n != m of a family are inequivalent: the
+    document ``check_certificate`` replays, exact integer statements about
+    the two saturated Johnson lattices and the facts its reading cites.
 
     ``family`` provides ``seed_classes(n)``, ``action_generators()`` and
     ``witness_class()`` (a primitive class whose n-th multiple is a seed).
@@ -698,9 +643,34 @@ def distinguish(n, m, family):
         target = tuple(scale * x for x in witness.coords)
         if any(target) and not basis.member(target):
             raise AssertionError("witness multiple missing from the saturated lattice")
-    return Certificate(
-        family.name, family.genus_param, n, m, witness, d_n, d_m, basis_n, basis_m
-    )
+    return {
+        "family": family.name,
+        "genus": family.genus_param,
+        "n": n,
+        "m": m,
+        "witness_class": list(witness.coords),
+        "witness_primitive": True,
+        "content_n": d_n,
+        "content_m": d_m,
+        "basis_n": basis_n.sparse_rows,
+        "basis_m": basis_m.sparse_rows,
+        "computed": (
+            "content of the saturated Johnson lattice is %d at parameter %d "
+            "and %d at parameter %d; a conjugation of monodromy groups "
+            "would carry one lattice onto the other and preserve content"
+            % (d_n, n, d_m, m)
+        ),
+        "verdict": "inequivalent (Johnson-lattice contents differ)",
+        "certification_level": (
+            "exact integer computation at the symplectic/Johnson shadow; "
+            "the topological reading cites the facts below"
+        ),
+        "cited": [
+            "monodromy groups of equivalent fibrations are conjugate",
+            "the Johnson invariant is equivariant for the symplectic action",
+            "Torelli words of the untwisted family evaluate to zero",
+        ],
+    }
 
 
 def check_certificate(cert_dict, family, deep=True):

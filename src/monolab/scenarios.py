@@ -132,116 +132,79 @@ def eta_matrix(g):
 
 
 class CurveTable:
-    """Named homology classes for one scenario context, validated on build."""
+    """Named homology classes for one scenario context.  Each named
+    constraint is checked, and recorded in ``checks``, as its classes are
+    made; the first that fails raises ``ScenarioValidationError``."""
 
     def __init__(self, context, g):
         self.context = context
         self.g = g
-        self.genus = surface_genus(context, g)
-        if context == "mck":
-            if g < 2:
-                raise ValueError("the twisted involution family needs g >= 2")
-            self._build_mck()
-        else:
-            if g < 2:
-                raise ValueError("the chain table needs g >= 2")
-            self._build_chain()
-        self.checks = self.validate()
-
-    def _build_mck(self):
-        g, genus = self.g, self.genus
+        self.genus = genus = surface_genus(context, g)
+        if g < 2:
+            raise ValueError("the twisted involution family needs g >= 2"
+                             if context == "mck" else "the chain table needs g >= 2")
         self.a = {i: basis_a(genus, i) for i in range(1, genus + 1)}
         self.b = {i: basis_b(genus, i) for i in range(1, genus + 1)}
-        self.c = {i: self.b[i + 1] - self.b[i] for i in range(1, genus)}
-        self.B = {j: HomologyClass(genus, v) for j, v in enumerate(_mck_vectors(g))}
-        self.C = TwistLetter(zero_class(genus), 1, separating=True, split=(g, g))
-        self.x = self.b[2]
-        self.y = self.b[2]
-        eta = eta_matrix(g)
-        self.hx = eta.apply(self.x)
-        self.hy = eta.apply(self.y)
+        self.x = self.y = self.b[2]
+        self.checks = []
+        if context == "mck":
+            self._build_mck()
+        else:
+            self._build_chain()
 
-    def _build_chain(self):
-        g = self.g
-        self.a = {i: basis_a(g, i) for i in range(1, g + 1)}
-        self.b = {i: basis_b(g, i) for i in range(1, g + 1)}
-        chain = {1: self.b[1]}
-        for i in range(1, g + 1):
-            chain[2 * i] = self.a[i]
-        for i in range(1, g):
-            chain[2 * i + 1] = self.b[i + 1] - self.b[i]
-        # the end curve of the chain; unused by the factorizations
-        chain[2 * g + 1] = -self.b[g]
-        self.chain = chain
-        self.x = self.b[2]
-        self.y = self.b[2]
-
-    # -- validation -------------------------------------------------------
-
-    def validate(self):
-        if self.context == "mck":
-            return self._validate_mck()
-        return self._validate_chain()
-
-    def _require(self, checks, name, ok):
-        checks.append((name, bool(ok)))
+    def _require(self, name, ok):
+        self.checks.append((name, bool(ok)))
         if not ok:
             raise ScenarioValidationError("transcription constraint failed: " + name)
 
-    def _validate_mck(self):
-        g, genus = self.g, self.genus
-        checks = []
-        self._require(checks, "C is the zero class with split (g, g)",
+    def _build_mck(self):
+        g, genus, a, b = self.g, self.genus, self.a, self.b
+        self.C = TwistLetter(zero_class(genus), 1, separating=True, split=(g, g))
+        self._require("C is the zero class with split (g, g)",
                       self.C.curve.is_zero() and self.C.split == (g, g))
-        for j in range(2 * g + 1):
-            self._require(checks, "B_%d is primitive" % j, is_primitive(self.B[j]))
-        span = [self.B[j].coords for j in range(2 * g + 1)]
-        self._require(checks, "span of the B classes has rank 2g",
-                      _linalg.rank(span) == 2 * g)
-        half = Word([TwistLetter(self.B[j]) for j in range(2 * g + 1)] + [self.C],
-                    genus)
+        self.B = {}
+        for j, v in enumerate(_mck_vectors(g)):
+            self.B[j] = HomologyClass(genus, v)
+            self._require("B_%d is primitive" % j, is_primitive(self.B[j]))
+        self._require("span of the B classes has rank 2g",
+                      _linalg.rank([v.coords for v in self.B.values()]) == 2 * g)
+        half = Word([TwistLetter(v) for v in self.B.values()] + [self.C], genus)
         eta = eta_matrix(g)
-        self._require(checks, "product of the half-word twists equals eta",
-                      sp_image(half) == eta)
-        self._require(checks, "eta squares to the identity", (eta @ eta).is_identity())
-        self._require(checks, "eta fixes a subspace of dimension 2g",
+        self._require("product of the half-word twists equals eta", sp_image(half) == eta)
+        self._require("eta squares to the identity", (eta @ eta).is_identity())
+        self._require("eta fixes a subspace of dimension 2g",
                       fixed_subspace_dim(eta) == 2 * g)
+        self.hx = eta.apply(self.x)
+        self.hy = eta.apply(self.y)
+        c = self.c = {i: b[i + 1] - b[i] for i in range(1, genus)}
         b0 = self.B[0]
-        for name, val, want in (
-            ("<b_1, B_0> = 1", intersection(self.b[1], b0), 1),
-            ("<b_2g, B_0> = 1", intersection(self.b[genus], b0), 1),
-            ("<a_1, B_0> = 0", intersection(self.a[1], b0), 0),
-            ("<a_2g, B_0> = 0", intersection(self.a[genus], b0), 0),
-            ("<c_1, B_0> = 0", intersection(self.c[1], b0), 0),
-            ("<c_2g-1, B_0> = 0", intersection(self.c[genus - 1], b0), 0),
+        for name, u, want in (
+            ("<b_1, B_0> = 1", b[1], 1),
+            ("<b_2g, B_0> = 1", b[genus], 1),
+            ("<a_1, B_0> = 0", a[1], 0),
+            ("<a_2g, B_0> = 0", a[genus], 0),
+            ("<c_1, B_0> = 0", c[1], 0),
+            ("<c_2g-1, B_0> = 0", c[genus - 1], 0),
         ):
-            self._require(checks, name, val == want)
-        tup = [
-            -self.a[1],
-            self.c[1],
-            -self.a[genus],
-            -self.c[genus - 1],
-            b0,
-        ]
-        self._require(
-            checks,
-            "(-a_1, c_1, -a_2g, -c_2g-1, B_0) extends to a symplectic basis",
-            _extends_to_symplectic(tup, pairs=2),
-        )
-        return checks
+            self._require(name, intersection(u, b0) == want)
+        self._require("(-a_1, c_1, -a_2g, -c_2g-1, B_0) extends to a symplectic basis",
+                      _extends_to_symplectic([-a[1], c[1], -a[genus], -c[genus - 1], b0],
+                                             pairs=2))
 
-    def _validate_chain(self):
-        g = self.g
-        checks = []
-        self._require(checks, "[c_1] = b_1", self.chain[1] == self.b[1])
+    def _build_chain(self):
+        g, a, b = self.g, self.a, self.b
+        chain = self.chain = {1: b[1]}
+        self._require("[c_1] = b_1", chain[1] == b[1])
         for i in range(1, g + 1):
-            self._require(checks, "[c_%d] = a_%d" % (2 * i, i),
-                          self.chain[2 * i] == self.a[i])
+            chain[2 * i] = a[i]
+            self._require("[c_%d] = a_%d" % (2 * i, i), chain[2 * i] == a[i])
         for i in range(1, g):
-            self._require(checks, "[c_%d] = b_%d - b_%d" % (2 * i + 1, i + 1, i),
-                          self.chain[2 * i + 1] == self.b[i + 1] - self.b[i])
-        self._require(checks, "bounding-pair class is b_2", self.x == self.b[2])
-        return checks
+            chain[2 * i + 1] = b[i + 1] - b[i]
+            self._require("[c_%d] = b_%d - b_%d" % (2 * i + 1, i + 1, i),
+                          chain[2 * i + 1] == b[i + 1] - b[i])
+        # the end curve of the chain; unused by the factorizations
+        chain[2 * g + 1] = -b[g]
+        self._require("bounding-pair class is b_2", self.x == b[2])
 
     def as_dict(self):
         named = {}

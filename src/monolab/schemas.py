@@ -78,6 +78,12 @@ def expect_int_rows(value, length, path):
     return value
 
 
+def decode_classes(doc, rank, path="classes"):
+    """The ``vectors`` of a classes file: integer lists of ``rank`` entries."""
+    return expect_int_rows(doc.get("vectors") if isinstance(doc, dict) else None,
+                           rank, path + ".vectors")
+
+
 def check_version(doc, path="document"):
     if not isinstance(doc, dict):
         _fail(path, "expected a JSON object")
@@ -284,7 +290,7 @@ def decode_torelli_word(doc, path="torelli_word"):
         gen_doc = fdoc.get("generator")
         if not isinstance(gen_doc, dict):
             _fail(fpath + ".generator", "expected an object")
-        cls_coords = _expect_int_list(gen_doc.get("cls"), fpath + ".generator.cls")
+        cls_coords = _expect_coords(gen_doc.get("cls"), genus, fpath + ".generator.cls")
         side_doc = gen_doc.get("side")
         if not isinstance(side_doc, list):
             _fail(fpath + ".generator.side", "expected a list of [alpha, beta] pairs")

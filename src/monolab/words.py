@@ -13,15 +13,15 @@ Equality of images is necessary, never sufficient, for an identity between
 the underlying mapping classes; the Torelli group is exactly the blind spot.
 """
 
-from ._linalg import Frozen, identity_matrix
+from ._linalg import Frozen
 from .homology import (
     GenusMismatchError,
     HomologyClass,
     SpMap,
-    _right_twist,
     is_primitive,
     transvection,
     twist_matrix,
+    twist_product,
 )
 
 
@@ -140,10 +140,8 @@ class Word(Frozen):
 
 def sp_image(word):
     """Symplectic image of a word; the rightmost letter is applied first."""
-    rows = [list(r) for r in identity_matrix(2 * word.genus)]
-    for letter in word.letters:
-        _right_twist(rows, letter.curve.coords, letter.power)
-    return SpMap(word.genus, rows)
+    return SpMap(word.genus, twist_product(
+        word.genus, ((l.curve.coords, l.power) for l in word.letters)))
 
 
 def commutes_at_sp(g, w):

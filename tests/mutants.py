@@ -45,7 +45,7 @@ MUTANTS = [
      "(i + g, -x) if i < g", "(i + g, x) if i < g",
      ["tests/test_homology.py::test_twist_matrix_matches_transvection_on_basis",
       "tests/test_words.py::test_elementary_transformation_matches_the_dense_conjugation"]),
-    ("right-twist-power", "src/monolab/homology.py",
+    ("twist-product-power", "src/monolab/homology.py",
      "k = power * sum(r[i] * x for i, x in c)", "k = sum(r[i] * x for i, x in c)",
      ["tests/test_homology.py::test_twist_matrix_zero_class_and_inverse_pair",
       "tests/test_words.py::test_elementary_transformation_matches_the_dense_conjugation"]),
@@ -152,6 +152,17 @@ MUTANTS = [
     ("power-type-loosened", "src/monolab/schemas.py",
      "type(power) is not int or ", "",
      ["tests/test_cli.py::test_a_power_that_is_not_the_integer_1_or_minus_1_is_refused"]),
+    ("curve-table-require-raise", "src/monolab/scenarios.py",
+     'raise ScenarioValidationError("transcription constraint failed: " + name)', "pass",
+     ["tests/test_scenarios.py::test_a_failed_constraint_stops_the_build_naming_it",
+      "tests/test_scenarios.py::test_validation_catches_corruption"]),
+    ("int-rows-list-check", "src/monolab/schemas.py",
+     "if not isinstance(value, list):", "if False:",
+     ["tests/test_cli.py::test_a_classes_file_without_a_vectors_list_is_named"]),
+    ("decode-error-file-dropped", "src/monolab/cli.py",
+     '"%s (in %s)" % (exc, path)', "exc",
+     ["tests/test_cli.py::test_a_decode_error_names_the_field_then_the_file",
+      "tests/test_cli.py::test_a_classes_file_without_a_vectors_list_is_named"]),
 ]
 
 

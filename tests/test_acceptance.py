@@ -114,8 +114,8 @@ def test_criterion_05_distinguishing_certificates(families):
         for n in range(0, 9):
             for m in range(n + 1, 9):
                 cert = distinguish(n, m, fam)
-                assert cert.content_n == n and cert.content_m == m
-                checks = check_certificate(cert.as_dict(), fam,
+                assert cert["content_n"] == n and cert["content_m"] == m
+                checks = check_certificate(cert, fam,
                                            deep=(n, m) in deep_pairs)
                 assert all(ok for _, ok in checks)
         assert distinguish(4, 4, fam) is None
@@ -143,7 +143,7 @@ def test_criterion_06_chain_family(families):
             assert commutator_tau(k4, f, n) == (CHAIN_TAU_SIGN * n) * w
     fam = families[("chain", 3)]
     cert = distinguish(2, 3, fam)
-    assert (cert.content_n, cert.content_m) == (2, 3)
+    assert (cert["content_n"], cert["content_m"]) == (2, 3)
     print("ACCEPTANCE 6 (chain family invariants and witness, g=3,4, n=0..5): PASS")
 
 
@@ -264,7 +264,7 @@ def _computed_strings(doc, path="root"):
 def test_criterion_10_honest_verdicts(families):
     docs = []
     fam = families[("mck", 2)]
-    docs.append(distinguish(1, 2, fam).as_dict())
+    docs.append(distinguish(1, 2, fam))
     docs.append(full_report(family("mck", 2).spec(3)).as_dict())
     docs.append(verify_factorization(family("mck", 2).base))
     g = 2
@@ -307,8 +307,8 @@ def test_criterion_11_mck_g5_certificate():
     fam = family("mck", 5)
     assert _table(fam.surface_genus).dim_quot == 1120
     cert = distinguish(1, 3, fam)
-    assert (cert.content_n, cert.content_m) == (1, 3)
-    checks = check_certificate(cert.as_dict(), fam, deep=True)
+    assert (cert["content_n"], cert["content_m"]) == (1, 3)
+    checks = check_certificate(cert, fam, deep=True)
     assert all(ok for _, ok in checks)
     print("ACCEPTANCE 11 (mck g=5 certificate, n=1 vs m=3, deep replay): PASS")
 
@@ -319,8 +319,8 @@ def test_criterion_12_mck_g6_certificate():
     fam = family("mck", 6)
     assert _table(fam.surface_genus).dim_quot == 2000
     cert = distinguish(1, 3, fam)
-    assert (cert.content_n, cert.content_m) == (1, 3)
-    checks = check_certificate(cert.as_dict(), fam, deep=True)
+    assert (cert["content_n"], cert["content_m"]) == (1, 3)
+    checks = check_certificate(cert, fam, deep=True)
     assert all(ok for _, ok in checks)
     assert "lattice stable under the action at 3" in [name for name, _ in checks]
     print("ACCEPTANCE 12 (mck g=6 certificate, n=1 vs m=3, deep replay): PASS")

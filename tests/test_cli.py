@@ -321,6 +321,44 @@ def test_torelli_side_vector_of_wrong_length_is_named(tmp_path, capsys):
     assert out == ""
 
 
+def test_torelli_generator_class_of_wrong_length_is_named(tmp_path, capsys):
+    doc = schemas.encode_torelli_word(family("mck", 2).twist)
+    doc["factors"][0]["generator"]["cls"] = [0, 0, 1]
+    path = write_json(tmp_path, "tw.json", doc)
+    code, out, err = run_cli(["johnson", path], capsys)
+    assert (code, out) == (cli.EX_SCHEMA, "")
+    assert "error: torelli_word.factors[0].generator.cls: expected 8 entries" in err
+
+
+def test_a_decode_error_names_the_field_then_the_file(tmp_path, capsys):
+    good = write_json(tmp_path, "f1.json", mck_fact_doc())
+    doc = mck_fact_doc()
+    doc["letters"][1]["coords"] = [0, 1]
+    bad = write_json(tmp_path, "f2.json", doc)
+    word = write_json(tmp_path, "w.json", schemas.encode_word(Word((), 4)))
+    bad_word = write_json(tmp_path, "w2.json", {**schemas.encode_word(Word((), 4)),
+                                                "genus": "4"})
+    coords = "error: factorization.letters[1].coords: expected 8 entries (in %s)\n" % bad
+    for argv, message in (
+            (["hurwitz", "compare", good, bad, "--mod", "3"], coords),
+            (["conjugate", bad, "--word", word], coords),
+            (["conjugate", good, "--word", bad_word],
+             "error: word.genus: expected an integer (in %s)\n" % bad_word)):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (cli.EX_SCHEMA, "", message), argv
+
+
+def test_a_classes_file_without_a_vectors_list_is_named(tmp_path, capsys):
+    path = _gram_path(tmp_path)
+    for doc in ({"vectors": 5}, [1], {}):
+        classes = write_json(tmp_path, "c.json", doc)
+        code, out, err = run_cli(["lattice", "complement", path, "--classes", classes],
+                                 capsys)
+        assert (code, out) == (cli.EX_SCHEMA, ""), doc
+        assert err == ("error: classes.vectors: expected a list of integer lists (in %s)\n"
+                       % classes), doc
+
+
 def _gram_path(tmp_path):
     gram = {"schema": schemas.SCHEMA, "type": "gram", "matrix": [[0, 1], [1, 0]]}
     return write_json(tmp_path, "u.json", gram)
@@ -872,7 +910,7 @@ def _late_failure_cases(tmp_path, monkeypatch):
         return ["johnson", torelli]
 
     def distinguish():
-        _poison(monkeypatch, johnson.Certificate, "as_dict", "certification_level")
+        _poison(monkeypatch, johnson, "distinguish", "certification_level")
         return ["distinguish", "--family", "mck", "--genus", "2", "--n", "1", "--m", "2"]
 
     def explore():

@@ -571,7 +571,7 @@ def _decoded(doc):
 @pytest.mark.parametrize("mutation", sorted(TAMPERED_CHECKS))
 def test_tampered_certificate_fails_at_the_named_check(mutation):
     fam = family("mck", 3)
-    doc = _decoded(distinguish(1, 3, fam).as_dict())
+    doc = _decoded(distinguish(1, 3, fam))
     assert all(ok for _, ok in check_certificate(doc, fam))
     _tamper(doc, mutation)
     with pytest.raises(AssertionError) as err:
@@ -583,7 +583,7 @@ def test_tampered_certificate_fails_at_the_named_check(mutation):
 def test_a_basis_entry_that_is_not_a_plain_int_fails_hermite_form(entry):
     # decoded, `true` equals 1 and `1.0` breaks the gcd; neither is an entry
     fam = family("mck", 3)
-    doc = _decoded(distinguish(1, 2, fam).as_dict())
+    doc = _decoded(distinguish(1, 2, fam))
     assert all(ok for _, ok in check_certificate(doc, fam))
     row = next(r for r in doc["basis_n"] if 1 in r)
     row[row.index(1)] = entry
@@ -598,7 +598,7 @@ def test_sparse_and_decoded_certificates_replay_alike(kind, g, deep):
     # the in-process document hands its rows over sparse; a reader of the
     # bytes gets them dense; the replay makes the same checks on both
     fam = family(kind, g)
-    doc = distinguish(1, 3, fam).as_dict()
+    doc = distinguish(1, 3, fam)
     assert isinstance(doc["basis_m"], _linalg.SparseRows)
     checks = check_certificate(doc, fam, deep=deep)
     assert all(ok for _, ok in checks)
@@ -625,7 +625,7 @@ def test_a_basis_m_that_is_not_the_scaled_basis_n_is_checked_directly():
     # stability one; it is not 3 times basis_n, so its stability is not
     # read from basis_n's, and the direct check at 3 fails
     fam = family("mck", 3)
-    doc = _decoded(distinguish(1, 3, fam).as_dict())
+    doc = _decoded(distinguish(1, 3, fam))
     doc["basis_m"] = [list(r) for r in _unstable_lattice(fam).scaled(3).rows]
     assert _replay_failure(doc, fam) == (
         "certificate replay failed at: lattice stable under the action at 3")
@@ -635,7 +635,7 @@ def test_a_zero_basis_n_gives_a_direct_check_at_m():
     # at n = 0 basis_n is the zero lattice, which scales to nothing: the
     # replay of the true certificate passes, and a tampered basis_m fails
     fam = family("mck", 3)
-    doc = _decoded(distinguish(0, 3, fam).as_dict())
+    doc = _decoded(distinguish(0, 3, fam))
     assert doc["basis_n"] == [] and all(ok for _, ok in check_certificate(doc, fam))
     doc["basis_m"] = [list(r) for r in _unstable_lattice(fam).scaled(3).rows]
     assert _replay_failure(doc, fam) == (
@@ -646,7 +646,7 @@ def test_consistently_tampered_bases_fail_at_n():
     # basis_m = 3 * basis_n, so the identity holds and the verdict at 3 is
     # read from the one at 1, which the direct check refuses
     fam = family("mck", 3)
-    doc = _decoded(distinguish(1, 3, fam).as_dict())
+    doc = _decoded(distinguish(1, 3, fam))
     small = _unstable_lattice(fam)
     doc["basis_n"] = [list(r) for r in small.rows]
     doc["basis_m"] = [list(r) for r in small.scaled(3).rows]
@@ -664,7 +664,7 @@ def test_distinguish_and_deep_replay_peak_below_1_3_mb_at_mck_g5():
     try:
         fam = family("mck", 5)
         cert = distinguish(1, 3, fam)
-        assert all(ok for _, ok in check_certificate(cert.as_dict(), fam))
+        assert all(ok for _, ok in check_certificate(cert, fam))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -674,7 +674,7 @@ def test_distinguish_and_deep_replay_peak_below_1_3_mb_at_mck_g5():
 def _fails_hermite_form(change_last_row):
     # the sparse basis_m (m = 3) with its last row changed
     fam = family("mck", 3)
-    doc = distinguish(1, 3, fam).as_dict()
+    doc = distinguish(1, 3, fam)
     basis = doc["basis_m"]
     rows = list(basis.rows)
     rows[-1] = change_last_row(rows[-1], basis.dim)
@@ -697,7 +697,7 @@ def test_sparse_row_with_a_zero_entry_fails_hermite_form():
 
 def test_sparse_rows_of_another_dimension_fail_hermite_form():
     fam = family("mck", 3)
-    doc = distinguish(1, 3, fam).as_dict()
+    doc = distinguish(1, 3, fam)
     basis = doc["basis_m"]
     doc["basis_m"] = _linalg.SparseRows(basis.dim + 1, basis.rows)
     with pytest.raises(AssertionError, match="basis 3 in Hermite form"):

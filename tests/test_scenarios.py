@@ -39,6 +39,17 @@ def test_validation_catches_corruption(monkeypatch):
         CurveTable("mck", 2)
 
 
+def test_a_failed_constraint_stops_the_build_naming_it(monkeypatch):
+    # B_1 doubled is not primitive: the build stops there, before a twist
+    # letter is made of it
+    bad = [list(v) for v in _mck_vectors(2)]
+    bad[1] = [2 * x for x in bad[1]]
+    monkeypatch.setattr(scenarios, "_mck_vectors", lambda g: bad)
+    with pytest.raises(ScenarioValidationError) as err:
+        CurveTable("mck", 2)
+    assert str(err.value) == "transcription constraint failed: B_1 is primitive"
+
+
 def test_eta_matrix_properties():
     for g in (1, 2, 3, 4):
         eta = eta_matrix(g)

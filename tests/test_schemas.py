@@ -102,7 +102,7 @@ def test_write_peak_is_bounded_by_its_longest_piece():
     # emit: the writer holds one piece at a time, a dense row or a list of
     # ints, whose entries are str objects of about 50 bytes while it is built
     fam = family("chain", 7)
-    cert = distinguish(2, 5, fam).as_dict()
+    cert = distinguish(2, 5, fam)
     checks = check_certificate(cert, fam, deep=False)
     doc = {"schema": schemas.SCHEMA, "type": "distinguish_report", "certificate": cert,
            "replayed_checks": [name for name, _ in checks]}
