@@ -202,9 +202,6 @@ class EchelonLattice:
         row = self.pivot_rows[j] = {k: x for k, x in row.items()}
         return row
 
-    def member(self, vec):
-        return not self.reduce(vec)
-
     def hermite(self):
         """The canonical Hermite basis, ``{pivot: sparse row}`` by pivot.  Built
         bottom up: reducing with a final row changes only columns right of

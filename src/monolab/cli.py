@@ -263,7 +263,8 @@ def _cmd_invariants_grid(args):
     if g0 <= g1:
         _check_genus(fam, g1, "--grid")
     # members sharing a spec object share its report
-    lines = ["family,g,n,chi,sigma,b1,b2_plus,b2_minus"]
+    keys = ("chi", "sigma", "b1", "b2_plus", "b2_minus")
+    lines = [",".join(("family", "g", "n") + keys)]
     for g in range(g0, g1 + 1):
         family = scenarios.family(fam, g)
         reports = {}
@@ -272,8 +273,7 @@ def _cmd_invariants_grid(args):
             if id(spec) not in reports:
                 reports[id(spec)] = invariants.full_report(spec)
             r = reports[id(spec)]
-            lines.append("%s,%d,%d,%d,%d,%d,%d,%d"
-                         % (fam, g, n, r.chi, r.sigma, r.b1, r.b2_plus, r.b2_minus))
+            lines.append(",".join([fam, str(g), str(n)] + [str(r[k]) for k in keys]))
     return "\n".join(lines)
 
 
@@ -289,7 +289,7 @@ def _cmd_invariants(args):
         g, n = args.get_int("genus"), args.get_int("n", 0)
         _check_genus(fam, g)
         spec = scenarios.family(fam, g).spec(n)
-    d = invariants.full_report(spec).as_dict()
+    d = invariants.full_report(spec)
     if "json" in args:
         return _document("invariant_report", d)
     lines = [_format_table([(k, d[k]) for k in

@@ -167,16 +167,6 @@ class SpMap(Frozen):
     def is_identity(self):
         return self.rows == identity_matrix(2 * self.genus)
 
-    def inverse(self):
-        # for M symplectic, M^-1 = J^-1 M^T J with J^-1 = -J; verified below
-        j = intersection_matrix(self.genus)
-        neg_j = tuple(tuple(-x for x in r) for r in j)
-        mt = tuple(zip(*self.rows))
-        inv = mat_mul(mat_mul(neg_j, mt), j)
-        if mat_mul(inv, self.rows) != identity_matrix(2 * self.genus):
-            raise ValueError("matrix is not symplectic; cannot invert by J-transpose")
-        return SpMap(self.genus, inv)
-
     def commutes_with(self, other):
         return self @ other == other @ self
 

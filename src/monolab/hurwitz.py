@@ -11,7 +11,7 @@ A reduced state is a tuple of letters ``(coords mod m, separating,
 split)``.  Each search interns the letters it meets in a private table
 (``_Letters``) and keys on packed states: one fixed-width id per letter,
 equal exactly when the ``canonical_form`` bytes are, which are for
-reports and tests.  The table's moves and local products (one flat tuple
+tests.  The table's moves and local products (one flat tuple
 of residues each) are filled once per id pair, and the table is held by
 the search and its report alone.  The ids are bounded by the number of
 letter classes the roots can reach and by the budget, capped at
@@ -55,7 +55,7 @@ def reduce_factorization(fact, cfg):
 
 def canonical_form(state, cfg):
     """Deterministic, injective byte serialization of a reduced letter list,
-    for reports and tests; the searches key on packed states."""
+    for tests; the searches key on packed states."""
     return repr((cfg.genus, cfg.modulus, state)).encode("ascii")
 
 
@@ -212,12 +212,6 @@ class ExploreReport(Frozen):
     def __init__(self, states, letters, complete, explored, budget):
         self._init(states=states, letters=letters, complete=bool(complete),
                    explored=int(explored), budget=int(budget))
-
-    @property
-    def forms(self):
-        """The sorted canonical forms of the states reached."""
-        unpack, cfg = self.letters.unpack, self.letters.cfg
-        return tuple(sorted(canonical_form(unpack(s), cfg) for s in self.states))
 
     def as_dict(self):
         return {

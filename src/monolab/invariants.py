@@ -113,58 +113,25 @@ def b1_homological(spec):
     return 2 * spec.fiber_genus - rank(classes)
 
 
-class InvariantReport(Frozen):
-    """chi, sigma and the Betti numbers, with the consistency identities
-    chi = 2 - 2 b1 + b2 and b2 = b2_plus + b2_minus enforced at build time."""
-
-    __slots__ = ("chi", "sigma", "b1", "b2", "b2_plus", "b2_minus", "parity_notes", "certification")
-
-    def __init__(self, chi, sigma, b1, b2, b2_plus, b2_minus, parity_notes=""):
-        if b2 != b2_plus + b2_minus:
-            raise FibrationError("b2 must equal b2_plus + b2_minus")
-        if chi != 2 - 2 * b1 + b2:
-            raise FibrationError("chi, b1, b2 are inconsistent")
-        if sigma != b2_plus - b2_minus:
-            raise FibrationError("sigma must equal b2_plus - b2_minus")
-        self._init(chi=chi, sigma=sigma, b1=b1, b2=b2, b2_plus=b2_plus, b2_minus=b2_minus,
-                   parity_notes=parity_notes, certification="homology-level")
-
-    def as_dict(self):
-        return {
-            "chi": self.chi,
-            "sigma": self.sigma,
-            "b1": self.b1,
-            "b2": self.b2,
-            "b2_plus": self.b2_plus,
-            "b2_minus": self.b2_minus,
-            "parity_notes": self.parity_notes,
-            "certification_level": self.certification,
-        }
-
-    def __repr__(self):
-        return (
-            "InvariantReport(chi=%d, sigma=%d, b1=%d, b2+=%d, b2-=%d)"
-            % (self.chi, self.sigma, self.b1, self.b2_plus, self.b2_minus)
-        )
-
-
 def full_report(spec):
-    """Assemble chi, sigma, b1 and solve for the b2 pieces, exactly."""
+    """The ``invariant_report`` fields: chi, sigma and b1, then b2 and its
+    pieces solved for exactly (so chi = 2 - 2 b1 + b2 and sigma = b2_plus -
+    b2_minus hold by construction); only the parity of b2 + sigma can fail."""
     chi = euler_characteristic(spec)
     sigma = endo_signature(spec)
     b1 = b1_homological(spec)
     b2 = chi - 2 + 2 * b1
     if (b2 + sigma) % 2 != 0:
         raise FibrationError("b2 and sigma have different parity; input is inconsistent")
-    b2_plus = (b2 + sigma) // 2
-    b2_minus = (b2 - sigma) // 2
     notes = ""
     if not spec.hyperelliptic and spec.signature_reference is not None:
         notes = (
             "sigma computed from the hyperelliptic reference with identical "
             "cycle counts (counts are conjugation-invariant)"
         )
-    return InvariantReport(chi, sigma, b1, b2, b2_plus, b2_minus, notes)
+    return {"chi": chi, "sigma": sigma, "b1": b1, "b2": b2,
+            "b2_plus": (b2 + sigma) // 2, "b2_minus": (b2 - sigma) // 2,
+            "parity_notes": notes, "certification_level": "homology-level"}
 
 
 def blowdown_parity_report(spec, fiber_section_incidence):

@@ -99,20 +99,8 @@ class IntLattice(Frozen):
     def rank(self):
         return len(self.gram)
 
-    def pairing(self, u, v):
-        return _dot(mat_vec(self.gram, u), v)
-
     def determinant(self):
         return _eliminate(self.gram)[2]
-
-    def direct_sum(self, other):
-        n, m = self.rank, other.rank
-        rows = []
-        for i in range(n):
-            rows.append(tuple(self.gram[i]) + (0,) * m)
-        for i in range(m):
-            rows.append((0,) * n + tuple(other.gram[i]))
-        return IntLattice(rows)
 
     def __repr__(self):
         return "IntLattice(%r)" % ([list(r) for r in self.gram],)

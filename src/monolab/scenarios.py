@@ -4,10 +4,12 @@ twists, and the chain-relation family.
 ``FamilySpec(kind, g)`` is the family: one validated ``CurveTable``, one
 base word and one Torelli twist f, each derived value built once.  Member
 n is the base with its first-acting prefix partially conjugated by f^n.  f
-is the identity at Sp level (checked once), so every member's
-factorization is the base, the members n > 0 share one spec, and n lives
-only in the Johnson seeds tau([T_l^-1, f^n]) = n tau([T_l^-1, f]) (tau is
-a homomorphism on the Torelli group).
+is Torelli by construction: each of its bounding pairs T_x T_y^-1 has both
+curves in one class (x = y = b_2, and their images under eta for mck), so
+it is the identity at Sp level.  So every member's factorization is the
+base, the members n > 0 share one spec, and n lives only in the Johnson
+seeds tau([T_l^-1, f^n]) = n tau([T_l^-1, f]) (tau is a homomorphism on
+the Torelli group).
 
 Transcription policy.  The homology classes of the drawn curves cannot be
 read off a picture by a program, so they are transcribed as a closed
@@ -194,17 +196,25 @@ class CurveTable:
     def _build_chain(self):
         g, a, b = self.g, self.a, self.b
         chain = self.chain = {1: b[1]}
-        self._require("[c_1] = b_1", chain[1] == b[1])
         for i in range(1, g + 1):
             chain[2 * i] = a[i]
-            self._require("[c_%d] = a_%d" % (2 * i, i), chain[2 * i] == a[i])
         for i in range(1, g):
             chain[2 * i + 1] = b[i + 1] - b[i]
-            self._require("[c_%d] = b_%d - b_%d" % (2 * i + 1, i + 1, i),
-                          chain[2 * i + 1] == b[i + 1] - b[i])
         # the end curve of the chain; unused by the factorizations
         chain[2 * g + 1] = -b[g]
-        self._require("bounding-pair class is b_2", self.x == b[2])
+        # each class read back through the pairing: the coefficient of a_i
+        # is <x, b_i> and that of b_i is -<x, a_i>
+        def read(x):
+            return HomologyClass(g, [intersection(x, b[i]) for i in range(1, g + 1)]
+                                 + [-intersection(x, a[i]) for i in range(1, g + 1)])
+        self._require("[c_1] = b_1", read(chain[1]) == b[1])
+        for i in range(1, g + 1):
+            self._require("[c_%d] = a_%d" % (2 * i, i), read(chain[2 * i]) == a[i])
+        for i in range(1, g):
+            self._require("[c_%d] = b_%d - b_%d" % (2 * i + 1, i + 1, i),
+                          read(chain[2 * i + 1]) == b[i + 1] - b[i])
+        self._require("bounding-pair class is b_2", read(self.x) == b[2])
+        _check_chain_relation(chain)
 
     def as_dict(self):
         named = {}
@@ -226,6 +236,17 @@ class CurveTable:
             "classes": named,
             "validation": [{"constraint": n, "ok": ok} for n, ok in self.checks],
         }
+
+
+def _check_chain_relation(chain):
+    """Raise unless the classes ``{k: c_k}`` of a chain meet as its curves
+    do: <c_i, c_i+1> = +-1, and <c_i, c_j> = 0 for |i - j| > 1."""
+    n = len(chain)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if abs(intersection(chain[i], chain[j])) != int(j == i + 1):
+                raise ScenarioValidationError(
+                    "chain relation fails at (c_%d, c_%d)" % (i, j))
 
 
 def _extends_to_symplectic(vectors, pairs):
@@ -257,7 +278,6 @@ class FamilySpec:
             raise ValueError("need g >= %d" % least)
         table = self.table = CurveTable(kind, g)
         gen = BoundingPairGen(table.b[2], [(table.a[1], table.b[1])])
-        pair = (TwistLetter(table.x, 1), TwistLetter(table.y, -1))
         if kind == "mck":
             # the half word, whose product is eta, written twice; the twist
             # is the bounding pair and its conjugate by the half word
@@ -265,7 +285,6 @@ class FamilySpec:
             self.base_word = Word(letters * 2, genus)
             self.twist = TorelliWord([(Word((), genus), gen, 1),
                                       (Word(letters, genus), gen, 1)])
-            pair += (TwistLetter(table.hx, 1), TwistLetter(table.hy, -1))
             self.sections = (-1,) * 4
         else:
             # the block (c_1 ... c_2g)^(4g+2), cubed
@@ -278,10 +297,6 @@ class FamilySpec:
         self.genus_param = g
         self.surface_genus = genus
         self.base_letters = letters
-        # the literal twist word: each bounding pair as T_x T_y^-1
-        self.twist_word = Word(pair, genus)
-        if not sp_image(self.twist_word).is_identity():
-            raise ScenarioValidationError("the twist word is not the identity at Sp level")
 
     @functools.cached_property
     def base(self):
@@ -294,9 +309,9 @@ class FamilySpec:
                              hyperelliptic=True)
 
     def factorization(self, n):
-        """Member n, which is the validated base itself: the twist word is
-        the identity at Sp level (checked on construction), so partially
-        conjugating the prefix by its n-th power moves no letter."""
+        """Member n, which is the validated base itself: the twist is Torelli
+        by construction (see the module docstring), so partially conjugating
+        the prefix by its n-th power moves no letter."""
         if n < 0:
             raise ValueError("need n >= 0")
         return self.base

@@ -20,7 +20,6 @@ from .homology import (
     SpMap,
     is_primitive,
     transvection,
-    twist_matrix,
     twist_product,
 )
 
@@ -75,9 +74,6 @@ class TwistLetter(Frozen):
     @property
     def genus(self):
         return self.curve.genus
-
-    def matrix(self):
-        return twist_matrix(self.curve, self.power)
 
     def inverse(self):
         return TwistLetter(self.curve, -self.power, self.separating, self.split)
@@ -142,13 +138,6 @@ def sp_image(word):
     """Symplectic image of a word; the rightmost letter is applied first."""
     return SpMap(word.genus, twist_product(
         word.genus, ((l.curve.coords, l.power) for l in word.letters)))
-
-
-def commutes_at_sp(g, w):
-    """True iff the symplectic images of the two words commute."""
-    if g.genus != w.genus:
-        raise GenusMismatchError("genus mismatch: %d vs %d" % (g.genus, w.genus))
-    return sp_image(g).commutes_with(sp_image(w))
 
 
 class PositiveFactorization(Frozen):

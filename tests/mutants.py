@@ -163,6 +163,17 @@ MUTANTS = [
      '"%s (in %s)" % (exc, path)', "exc",
      ["tests/test_cli.py::test_a_decode_error_names_the_field_then_the_file",
       "tests/test_cli.py::test_a_classes_file_without_a_vectors_list_is_named"]),
+    ("chain-class-sign", "src/monolab/scenarios.py",
+     "chain[2 * i + 1] = b[i + 1] - b[i]", "chain[2 * i + 1] = b[i + 1] + b[i]",
+     ["tests/test_scenarios.py::test_transcription_validates_for_all_desk_parameters",
+      "tests/test_cli.py::test_scenario_emits_valid_spec"]),
+    ("chain-end-curve", "src/monolab/scenarios.py",
+     "chain[2 * g + 1] = -b[g]", "chain[2 * g + 1] = b[1] - b[g]",
+     ["tests/test_scenarios.py::test_transcription_validates_for_all_desk_parameters",
+      "tests/test_cli.py::test_scenario_emits_valid_spec"]),
+    ("report-parity-check", "src/monolab/invariants.py",
+     "if (b2 + sigma) % 2 != 0:", "if False:",
+     ["tests/test_cli.py::test_a_spec_whose_b2_and_sigma_differ_in_parity_exits_3"]),
 ]
 
 

@@ -74,7 +74,7 @@ def test_criterion_02_invariant_table():
         fam = family("mck", g)
         for n in range(0, 11):
             rep = full_report(fam.spec(n))
-            assert (rep.chi, rep.sigma, rep.b1, rep.b2_plus, rep.b2) == (
+            assert (rep["chi"], rep["sigma"], rep["b1"], rep["b2_plus"], rep["b2"]) == (
                 8 - 4 * g, -4, 2 * g, 1, 6)
     print("ACCEPTANCE 2 (invariant table, g=2..5, n=0..10): PASS")
 
@@ -137,7 +137,7 @@ def test_criterion_06_chain_family(families):
             assert endo_signature(spec) == -12 * g * (g + 1)
             assert b1_homological(spec) == 0
             rep = full_report(spec)
-            assert (rep.b2_plus, rep.b2_minus) == (
+            assert (rep["b2_plus"], rep["b2_minus"]) == (
                 6 * g * g - 2 * g + 1, 18 * g * g + 10 * g + 1)
             # one coherent global sign relates the commutator values to w
             assert commutator_tau(k4, f, n) == (CHAIN_TAU_SIGN * n) * w
@@ -265,7 +265,7 @@ def test_criterion_10_honest_verdicts(families):
     docs = []
     fam = families[("mck", 2)]
     docs.append(distinguish(1, 2, fam))
-    docs.append(full_report(family("mck", 2).spec(3)).as_dict())
+    docs.append(full_report(family("mck", 2).spec(3)))
     docs.append(verify_factorization(family("mck", 2).base))
     g = 2
     bad = Word([TwistLetter(basis_a(g, 1))], g)

@@ -139,6 +139,16 @@ def test_invariants_file_and_flags(tmp_path, capsys):
     assert "unknown flag --table" in err and out == ""
 
 
+def test_a_spec_whose_b2_and_sigma_differ_in_parity_exits_3(tmp_path, capsys):
+    # genus 1, cycles a, b, a: chi = 3, sigma = -2, b1 = 0, so b2 + sigma = -1
+    a, b = TwistLetter(basis_a(1, 1)), TwistLetter(basis_b(1, 1))
+    spec = invariants.FibrationSpec(1, [a, b, a], [-1], hyperelliptic=True)
+    path = write_json(tmp_path, "spec.json", schemas.encode_fibration_spec(spec))
+    code, out, err = run_cli(["invariants", path], capsys)
+    assert (code, out) == (cli.EX_PRECONDITION, "")
+    assert "b2 and sigma have different parity" in err
+
+
 def test_invariants_grid_csv(capsys):
     code, out, _ = run_cli(["invariants", "--family", "mck",
                             "--grid", "2..3,0..1", "--csv"], capsys)
@@ -884,7 +894,7 @@ def _late_failure_cases(tmp_path, monkeypatch):
         return ["verify", fact]
 
     def invariants_spec():
-        _poison(monkeypatch, invariants.InvariantReport, "as_dict", "certification_level")
+        _poison(monkeypatch, invariants, "full_report", "certification_level")
         return ["invariants", "--family", "mck", "--genus", "2", "--n", "1"]
 
     def invariants_grid():
@@ -1299,6 +1309,31 @@ def test_every_benchmark_command_line_parses_to_its_handler(monkeypatch, capsys)
             code, _, err = run_cli(job["argv"], capsys)
             assert (code, err) == (job["exit"], ""), job["argv"]
             assert picked == [_expected_handler(job["argv"])], job["argv"]
+
+
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
+
+
+def test_every_seed_1_benchmark_command_prints_its_reference_bytes(tmp_path, monkeypatch,
+                                                                    capsys):
+    # perfbench/ is only read: each workload's seed-1 inputs are written to
+    # tmp_path, every argv runs there in process, and its exit code and the
+    # sha256 of its stdout are those the benchmark recorded
+    gen = _gen()
+    with open(REFERENCE, encoding="utf-8") as fh:
+        reference = json.load(fh)
+    runs = 0
+    for workload in gen.WORKLOADS:
+        jobs, files = gen.build(workload, 1)
+        gen.write_inputs(files, str(tmp_path / workload))
+        monkeypatch.chdir(tmp_path / workload)
+        for job in jobs:
+            code, out, _ = run_cli(job["argv"], capsys)
+            assert code == job["exit"], job["argv"]
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == reference[workload][job["id"]], job["argv"]
+            runs += 1
+    assert runs == 108
 
 
 # -- document fields the decoders check --------------------------------------

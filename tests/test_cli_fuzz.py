@@ -39,13 +39,13 @@ def _documents():
     """One document of each type the CLI reads, from the mck g=2 family."""
     fam = family("mck", 2)
     report = invariants.full_report(fam.base_spec)
-    size = report.b2_plus + report.b2_minus
+    size = report["b2_plus"] + report["b2_minus"]
     gram = [[0] * size for _ in range(size)]
     for i in range(size):
-        gram[i][i] = 1 if i < report.b2_plus else -1
+        gram[i][i] = 1 if i < report["b2_plus"] else -1
     return {
         "factorization": schemas.encode_factorization(fam.base.word),
-        "word": schemas.encode_word(fam.twist_word),
+        "word": schemas.encode_word(fam.twist.twist_word()),
         "torelli_word": schemas.encode_torelli_word(fam.twist),
         "fibration_spec": schemas.encode_fibration_spec(fam.spec(1)),
         "gram": {"schema": schemas.SCHEMA, "type": "gram", "matrix": gram},

@@ -50,7 +50,7 @@ def test_endo_signature_via_reference():
     assert spec.signature_reference is not None
     assert endo_signature(spec) == -4
     rep = full_report(spec)
-    assert "reference" in rep.parity_notes
+    assert "reference" in rep["parity_notes"]
 
 
 def test_endo_signature_non_integrality_is_an_error():
@@ -79,24 +79,25 @@ def test_b1_homological():
 
 def test_full_report_mck():
     rep = full_report(family("mck", 2).base_spec)
-    assert (rep.chi, rep.sigma, rep.b1, rep.b2_plus, rep.b2_minus) == (0, -4, 4, 1, 5)
-    assert rep.b2 == 6
+    assert (rep["chi"], rep["sigma"], rep["b1"], rep["b2_plus"], rep["b2_minus"]) == (
+        0, -4, 4, 1, 5)
+    assert rep["b2"] == 6
     rep = full_report(family("mck", 3).spec(4))
-    assert (rep.chi, rep.sigma, rep.b1, rep.b2_plus, rep.b2) == (-4, -4, 6, 1, 6)
+    assert (rep["chi"], rep["sigma"], rep["b1"], rep["b2_plus"], rep["b2"]) == (-4, -4, 6, 1, 6)
 
 
 def test_full_report_chain():
     rep = full_report(family("chain", 3).spec(0))
-    assert (rep.b2_plus, rep.b2_minus) == (49, 193)
+    assert (rep["b2_plus"], rep["b2_minus"]) == (49, 193)
     rep = full_report(family("chain", 4).spec(2))
-    assert (rep.b2_plus, rep.b2_minus) == (6 * 16 - 8 + 1, 18 * 16 + 40 + 1)
+    assert (rep["b2_plus"], rep["b2_minus"]) == (6 * 16 - 8 + 1, 18 * 16 + 40 + 1)
 
 
 def test_full_report_surface_bundle():
     rep = full_report(bundle_spec(3, (0,)))
-    assert rep.sigma == 0
-    assert rep.b1 == 6
-    assert rep.chi == -8
+    assert rep["sigma"] == 0
+    assert rep["b1"] == 6
+    assert rep["chi"] == -8
 
 
 def test_report_identities_always_hold():
@@ -105,8 +106,8 @@ def test_report_identities_always_hold():
              family("chain", 3).spec(1), family("mck", 2).spec(7)]
     for spec in specs:
         rep = full_report(spec)
-        assert rep.chi == 2 - 2 * rep.b1 + rep.b2
-        assert rep.sigma == rep.b2_plus - rep.b2_minus
+        assert rep["chi"] == 2 - 2 * rep["b1"] + rep["b2"]
+        assert rep["sigma"] == rep["b2_plus"] - rep["b2_minus"]
 
 
 def test_signature_invariant_under_hurwitz_moves():
@@ -145,7 +146,7 @@ def test_blowdown_parity_requires_minus_one_sections():
 
 
 def numbers(report):
-    return (report.chi, report.sigma, report.b1, report.b2, report.b2_plus, report.b2_minus)
+    return tuple(report[k] for k in ("chi", "sigma", "b1", "b2", "b2_plus", "b2_minus"))
 
 
 def test_invariants_independent_of_n():

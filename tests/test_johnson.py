@@ -519,7 +519,7 @@ def test_saturate_invariance_postcondition():
     for s in seeds:
         assert basis.member(s.coords)
     for letter in gens:
-        for direction in (letter.matrix(), letter.inverse().matrix()):
+        for direction in (twist_matrix(l.curve, l.power) for l in (letter, letter.inverse())):
             for row in basis.rows:
                 img = sp_action_quotient(direction, QuotientClass(g, row))
                 assert basis.member(img.coords)

@@ -126,10 +126,10 @@ def test_echelon_insert_and_member():
     assert lat.insert((2, 0, 0))
     assert lat.insert((0, 3, 0))
     assert not lat.insert((2, 3, 0))
-    assert lat.member((4, 3, 0))
-    assert not lat.member((1, 0, 0))
+    assert not lat.reduce((4, 3, 0))
+    assert lat.reduce((1, 0, 0))
     assert lat.insert((1, 0, 0))  # pivot gcd shrink counts as growth
-    assert lat.member((1, 0, 0))
+    assert not lat.reduce((1, 0, 0))
 
 
 def test_hnf_canonical_and_idempotent():
@@ -194,7 +194,7 @@ def test_sparse_echelon_matches_the_dense_oracle(case):
         assert (residue is not None) == dense.insert(r)
         assert sparse.rank == dense.rank
         for p in probes + rows:
-            assert sparse.member(p) == dense.member(p)
+            assert (not sparse.reduce(p)) == dense.member(p)
             assert _densify(sparse.reduce(p), dim) == dense.reduce(p)
     hermite = tuple(tuple(_densify(r, dim)) for r in sparse.hermite().values())
     assert hermite == dense.hnf_rows()

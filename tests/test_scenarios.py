@@ -50,6 +50,17 @@ def test_a_failed_constraint_stops_the_build_naming_it(monkeypatch):
     assert str(err.value) == "transcription constraint failed: B_1 is primitive"
 
 
+def test_the_chain_relation_names_the_pair_that_fails():
+    # c_7 = b_1 - b_3 in place of -b_3 meets c_2 = a_1, two steps away
+    table = CurveTable("chain", 3)
+    chain = dict(table.chain)
+    scenarios._check_chain_relation(chain)
+    chain[7] = table.b[1] - table.b[3]
+    with pytest.raises(ScenarioValidationError) as err:
+        scenarios._check_chain_relation(chain)
+    assert str(err.value) == "chain relation fails at (c_2, c_7)"
+
+
 def test_eta_matrix_properties():
     for g in (1, 2, 3, 4):
         eta = eta_matrix(g)
@@ -101,7 +112,6 @@ def test_torelli_f_values():
 
 def test_torelli_f_literal_word_is_sp_trivial():
     for g in (2, 3):
-        assert sp_image(family("mck", g).twist_word).is_identity()
         assert sp_image(family("mck", g).twist.twist_word()).is_identity()
 
 
@@ -121,7 +131,7 @@ def test_twisted_mck_letters_equal_base():
 def test_f_power_fixes_letter_classes():
     g = 2
     table = CurveTable("mck", g)
-    m = sp_image(family("mck", g).twist_word.power(5))
+    m = sp_image(family("mck", g).twist.twist_word().power(5))
     assert m.is_identity()
     assert m.apply(table.B[0]) == table.B[0]
 
@@ -291,7 +301,7 @@ def test_single_seed_orbit_lattice_content():
 def test_global_conjugation_of_base_by_twist():
     g = 2
     fact = family("mck", g).base
-    conj = family("mck", g).twist_word
+    conj = family("mck", g).twist.twist_word()
     from monolab.words import global_conjugation
     out = global_conjugation(fact, conj)
     assert sp_image(out.word) == fact.claimed_target

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from monolab.homology import HomologyClass, SpMap, basis_a, basis_b, zero_class
+from monolab.homology import HomologyClass, SpMap, basis_a, basis_b, twist_matrix, zero_class
 from monolab.words import (
     ConjugationError,
     FactorizationError,
@@ -12,7 +12,6 @@ from monolab.words import (
     PositiveFactorization,
     TwistLetter,
     Word,
-    commutes_at_sp,
     elementary_transformation,
     global_conjugation,
     partial_conjugation,
@@ -34,7 +33,7 @@ def test_letter_validation():
         TwistLetter(zero_class(g), 1, separating=True, split=(1, 2))
     sep = TwistLetter(zero_class(g), 1, separating=True, split=(1, 1))
     assert sep.split == (1, 1)
-    assert sep.matrix().is_identity()
+    assert twist_matrix(sep.curve, sep.power).is_identity()
 
 
 def test_sp_image_trivials():
@@ -50,7 +49,8 @@ def test_sp_image_order_convention():
     g = 2
     u = TwistLetter(basis_a(g, 1))
     v = TwistLetter(basis_b(g, 1))
-    assert sp_image(Word([u, v], g)) == u.matrix() @ v.matrix()
+    assert sp_image(Word([u, v], g)) == (twist_matrix(u.curve, u.power)
+                                         @ twist_matrix(v.curve, v.power))
 
 
 def _letters(g):
@@ -80,7 +80,7 @@ def test_sp_image_equals_the_dense_product(data):
     g, letters = data
     dense = SpMap.identity(g)
     for letter in letters:
-        m = letter.matrix()
+        m = twist_matrix(letter.curve, letter.power)
         for j in range(2 * g):
             e = HomologyClass(g, [int(i == j) for i in range(2 * g)])
             assert m.apply(e) == naive_transvect(letter.curve, letter.power, e)
@@ -143,8 +143,8 @@ def test_elementary_transformation_matches_the_dense_conjugation():
             u, v = fact.letters[pos], fact.letters[pos + 1]
             left = elementary_transformation(fact, pos, "left").letters
             right = elementary_transformation(fact, pos, "right").letters
-            assert left[pos:pos + 2] == (v.conjugated(u.matrix()), u)
-            assert right[pos:pos + 2] == (v, u.conjugated(v.inverse().matrix()))
+            assert left[pos:pos + 2] == (v.conjugated(twist_matrix(u.curve, u.power)), u)
+            assert right[pos:pos + 2] == (v, u.conjugated(twist_matrix(v.curve, -v.power)))
 
 
 def test_hurwitz_moves_preserve_image_and_counts():
@@ -180,9 +180,9 @@ def test_global_conjugation():
 def test_global_conjugation_commutation_check():
     g = 2
     u = TwistLetter(basis_a(g, 1))
-    fact = PositiveFactorization(Word([u], g), u.matrix())
+    fact = PositiveFactorization(Word([u], g), twist_matrix(u.curve, u.power))
     bad = Word([TwistLetter(basis_b(g, 1))], g)
-    assert not commutes_at_sp(bad, fact.word)
+    assert not sp_image(bad).commutes_with(sp_image(fact.word))
     with pytest.raises(ConjugationError):
         global_conjugation(fact, bad)
 
@@ -228,18 +228,6 @@ def test_partial_conjugation_preserves_product():
         if sp_image(conj).commutes_with(sp_image(prefix)):
             out = partial_conjugation(fact, k, conj)
             assert sp_image(out.word) == fact.claimed_target
-
-
-def test_commutes_at_sp_examples():
-    g = 2
-    a_twist = Word([TwistLetter(basis_a(g, 1))], g)
-    b_twist = Word([TwistLetter(basis_b(g, 1))], g)
-    assert not commutes_at_sp(a_twist, b_twist)
-    assert commutes_at_sp(a_twist, a_twist)
-    # a word with trivial image commutes with everything
-    c = basis_b(g, 2)
-    torelli_like = Word([TwistLetter(c, 1), TwistLetter(c, -1)], g)
-    assert commutes_at_sp(torelli_like, b_twist)
 
 
 def test_separating_letters_ride_through_conjugation():
