@@ -8,8 +8,8 @@ The homology action of a right-handed Dehn twist about a curve in class c
 is the transvection x -> x + <x, c> c; the left-handed twist subtracts.
 This one sign convention is fixed here, in ``pairing`` and ``dual``, and
 every other module takes it from those two functions.  ``twist_coords`` is
-the one vector transvection: ``transvection``, the Hurwitz moves of
-``words`` and the mod-m moves of ``hurwitz`` all call it.  ``twist_product``
+the one vector transvection: the Johnson transport of ``johnson`` and the
+mod-m moves of ``hurwitz`` call it.  ``twist_product``
 is the one product of twist matrices: ``twist_matrix``, ``words.sp_image``
 and the Hurwitz pair check all call it.  All values are immutable and all
 operations are pure.
@@ -76,16 +76,6 @@ def basis_b(genus, i):
     return HomologyClass(genus, c)
 
 
-def intersection_matrix(genus):
-    """The Gram matrix J of the pairing in the fixed basis."""
-    n = 2 * genus
-    rows = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        rows[i][genus + i] = 1
-        rows[genus + i][i] = -1
-    return tuple(tuple(r) for r in rows)
-
-
 def pairing(u, v):
     """<u, v> for coordinate sequences u, v in the fixed basis."""
     g = len(u) // 2
@@ -111,15 +101,6 @@ def twist_coords(c, power, x):
     the image of x under T_c^p, as a tuple."""
     k = power * pairing(x, c)
     return tuple(xi + k * ci for xi, ci in zip(x, c)) if k else tuple(x)
-
-
-def transvection(c, power, x):
-    """Image of x under the Dehn twist about c raised to ``power`` (+1 or -1)."""
-    if power not in (1, -1):
-        raise ValueError("power must be +1 or -1")
-    if c.genus != x.genus:
-        raise GenusMismatchError("genus mismatch: %d vs %d" % (c.genus, x.genus))
-    return HomologyClass(x.genus, twist_coords(c.coords, power, x.coords))
 
 
 class SpMap(Frozen):
@@ -158,11 +139,6 @@ class SpMap(Frozen):
         if x.genus != self.genus:
             raise GenusMismatchError("genus mismatch: %d vs %d" % (self.genus, x.genus))
         return HomologyClass(self.genus, mat_vec(self.rows, x.coords))
-
-    def is_symplectic(self):
-        j = intersection_matrix(self.genus)
-        mt = tuple(zip(*self.rows))
-        return mat_mul(mat_mul(mt, j), self.rows) == j
 
     def is_identity(self):
         return self.rows == identity_matrix(2 * self.genus)

@@ -55,7 +55,7 @@ from .homology import (
     GenusMismatchError, HomologyClass, dual, intersection, is_primitive, twist_coords,
 )
 from .lattices import SublatticeBasis
-from .words import TwistLetter, Word
+from .words import Word
 
 # read only by perfbench's tracer self-check; it goes with the by-name tracer
 from .words import sp_image  # noqa: F401
@@ -71,15 +71,17 @@ class SaturationBudgetError(RuntimeError):
 
 # The quotient, and the lattice rows saturated in it, have C(2G, 3) - 2G
 # coordinates: 1120 at G = 10, 2000 at G = 12, 1313200 at schemas.MAX_GENUS.
-# 12 admits every desk-scale input.  The closure makes about growths x
-# letters insert attempts, each one D application and one reduction against
-# rows kept reduced: at G = 12, 2615 attempts and 248 growths to rank 195 for
-# mck g = 6 (13 letters), 48024 attempts to rank 2000 = dim for chain g = 12
-# (24 letters).  Measured through the CLI, one process per job on a shared
-# 2-CPU machine (Python 3.11), min of 5, `distinguish --n 1 --m 3
-# --deep-check` takes 0.27 s and 15.2 MB max RSS for mck g = 5 (G = 10, with
-# --json), 0.55 s and 16.3 MB for mck g = 6 (G = 12), and 0.53 s and 17.5 MB
-# for chain g = 12 with --json, whose 56 MB document streams out.
+# 12 admits every desk-scale input.  The closure makes seeds + growths x
+# letters insert attempts (see ``saturate``), each one D application and one
+# reduction against rows kept reduced: at G = 12, 14 + 195 x 13 = 2549 for
+# mck g = 6 (14 seeds, 13 nonseparating letters, 195 growths to rank 195) and
+# 24 + 2000 x 24 = 48024 for chain g = 12 (24 letters, 2000 growths to rank
+# 2000 = dim).  Measured through the CLI, one process per job
+# (perfbench/launcher.py) on a shared 2-CPU machine (Python 3.11), median of
+# 5, `distinguish --n 1 --m 3 --deep-check` takes 0.35 s and 15.3 MB max RSS
+# for mck g = 5 (G = 10, with --json), 0.51 s and 16.1 MB for mck g = 6
+# (G = 12), and 0.43 s and 17.8 MB for chain g = 12 with --json, whose 56 MB
+# document streams out.
 MAX_QUOTIENT_GENUS = 12
 
 
@@ -504,23 +506,8 @@ class TorelliWord(Frozen):
             tuple((word * w, g, e) for (w, g, e) in self.factors), self.genus
         )
 
-    def twist_word(self):
-        """The literal twist word: each factor contributes w x^e w^{-1}."""
-        out = Word((), self.genus)
-        for w, g, e in self.factors:
-            x = bounding_pair_word(g).power(e)
-            out = out * w * x * w.inverse()
-        return out
-
     def __repr__(self):
         return "TorelliWord(%d factors, genus=%d)" % (len(self.factors), self.genus)
-
-
-def bounding_pair_word(gen):
-    """The two-letter word T_x T_y^{-1}; both curves carry the class ``cls``."""
-    return Word(
-        (TwistLetter(gen.cls, 1), TwistLetter(gen.cls, -1)), gen.genus
-    )
 
 
 def tau_word(tw):
@@ -553,6 +540,8 @@ def commutator_tau(k, tw, n):
 # saturation and certificates
 
 
+# insert attempts of one closure, seeds included; at most 48024 at admitted
+# genus (see ``saturate``)
 MAX_SATURATION_STEPS = 200000
 
 
@@ -567,11 +556,16 @@ def saturate(seeds, action_gens):
     tried for every letter T (in the lattice iff T r is), so the result is
     stable under every letter and, by ``_letter_deltas``, every inverse.
     Termination is guaranteed (ascending chains of subgroups of a
-    finite-rank free abelian group stabilize); MAX_SATURATION_STEPS bounds
-    the insert attempts, seeds included, and guards against implementation
-    bugs only.  The letter operators and their pair columns are dropped
-    before the Hermite pass, which shares every stored row that needs no
-    further step; nothing is kept between calls.
+    finite-rank free abelian group stabilize).  Each seed is tried once and
+    each growth once per nonseparating letter, so the insert attempts are
+    exactly seeds + growths x letters.  MAX_SATURATION_STEPS bounds them.
+    At admitted genus (G <= MAX_QUOTIENT_GENUS) the largest closure a family
+    makes is chain g = 12, whose lattice is the whole quotient: 24 seeds,
+    2000 growths and 24 letters give 48024 attempts, under a quarter of the
+    bound.  So the bound binds there only on a fault, a letter operator that
+    keeps growing the lattice.  The letter operators and their pair columns
+    are dropped before the Hermite pass, which shares every stored row that
+    needs no further step; nothing is kept between calls.
     """
     seeds = list(seeds)
     if not seeds:

@@ -308,14 +308,6 @@ class FamilySpec:
         return FibrationSpec(self.surface_genus, self.base.letters, self.sections,
                              hyperelliptic=True)
 
-    def factorization(self, n):
-        """Member n, which is the validated base itself: the twist is Torelli
-        by construction (see the module docstring), so partially conjugating
-        the prefix by its n-th power moves no letter."""
-        if n < 0:
-            raise ValueError("need n >= 0")
-        return self.base
-
     def spec(self, n):
         """Member n: the base spec for n = 0, the one twisted spec for n > 0."""
         if n < 0:

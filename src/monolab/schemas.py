@@ -258,21 +258,6 @@ def decode_factorization(doc, path="factorization"):
 # -- Torelli words ------------------------------------------------------------
 
 
-def encode_torelli_word(tw):
-    factors = []
-    for w, gen, e in tw.factors:
-        factors.append({
-            "conjugator": encode_word(w),
-            "generator": {
-                "cls": list(gen.cls.coords),
-                "side": [[list(a.coords), list(b.coords)] for a, b in gen.side_basis],
-            },
-            "exp": e,
-        })
-    return {"schema": SCHEMA, "type": "torelli_word", "genus": tw.genus,
-            "factors": factors}
-
-
 def decode_torelli_word(doc, path="torelli_word"):
     check_version(doc, path)
     genus = _expect_genus(doc, "genus", path)

@@ -19,7 +19,6 @@ from .homology import (
     HomologyClass,
     SpMap,
     is_primitive,
-    transvection,
     twist_product,
 )
 
@@ -123,13 +122,6 @@ class Word(Frozen):
     def inverse(self):
         return Word(tuple(l.inverse() for l in reversed(self.letters)), self.genus)
 
-    def power(self, n):
-        n = int(n)
-        if n == 0:
-            return Word((), self.genus)
-        base = self if n > 0 else self.inverse()
-        return Word(base.letters * abs(n), self.genus)
-
     def __repr__(self):
         return "Word(%d letters, genus=%d)" % (len(self.letters), self.genus)
 
@@ -209,39 +201,6 @@ def verify_factorization(word, claimed_target=None):
         ),
         "image": [list(r) for r in image.rows],
     }
-
-
-def _twisted(letter, c, power):
-    """``letter`` conjugated by the twist T_c^power: the twist about the
-    image of its curve, moved as a vector; a separating letter stays."""
-    if letter.separating:
-        return letter
-    return TwistLetter(transvection(c, power, letter.curve), letter.power)
-
-
-def elementary_transformation(fact, pos, direction):
-    """One Hurwitz move on the adjacent written pair at ``pos``.
-
-    With (u, v) = letters[pos], letters[pos+1]:
-
-    * ``"left"``  rewrites (u, v) -> (u v u^-1, u): the new left letter is
-      the twist about the image of v's curve under u's twist.
-    * ``"right"`` is the inverse move, (u, v) -> (v, v^-1 u v).
-
-    Either way the written product, and hence the symplectic image, is
-    unchanged.
-    """
-    letters = list(fact.letters)
-    if not 0 <= pos <= len(letters) - 2:
-        raise IndexError("pair position %d out of range" % pos)
-    u, v = letters[pos], letters[pos + 1]
-    if direction == "left":
-        letters[pos:pos + 2] = _twisted(v, u.curve, u.power), u
-    elif direction == "right":
-        letters[pos:pos + 2] = v, _twisted(u, v.curve, -v.power)
-    else:
-        raise ValueError("direction must be 'left' or 'right'")
-    return PositiveFactorization(Word(letters, fact.genus), fact.claimed_target)
 
 
 def global_conjugation(fact, conjugator):

@@ -3,18 +3,19 @@
 These deliberately avoid the package's own bookkeeping: intersection goes
 through an explicit Gram matrix, wedge products through permutation signs,
 and linear solving through Fractions.  Where a test compares package output
-to an oracle, the oracle lives here.
+to an oracle, the oracle lives here.  So do the test inputs the command
+line never builds: Hurwitz moves on whole letters, powers of words, the
+literal twist words of Torelli words and ``torelli_word`` documents.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from monolab.homology import HomologyClass
+from monolab.homology import HomologyClass, twist_coords
+from monolab.schemas import SCHEMA, encode_word
 from monolab.scenarios import family
-from monolab.words import (
-    PositiveFactorization, TwistLetter, Word, elementary_transformation, sp_image,
-)
+from monolab.words import PositiveFactorization, TwistLetter, Word, sp_image
 
 
 def naive_j_matrix(genus):
@@ -135,3 +136,73 @@ def mck_depth3_inputs():
         end = elementary_transformation(end, rng.randrange(len(end.letters) - 1),
                                         rng.choice(("left", "right")))
     return start, end
+
+
+def elementary_transformation(fact, pos, direction):
+    """One Hurwitz move on the adjacent written pair at ``pos``.
+
+    With (u, v) = letters[pos], letters[pos+1]:
+
+    * ``"left"``  rewrites (u, v) -> (u v u^-1, u): the new left letter is
+      the twist about the image of v's curve under u's twist.
+    * ``"right"`` is the inverse move, (u, v) -> (v, v^-1 u v).
+
+    Either way the written product, and hence the symplectic image, is
+    unchanged.  The moved curve is twisted as a vector by
+    ``homology.twist_coords``; a separating letter has the zero class and
+    stays.
+    """
+    letters = list(fact.letters)
+    if not 0 <= pos <= len(letters) - 2:
+        raise IndexError("pair position %d out of range" % pos)
+    if direction not in ("left", "right"):
+        raise ValueError("direction must be 'left' or 'right'")
+    u, v = letters[pos], letters[pos + 1]
+    moved, by, power = (v, u, u.power) if direction == "left" else (u, v, -v.power)
+    if not moved.separating:
+        coords = twist_coords(by.curve.coords, power, moved.curve.coords)
+        moved = TwistLetter(HomologyClass(fact.genus, coords), moved.power)
+    letters[pos:pos + 2] = (moved, u) if direction == "left" else (v, moved)
+    return PositiveFactorization(Word(letters, fact.genus), fact.claimed_target)
+
+
+def word_power(word, n):
+    """The word repeated n times, its inverse repeated -n times for n < 0."""
+    n = int(n)
+    if n == 0:
+        return Word((), word.genus)
+    base = word if n > 0 else word.inverse()
+    return Word(base.letters * abs(n), word.genus)
+
+
+def bounding_pair_word(gen):
+    """The two-letter word T_x T_y^{-1}; both curves carry the class ``cls``."""
+    return Word(
+        (TwistLetter(gen.cls, 1), TwistLetter(gen.cls, -1)), gen.genus
+    )
+
+
+def twist_word(tw):
+    """The literal twist word of a Torelli word: each factor contributes
+    w x^e w^{-1}."""
+    out = Word((), tw.genus)
+    for w, g, e in tw.factors:
+        x = word_power(bounding_pair_word(g), e)
+        out = out * w * x * w.inverse()
+    return out
+
+
+def encode_torelli_word(tw):
+    """The ``torelli_word`` document that ``monolab johnson`` reads."""
+    factors = []
+    for w, gen, e in tw.factors:
+        factors.append({
+            "conjugator": encode_word(w),
+            "generator": {
+                "cls": list(gen.cls.coords),
+                "side": [[list(a.coords), list(b.coords)] for a, b in gen.side_basis],
+            },
+            "exp": e,
+        })
+    return {"schema": SCHEMA, "type": "torelli_word", "genus": tw.genus,
+            "factors": factors}

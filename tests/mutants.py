@@ -32,7 +32,7 @@ MUTANTS = [
     ("transvection-sign", "src/monolab/homology.py",
      "k = power * pairing(x, c)", "k = -power * pairing(x, c)",
      ["tests/test_homology.py::test_transvection_sign_convention",
-      "tests/test_words.py::test_elementary_transformation_matches_the_dense_conjugation"]),
+      "tests/test_homology.py::test_twist_coords_matches_the_dense_conjugation"]),
     ("elimination-pivot-sign", "src/monolab/lattices.py",
      "minus += (p > 0) != (prev > 0)", "minus += (p > 0) == (prev > 0)",
      ["tests/test_lattices.py::test_signature_examples",
@@ -44,11 +44,11 @@ MUTANTS = [
     ("dual-sign", "src/monolab/homology.py",
      "(i + g, -x) if i < g", "(i + g, x) if i < g",
      ["tests/test_homology.py::test_twist_matrix_matches_transvection_on_basis",
-      "tests/test_words.py::test_elementary_transformation_matches_the_dense_conjugation"]),
+      "tests/test_homology.py::test_twist_coords_matches_the_dense_conjugation"]),
     ("twist-product-power", "src/monolab/homology.py",
      "k = power * sum(r[i] * x for i, x in c)", "k = sum(r[i] * x for i, x in c)",
      ["tests/test_homology.py::test_twist_matrix_zero_class_and_inverse_pair",
-      "tests/test_words.py::test_elementary_transformation_matches_the_dense_conjugation"]),
+      "tests/test_homology.py::test_twist_coords_matches_the_dense_conjugation"]),
     ("writer-int-fast-path", "src/monolab/schemas.py",
      "if all(type(x) is int for x in value):", "if all(isinstance(x, int) for x in value):",
      ["tests/test_schemas.py::test_dumps_matches_json_dumps",

@@ -9,15 +9,17 @@ The differential tests compare each pair on every public result.
 ``embed_h`` is the embedding of H into the wedge cube, which only the tests
 use.  ``dense_tau_word`` is ``johnson.tau_word`` as it was before it moved
 vectors letter by letter: one symplectic matrix and dense wedges per factor.
+``is_symplectic`` checks m^T J m == J against the naive Gram matrix J.
 """
 
 from fractions import Fraction
 
-from monolab._linalg import xgcd
+from monolab._linalg import mat_mul, xgcd
 from monolab.johnson import (
     QuotientClass, Wedge3, _gamma_coords, _table, _wedge_pair, reduce_to_quotient, wedge3,
 )
 from monolab.words import sp_image
+from helpers import naive_j_matrix
 
 
 def fraction_signature(gram):
@@ -173,3 +175,10 @@ def dense_tau_word(tw):
             wedge = wedge + wedge3(m.apply(a), m.apply(b), m.apply(gen.cls))
         total = total + e * reduce_to_quotient(wedge)
     return total
+
+
+def is_symplectic(m):
+    """True iff the ``SpMap`` m keeps the pairing: m^T J m == J."""
+    j = tuple(map(tuple, naive_j_matrix(m.genus)))
+    mt = tuple(zip(*m.rows))
+    return mat_mul(mat_mul(mt, j), m.rows) == j

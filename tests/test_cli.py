@@ -13,7 +13,7 @@ from monolab import cli, hurwitz, invariants, johnson, lattices, scenarios, sche
 from monolab.homology import basis_a, basis_b
 from monolab.scenarios import family
 from monolab.words import TwistLetter, Word, sp_image
-from helpers import mck_depth3_inputs, random_class
+from helpers import encode_torelli_word, mck_depth3_inputs, random_class, twist_word
 
 
 def run_cli(argv, capsys):
@@ -184,7 +184,7 @@ def test_distinguish_text_and_json(capsys):
 def test_conjugate_partial(tmp_path, capsys):
     g = 2
     fact_path = write_json(tmp_path, "fact.json", mck_fact_doc())
-    table_word = family("mck", g).twist.twist_word()
+    table_word = twist_word(family("mck", g).twist)
     word_path = write_json(tmp_path, "word.json", schemas.encode_word(table_word))
     code, out, _ = run_cli(["conjugate", fact_path, "--word", word_path,
                             "--prefix", str(2 * g + 2)], capsys)
@@ -271,7 +271,7 @@ def test_deterministic_output(capsys):
 
 def test_johnson_cli(tmp_path, capsys):
     tw = family("mck", 2).twist
-    path = write_json(tmp_path, "tw.json", schemas.encode_torelli_word(tw))
+    path = write_json(tmp_path, "tw.json", encode_torelli_word(tw))
     code, out, _ = run_cli(["johnson", path], capsys)
     assert code == 0
     assert "primitive: True" in out
@@ -282,7 +282,7 @@ def test_johnson_cli(tmp_path, capsys):
 
 def test_roundtrips():
     tw = family("mck", 2).twist
-    assert schemas.decode_torelli_word(schemas.encode_torelli_word(tw)).factors == tw.factors
+    assert schemas.decode_torelli_word(encode_torelli_word(tw)).factors == tw.factors
     spec = family("mck", 2).spec(1)
     spec2 = schemas.decode_fibration_spec(schemas.encode_fibration_spec(spec))
     assert spec2.cycles == spec.cycles
@@ -314,7 +314,7 @@ def test_quotient_genus_is_bounded(tmp_path, capsys):
     gen = johnson.BoundingPairGen(basis_b(genus, 2),
                                   [(basis_a(genus, 1), basis_b(genus, 1))])
     tw = johnson.TorelliWord([(Word((), genus), gen, 1)])
-    path = write_json(tmp_path, "tw.json", schemas.encode_torelli_word(tw))
+    path = write_json(tmp_path, "tw.json", encode_torelli_word(tw))
     code, out, err = run_cli(["johnson", path, "--json"], capsys)
     assert code == cli.EX_PRECONDITION
     assert "genus %d exceeds MAX_QUOTIENT_GENUS" % genus in err
@@ -322,7 +322,7 @@ def test_quotient_genus_is_bounded(tmp_path, capsys):
 
 
 def test_torelli_side_vector_of_wrong_length_is_named(tmp_path, capsys):
-    doc = schemas.encode_torelli_word(family("mck", 2).twist)
+    doc = encode_torelli_word(family("mck", 2).twist)
     doc["factors"][0]["generator"]["side"][0][1] = [0, 1, 0]
     path = write_json(tmp_path, "tw.json", doc)
     code, out, err = run_cli(["johnson", path], capsys)
@@ -332,7 +332,7 @@ def test_torelli_side_vector_of_wrong_length_is_named(tmp_path, capsys):
 
 
 def test_torelli_generator_class_of_wrong_length_is_named(tmp_path, capsys):
-    doc = schemas.encode_torelli_word(family("mck", 2).twist)
+    doc = encode_torelli_word(family("mck", 2).twist)
     doc["factors"][0]["generator"]["cls"] = [0, 0, 1]
     path = write_json(tmp_path, "tw.json", doc)
     code, out, err = run_cli(["johnson", path], capsys)
@@ -450,7 +450,7 @@ def test_factorization_target_matrix_must_be_2g_square(tmp_path, capsys):
 def test_conjugate_prefix_must_be_an_integer(tmp_path, capsys):
     fact_path = write_json(tmp_path, "fact.json", mck_fact_doc())
     word_path = write_json(tmp_path, "word.json",
-                           schemas.encode_word(family("mck", 2).twist.twist_word()))
+                           schemas.encode_word(twist_word(family("mck", 2).twist)))
     code, out, err = run_cli(["conjugate", fact_path, "--word", word_path,
                               "--prefix", "x"], capsys)
     assert code == cli.EX_SCHEMA
@@ -561,7 +561,7 @@ def _torelli_doc(seed, genus):
                      for _ in range(3)], genus)
         gen = johnson.BoundingPairGen(basis_b(genus, j), [(basis_a(genus, i), basis_b(genus, i))])
         factors.append((conj, gen, exp))
-    return schemas.encode_torelli_word(johnson.TorelliWord(factors, genus))
+    return encode_torelli_word(johnson.TorelliWord(factors, genus))
 
 
 # sha256 of the `johnson` stdout, --json and text, recorded from the
@@ -852,6 +852,19 @@ def test_closed_stdout_exits_74_without_a_traceback():
     assert b"Traceback" not in proc.stderr
 
 
+# the modules outside monolab that `import monolab.cli` adds to a bare
+# interpreter (`python -I -S`, Python 3.11): json, re and what they and the
+# package import.  Interpreter start and this import are most of a median
+# job's wall time, so a new one joins this list on purpose or not at all
+CLI_STARTUP_MODULES = {
+    "_bisect", "_collections", "_collections_abc", "_functools", "_json", "_operator", "_sre",
+    "_stat", "bisect", "collections", "copyreg", "enum", "functools", "genericpath",
+    "itertools", "json", "json.decoder", "json.encoder", "json.scanner", "keyword", "math",
+    "operator", "os", "os.path", "posixpath", "re", "re._casefix", "re._compiler",
+    "re._constants", "re._parser", "reprlib", "stat", "types",
+}
+
+
 def test_cli_import_loads_no_fractions_or_decimal():
     # every job pays for what `import monolab.cli` loads; the package is
     # plain-int throughout, so neither rational module belongs in it
@@ -862,6 +875,15 @@ def test_cli_import_loads_no_fractions_or_decimal():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # nor any module outside the startup list, with no site and no PYTHONPATH
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", "import sys; sys.path.insert(0, %r); "
+         "before = set(sys.modules); import monolab.cli; "
+         "print(*sorted(set(sys.modules) - before))" % src],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = {m for m in proc.stdout.split() if m.partition(".")[0] != "monolab"}
+    assert sorted(added - CLI_STARTUP_MODULES) == []
 
 
 class _Unprintable:
@@ -1169,7 +1191,7 @@ def test_a_closed_or_full_stderr_changes_neither_stdout_nor_the_exit_code(tmp_pa
 def _mode_inputs(tmp_path):
     """A path to one good input of each kind a subcommand reads."""
     fam = family("mck", 2)
-    docs = {"fact": mck_fact_doc(), "word": schemas.encode_word(fam.twist.twist_word()),
+    docs = {"fact": mck_fact_doc(), "word": schemas.encode_word(twist_word(fam.twist)),
             "torelli": _torelli_doc(4, 4), "spec": schemas.encode_fibration_spec(fam.spec(1)),
             "gram": {"schema": schemas.SCHEMA, "type": "gram", "matrix": [[0, 1], [1, 0]]},
             "classes": {"vectors": []}}
@@ -1361,7 +1383,7 @@ def test_a_signature_reference_of_another_fiber_genus_is_refused(tmp_path, capsy
 @pytest.mark.parametrize("power", [True, 1.0, -1.0, 2, "1"])
 def test_a_power_that_is_not_the_integer_1_or_minus_1_is_refused(tmp_path, capsys, power):
     fam = family("mck", 2)
-    fact, word = mck_fact_doc(), schemas.encode_word(fam.twist.twist_word())
+    fact, word = mck_fact_doc(), schemas.encode_word(twist_word(fam.twist))
     spec = schemas.encode_fibration_spec(fam.spec(1))
     good = {name: write_json(tmp_path, name + ".json", doc)
             for name, doc in (("fact", fact), ("word", word))}

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from monolab import cli, invariants, schemas
 from monolab.scenarios import family
+from helpers import encode_torelli_word, twist_word
 
 EXIT_CODES = {cli.EX_OK, cli.EX_SCHEMA, cli.EX_PRECONDITION, cli.EX_UNKNOWN_COMMAND,
               cli.EX_NO_INPUT, cli.EX_SOFTWARE}
@@ -45,8 +46,8 @@ def _documents():
         gram[i][i] = 1 if i < report["b2_plus"] else -1
     return {
         "factorization": schemas.encode_factorization(fam.base.word),
-        "word": schemas.encode_word(fam.twist.twist_word()),
-        "torelli_word": schemas.encode_torelli_word(fam.twist),
+        "word": schemas.encode_word(twist_word(fam.twist)),
+        "torelli_word": encode_torelli_word(fam.twist),
         "fibration_spec": schemas.encode_fibration_spec(fam.spec(1)),
         "gram": {"schema": schemas.SCHEMA, "type": "gram", "matrix": gram},
         "classes": {"vectors": [gram[0], gram[1]]},

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monolab import hurwitz
-from monolab.homology import HomologyClass, basis_a, basis_b, transvection, twist_matrix
+from monolab.homology import HomologyClass, basis_a, basis_b, twist_coords, twist_matrix
 from monolab.hurwitz import (
     OrbitCertificate,
     QuotientConfig,
@@ -17,10 +17,10 @@ from monolab.hurwitz import (
     same_orbit,
 )
 from monolab.scenarios import family
-from monolab.words import (
-    PositiveFactorization, TwistLetter, Word, elementary_transformation, sp_image,
+from monolab.words import PositiveFactorization, TwistLetter, Word, sp_image
+from helpers import (
+    elementary_transformation, mck_depth3_inputs, random_class, random_positive_factorization,
 )
-from helpers import mck_depth3_inputs, random_class, random_positive_factorization
 
 
 def _move_pair_cases():
@@ -38,10 +38,8 @@ def test_move_pair_is_the_transvection_mod_m(case):
     # each reduced move twists one letter by the other: the integer
     # transvection of homology, sign convention included, reduced mod m
     m, u, v = case
-    g = len(u[0]) // 2
-    cu, cv = HomologyClass(g, u[0]), HomologyClass(g, v[0])
-    left = tuple(x % m for x in transvection(cu, 1, cv).coords)
-    right = tuple(x % m for x in transvection(cv, -1, cu).coords)
+    left = tuple(x % m for x in twist_coords(u[0], 1, v[0]))
+    right = tuple(x % m for x in twist_coords(v[0], -1, u[0]))
     assert hurwitz._move_pair(u, v, "left", m) == ((left, False, None), u)
     assert hurwitz._move_pair(u, v, "right", m) == (v, (right, False, None))
 
@@ -350,7 +348,6 @@ def test_same_orbit_self_and_neighbor():
     state = reduce_factorization(fact, cfg)
     moved = apply_move(state, (0, "left"), cfg)
     # rebuild a factorization whose reduction is the moved state
-    from monolab.words import elementary_transformation
     fact2 = elementary_transformation(fact, 0, "left")
     cert = same_orbit(fact, fact2, cfg, 1000)
     assert cert.verdict == "same-orbit"
@@ -400,7 +397,6 @@ def test_witness_replay_validates():
     cfg = QuotientConfig(5, g)
     rng = random.Random(71)
     fact = random_positive_factorization(rng, g, 5)
-    from monolab.words import elementary_transformation
     other = fact
     for _ in range(4):
         other = elementary_transformation(other, rng.randint(0, 3),

@@ -13,7 +13,8 @@ from monolab.invariants import (
     full_report,
 )
 from monolab.scenarios import family, mck_section_incidence
-from monolab.words import TwistLetter, Word, elementary_transformation, PositiveFactorization, sp_image
+from monolab.words import TwistLetter, Word, PositiveFactorization, sp_image
+from helpers import elementary_transformation
 
 
 def bundle_spec(h, sections=(0,)):

@@ -18,6 +18,7 @@ from monolab.homology import (
 from monolab import _linalg, homology, schemas
 from monolab._linalg import smith_normal_form
 from monolab.johnson import (
+    MAX_SATURATION_STEPS,
     BoundingPairGen,
     QuotientClass,
     TorelliWord,
@@ -282,6 +283,28 @@ def test_saturate_equals_the_closure_that_queues_every_image():
                     img[i] += a
                 queue.append(img)
     assert saturate(seeds, gens).rows == lat.hnf_rows()
+
+
+@pytest.mark.parametrize("kind, g", [("mck", 6), ("chain", 12)])
+def test_saturation_attempts_are_seeds_plus_growths_times_letters(monkeypatch, kind, g):
+    # the cost model that MAX_SATURATION_STEPS is stated from, at the largest
+    # admitted genus of each family: 14 + 195 x 13 = 2549 attempts for mck
+    # g=6, 24 + 2000 x 24 = 48024 for chain g=12
+    insert, counts = _linalg.EchelonLattice.insert, {"attempts": 0, "growths": 0}
+
+    def counting(lat, vec):
+        grown = insert(lat, vec)
+        counts["attempts"] += 1
+        counts["growths"] += grown is not None
+        return grown
+
+    fam = family(kind, g)
+    seeds, letters = fam.seed_classes(1), fam.action_generators()
+    monkeypatch.setattr(_linalg.EchelonLattice, "insert", counting)
+    saturate(seeds, letters)
+    nonseparating = sum(not l.curve.is_zero() for l in letters)
+    assert counts["attempts"] == len(seeds) + counts["growths"] * nonseparating
+    assert counts["attempts"] <= MAX_SATURATION_STEPS // 4
 
 
 def test_quotient_action_dense_path_against_wedge_action():

