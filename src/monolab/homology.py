@@ -9,10 +9,10 @@ is the transvection x -> x + <x, c> c; the left-handed twist subtracts.
 This one sign convention is fixed here, in ``pairing`` and ``dual``, and
 every other module takes it from those two functions.  ``twist_coords`` is
 the one vector transvection: the Johnson transport of ``johnson`` and the
-mod-m moves of ``hurwitz`` call it.  ``twist_product``
-is the one product of twist matrices: ``twist_matrix``, ``words.sp_image``
-and the Hurwitz pair check all call it.  All values are immutable and all
-operations are pure.
+mod-m moves of ``hurwitz`` call it.  ``twist_product`` is the one product
+of twist matrices: ``twist_matrix``, ``words.sp_image`` and the Hurwitz
+pair check all call it.  All values are immutable and all operations are
+pure.
 """
 
 from . import _linalg

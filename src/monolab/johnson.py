@@ -540,8 +540,6 @@ def commutator_tau(k, tw, n):
 # saturation and certificates
 
 
-# insert attempts of one closure, seeds included; at most 48024 at admitted
-# genus (see ``saturate``)
 MAX_SATURATION_STEPS = 200000
 
 
