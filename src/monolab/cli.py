@@ -244,6 +244,15 @@ def _check_genus(kind, g, flag="--genus"):
                          % (flag, g, genus, schemas.MAX_GENUS))
 
 
+def _naming(flag, build, *args):
+    """``build(*args)``; the ValueError it raises for a parameter below the
+    least it admits is refused (exit 3) naming ``flag``, which gave it."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (flag, exc)) from None
+
+
 @_command("invariants", "--grid g0..g1,n0..n1", "--family mck|chain", "[--csv]")
 def _cmd_invariants_grid(args):
     """The --csv table of one family over g0..g1 by n0..n1, refused before
@@ -266,10 +275,10 @@ def _cmd_invariants_grid(args):
     keys = ("chi", "sigma", "b1", "b2_plus", "b2_minus")
     lines = [",".join(("family", "g", "n") + keys)]
     for g in range(g0, g1 + 1):
-        family = scenarios.family(fam, g)
+        family = _naming("--grid", scenarios.family, fam, g)
         reports = {}
         for n in range(n0, n1 + 1):
-            spec = family.spec(n)
+            spec = _naming("--grid", family.spec, n)
             if id(spec) not in reports:
                 reports[id(spec)] = invariants.full_report(spec)
             r = reports[id(spec)]
@@ -288,7 +297,7 @@ def _cmd_invariants(args):
         _check_family(fam)
         g, n = args.get_int("genus"), args.get_int("n", 0)
         _check_genus(fam, g)
-        spec = scenarios.family(fam, g).spec(n)
+        spec = _naming("--n", _naming("--genus", scenarios.family, fam, g).spec, n)
     d = invariants.full_report(spec)
     if "json" in args:
         return _document("invariant_report", d)
@@ -331,7 +340,10 @@ def _cmd_distinguish(args):
     _check_genus(fam_name, g)
     n = args.get_int("n")
     m = args.get_int("m")
-    fam = scenarios.family(fam_name, g)
+    fam = _naming("--genus", scenarios.family, fam_name, g)
+    for flag, k in (("--n", n), ("--m", m)):
+        if k < 0:
+            raise ValueError("%s: need %s >= 0" % (flag, flag[2:]))
     cert = johnson.distinguish(n, m, fam)
     if cert is None:
         verdict = "no certificate (equal parameters); equivalence is not claimed"
@@ -443,7 +455,8 @@ def _cmd_lattice_enumerate(args):
 def _cmd_scenario_family(args):
     kind, g = args.words[1], args.get_int("genus")
     _check_genus(kind, g)
-    return schemas.encode_fibration_spec(scenarios.family(kind, g).spec(args.get_int("n", 0)))
+    family = _naming("--genus", scenarios.family, kind, g)
+    return schemas.encode_fibration_spec(_naming("--n", family.spec, args.get_int("n", 0)))
 
 
 @_command("scenario curves", "--genus G", "[--context mck|chain]")
@@ -451,7 +464,7 @@ def _cmd_scenario_curves(args):
     g, context = args.get_int("genus"), args.get("context", "mck")
     _check_family(context, "--context")
     _check_genus(context, g)
-    return _document("curve_table", scenarios.CurveTable(context, g).as_dict())
+    return _document("curve_table", _naming("--genus", scenarios.CurveTable, context, g).as_dict())
 
 
 def _warn(message):

@@ -18,7 +18,6 @@ failure means malformed input, not roundoff.
 """
 
 from ._linalg import Frozen, rank
-from .lattices import IntLattice, orthogonal_complement, parity
 
 
 class FibrationError(ValueError):
@@ -133,42 +132,3 @@ def full_report(spec):
             "b2_plus": (b2 + sigma) // 2, "b2_minus": (b2 - sigma) // 2,
             "parity_notes": notes, "certification_level": "homology-level"}
 
-
-def blowdown_parity_report(spec, fiber_section_incidence):
-    """Parity of the intersection form after blowing down the sections.
-
-    ``fiber_section_incidence`` has one row per reducible-fiber component
-    and one column per section, giving the geometric intersection counts.
-    Component rows pair up as (0, 1), (2, 3), ...: consecutive components
-    belong to one reducible fiber, meet each other once, and have square -1.
-    Sections must all be (-1)-spheres; their span is then unimodular and the
-    parity of its orthogonal complement is the parity of the blowdown.
-    """
-    sections = spec.sections
-    if any(s != -1 for s in sections):
-        raise FibrationError("blowdown needs sections of self-intersection -1")
-    incidence = [list(map(int, row)) for row in fiber_section_incidence]
-    n_comp = len(incidence)
-    n_sec = len(sections)
-    for row in incidence:
-        if len(row) != n_sec:
-            raise FibrationError("incidence row length differs from the section count")
-    n = n_comp + n_sec
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n_comp):
-        gram[i][i] = -1
-        if i % 2 == 1:
-            gram[i][i - 1] = gram[i - 1][i] = 1
-    for j in range(n_sec):
-        gram[n_comp + j][n_comp + j] = -1
-    for i in range(n_comp):
-        for j in range(n_sec):
-            gram[i][n_comp + j] = gram[n_comp + j][i] = incidence[i][j]
-    ambient = IntLattice(gram)
-    section_classes = []
-    for j in range(n_sec):
-        v = [0] * n
-        v[n_comp + j] = 1
-        section_classes.append(v)
-    _, complement = orthogonal_complement(ambient, section_classes)
-    return parity(complement)

@@ -55,7 +55,6 @@ from .homology import (
     GenusMismatchError, HomologyClass, dual, intersection, is_primitive, twist_coords,
 )
 from .lattices import SublatticeBasis
-from .words import Word
 
 # read only by perfbench's tracer self-check; it goes with the by-name tracer
 from .words import sp_image  # noqa: F401
@@ -420,11 +419,6 @@ class BoundingPairGen(Frozen):
         return self.cls.genus
 
 
-def tau_bounding_pair(gen):
-    """Johnson value of the bounding-pair map: (sum_j alpha_j ^ beta_j) ^ cls."""
-    return _tau_sum(gen.genus, ((Word((), gen.genus), gen, 1),))
-
-
 def _tau_sum(genus, factors):
     """sum e * w_* tau(gen) over the factors (w, gen, e), by transport.
 
@@ -513,8 +507,9 @@ class TorelliWord(Frozen):
 def tau_word(tw):
     """tau of a Torelli word, additive over factors.  By Johnson's
     equivariance tau(w x w^{-1}) = w_* tau(x) (Math. Ann. 249, 1980), a
-    factor (w, gen, e) adds e * w_* tau_bounding_pair(gen), the wedge of the
-    bounding pair's vectors moved through w (see ``_tau_sum``)."""
+    factor (w, gen, e) adds e * w_* tau(gen), where tau of the bounding-pair
+    map gen is (sum_j alpha_j ^ beta_j) ^ cls: the wedge of the bounding
+    pair's vectors moved through w (see ``_tau_sum``)."""
     return _tau_sum(tw.genus, tw.factors)
 
 

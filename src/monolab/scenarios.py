@@ -373,17 +373,3 @@ class FamilySpec:
 def family(kind, g):
     return FamilySpec(kind, g)
 
-
-def mck_section_incidence(variant):
-    """Intersection counts of the two components of one reducible fiber with
-    the four (-1)-sections, for the two section systems of the base family.
-
-    In system 1 the first component meets the fourth section and the second
-    component meets the other three; in system 2 the first component misses
-    every section and the second meets all four.
-    """
-    if variant == 1:
-        return ((0, 0, 0, 1), (1, 1, 1, 0))
-    if variant == 2:
-        return ((0, 0, 0, 0), (1, 1, 1, 1))
-    raise ValueError("variant must be 1 or 2")

@@ -175,7 +175,7 @@ class PositiveFactorization(Frozen):
         return "PositiveFactorization(%d letters, genus=%d)" % (len(self), self.genus)
 
 
-def verify_factorization(word, claimed_target=None):
+def verify_factorization(word, claimed_target):
     """Compare the symplectic image of a word against a claimed target.
 
     Returns a report dict.  A "pass" certifies equality of integer matrices
@@ -183,11 +183,6 @@ def verify_factorization(word, claimed_target=None):
     condition for the corresponding mapping-class identity, not a proof of
     it (Torelli elements are invisible here).
     """
-    if isinstance(word, PositiveFactorization):
-        claimed_target = word.claimed_target
-        word = word.word
-    if claimed_target is None:
-        claimed_target = SpMap.identity(word.genus)
     image = sp_image(word)
     ok = image == claimed_target
     return {

@@ -159,6 +159,9 @@ MUTANTS = [
     ("int-rows-list-check", "src/monolab/schemas.py",
      "if not isinstance(value, list):", "if False:",
      ["tests/test_cli.py::test_a_classes_file_without_a_vectors_list_is_named"]),
+    ("refusal-flag-dropped", "src/monolab/cli.py",
+     'raise ValueError("%s: %s" % (flag, exc)) from None', "raise",
+     ["tests/test_cli.py::test_a_parameter_below_its_least_exits_3_naming_its_flag"]),
     ("decode-error-file-dropped", "src/monolab/cli.py",
      '"%s (in %s)" % (exc, path)', "exc",
      ["tests/test_cli.py::test_a_decode_error_names_the_field_then_the_file",

@@ -4,6 +4,7 @@ Each test prints a single PASS line on success; a failure fails the test.
 Shared family data is computed once per session.
 """
 
+import json
 import random
 import re
 
@@ -11,10 +12,9 @@ import pytest
 
 from monolab import schemas
 from monolab._linalg import identity_matrix, smith_normal_form
-from monolab.homology import basis_a, basis_b, fixed_subspace_dim, is_primitive
+from monolab.homology import SpMap, basis_a, basis_b, fixed_subspace_dim, is_primitive
 from monolab.invariants import (
     b1_homological,
-    blowdown_parity_report,
     endo_signature,
     full_report,
 )
@@ -34,7 +34,6 @@ from monolab.scenarios import (
     CurveTable,
     eta_matrix,
     family,
-    mck_section_incidence,
 )
 from monolab.words import (
     TwistLetter,
@@ -45,6 +44,7 @@ from monolab.words import (
 )
 from helpers import elementary_transformation, random_positive_factorization, random_class
 from oracles import embed_h
+from test_cli import blowdown_parity, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +78,20 @@ def test_criterion_02_invariant_table():
     print("ACCEPTANCE 2 (invariant table, g=2..5, n=0..10): PASS")
 
 
-def test_criterion_03_blowdown_parity():
+# one reducible fiber's two components against the four sections: in
+# system 1 the first component meets the fourth section and the second the
+# other three; in system 2 the first meets none and the second all four
+SECTION_SYSTEMS = {1: ((0, 0, 0, 1), (1, 1, 1, 0)), 2: ((0, 0, 0, 0), (1, 1, 1, 1))}
+
+
+def test_criterion_03_blowdown_parity(tmp_path, capsys):
+    # the blowdown along the four (-1)-sections that the scenario document
+    # lists has the parity of their orthogonal complement
     for g in (2, 3):
-        spec = family("mck", g).base_spec
-        assert blowdown_parity_report(spec, mck_section_incidence(1)) == "even"
-        assert blowdown_parity_report(spec, mck_section_incidence(2)) == "odd"
+        code, out, _ = run_cli(["scenario", "mck", "--genus", str(g)], capsys)
+        assert (code, json.loads(out)["sections"]) == (0, [-1] * 4)
+    assert blowdown_parity(tmp_path, capsys, SECTION_SYSTEMS[1]) == "even"
+    assert blowdown_parity(tmp_path, capsys, SECTION_SYSTEMS[2]) == "odd"
     print("ACCEPTANCE 3 (blowdown parity, both section systems, g=2,3): PASS")
 
 
@@ -265,10 +274,10 @@ def test_criterion_10_honest_verdicts(families):
     fam = families[("mck", 2)]
     docs.append(distinguish(1, 2, fam))
     docs.append(full_report(family("mck", 2).spec(3)))
-    docs.append(verify_factorization(family("mck", 2).base))
+    docs.append(verify_factorization(family("mck", 2).base_word, SpMap.identity(4)))
     g = 2
     bad = Word([TwistLetter(basis_a(g, 1))], g)
-    docs.append(verify_factorization(bad))
+    docs.append(verify_factorization(bad, SpMap.identity(g)))
     from monolab.hurwitz import QuotientConfig, same_orbit, orbit_explore
     cfg = QuotientConfig(2, 4)
     f = family("mck", 2).base

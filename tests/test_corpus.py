@@ -5,7 +5,11 @@ jobs (``perfbench/reference.json``, replayed in ``test_cli.py``): every
 declared usage in text and in ``--json``, ``scenario curves`` in both
 contexts at g = 1..5, ``distinguish`` in its four output modes for mck and
 chain at g = 2..4, a ``verify`` whose target is a matrix, and refusals with
-exit 2, 3, 64 and 66.  ``files`` holds the input documents; each replay
+exit 2, 3, 64 and 66.  It also runs branches the other argvs miss: an
+explore that reaches closure, compares that end early on a letter-count
+mismatch, a split-multiset mismatch and identical inputs, the
+zero-diagonal pair step of ``lattice sig``, a Torelli factor of exponent 0
+and ``conjugate`` writing a matrix target.  ``files`` holds the input documents; each replay
 writes them to a fresh directory and runs every argv there in process,
 through ``cli.run``.  An entry holds the argv, the exit code and the sha256
 of stdout, and a refusal (a nonzero exit) its stderr too.  The whole replay

@@ -7,14 +7,14 @@ from monolab.invariants import (
     FibrationError,
     FibrationSpec,
     b1_homological,
-    blowdown_parity_report,
     endo_signature,
     euler_characteristic,
     full_report,
 )
-from monolab.scenarios import family, mck_section_incidence
+from monolab.scenarios import family
 from monolab.words import TwistLetter, Word, PositiveFactorization, sp_image
 from helpers import elementary_transformation
+from test_cli import blowdown_parity
 
 
 def bundle_spec(h, sections=(0,)):
@@ -125,25 +125,11 @@ def test_signature_invariant_under_hurwitz_moves():
     assert euler_characteristic(moved) == euler_characteristic(spec)
 
 
-def test_blowdown_parity_scenarios():
-    for g in (2, 3):
-        spec = family("mck", g).base_spec
-        assert blowdown_parity_report(spec, mck_section_incidence(1)) == "even"
-        assert blowdown_parity_report(spec, mck_section_incidence(2)) == "odd"
-
-
-def test_blowdown_parity_toy():
+def test_blowdown_parity_toy(tmp_path, capsys):
     # one fiber component meeting one (-1)-section: complement square 0
-    spec = FibrationSpec(2, (), (-1,), hyperelliptic=True)
-    assert blowdown_parity_report(spec, [[1]]) == "even"
+    assert blowdown_parity(tmp_path, capsys, [(1,)]) == "even"
     # meeting no section leaves the square -1 component in the complement
-    assert blowdown_parity_report(spec, [[0]]) == "odd"
-
-
-def test_blowdown_parity_requires_minus_one_sections():
-    spec = family("chain", 3).spec(0)
-    with pytest.raises(FibrationError):
-        blowdown_parity_report(spec, [[1]])
+    assert blowdown_parity(tmp_path, capsys, [(0,)]) == "odd"
 
 
 def numbers(report):

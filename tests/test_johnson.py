@@ -32,7 +32,6 @@ from monolab.johnson import (
     saturate,
     sp_action_quotient,
     sp_action_wedge,
-    tau_bounding_pair,
     tau_word,
     wedge3,
 )
@@ -341,10 +340,15 @@ def test_bounding_pair_validation():
         BoundingPairGen(basis_b(g, 2), [(basis_a(g, 2), basis_b(g, 2))])
 
 
+def _tau_bounding_pair(gen):
+    """tau of the bounding-pair map itself: one factor, no conjugator."""
+    return tau_word(TorelliWord([(Word((), gen.genus), gen, 1)]))
+
+
 def test_tau_bounding_pair_value():
     g = 4
     gen = BoundingPairGen(basis_b(g, 2), [(basis_a(g, 1), basis_b(g, 1))])
-    val = tau_bounding_pair(gen)
+    val = _tau_bounding_pair(gen)
     assert val == reduce_to_quotient(wedge3(basis_a(g, 1), basis_b(g, 1), basis_b(g, 2)))
     assert not val.is_zero()
     # a repeated factor wedges to zero (the degenerate check lives at the
@@ -421,7 +425,7 @@ def test_tau_word_is_the_transport_of_tau_bounding_pair(data):
     tw = TorelliWord([(Word(letters, g), gen, e) for letters, gen, e in factors], g)
     want = QuotientClass.zero(g)
     for w, gen, e in tw.factors:
-        want = want + e * sp_action_quotient(sp_image(w), tau_bounding_pair(gen))
+        want = want + e * sp_action_quotient(sp_image(w), _tau_bounding_pair(gen))
     assert tau_word(tw) == want
 
 

@@ -26,7 +26,6 @@ SRC = os.path.dirname(os.path.abspath(monolab.__file__))
 
 _TRACER = ("wrapped by name by perfbench/tracer.py; goes with the by-name tracer "
            "(ROADMAP item 2)")
-_PAPER = "a paper claim that only tests/test_acceptance.py reproduces; no argv prints it"
 _VALUE = "value-type protocol: repr, comparison key, hash, length, mixing check, immutability"
 
 # "module.qualname" -> why no argv reaches it
@@ -44,9 +43,6 @@ ALLOWED = {
     "schemas.decode_sp_map": _TRACER,
     "lattices.SublatticeBasis.rank": ("the rank tests/test_tracer_targets.py checks the "
                                       "tracer's saturate counter against"),
-    "invariants.blowdown_parity_report": _PAPER,
-    "scenarios.mck_section_incidence": _PAPER,
-    "johnson.tau_bounding_pair": _PAPER,
     "_linalg.Frozen.__hash__": _VALUE,
     "_linalg.Frozen.__setattr__": _VALUE,
     "_linalg.Frozen.__delattr__": _VALUE,

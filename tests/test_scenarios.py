@@ -79,7 +79,7 @@ def test_mck_factorization_verifies():
     for g in (2, 3, 4):
         fact = family("mck", g).base
         assert len(fact) == 4 * g + 4
-        report = verify_factorization(fact)
+        report = verify_factorization(fact.word, fact.claimed_target)
         assert report["verdict"] == "PASS"
         half = Word(fact.letters[: 2 * g + 2], 2 * g)
         assert sp_image(half) == eta_matrix(g)
@@ -184,7 +184,7 @@ def test_w_class_primitive_and_linear_up_to_recorded_sign():
 def test_chain_family_builds_and_verifies():
     fact = family("chain", 3).base
     assert len(fact) == 12 * 3 * 7
-    assert verify_factorization(fact)["verdict"] == "PASS"
+    assert verify_factorization(fact.word, fact.claimed_target)["verdict"] == "PASS"
     block = Word(fact.letters[: 6], 3)
     m = sp_image(block)
     power = m

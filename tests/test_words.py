@@ -90,9 +90,10 @@ def test_sp_image_equals_the_dense_product(data):
 def test_verify_factorization_pass_and_fail():
     g = 2
     c = basis_a(g, 1)
-    ok = verify_factorization(Word([TwistLetter(c, 1), TwistLetter(c, -1)], g))
+    identity = SpMap.identity(g)
+    ok = verify_factorization(Word([TwistLetter(c, 1), TwistLetter(c, -1)], g), identity)
     assert ok["verdict"] == "PASS"
-    bad = verify_factorization(Word([TwistLetter(c, 1)], g))
+    bad = verify_factorization(Word([TwistLetter(c, 1)], g), identity)
     assert bad["verdict"] == "FAIL"
     assert "necessary" in bad["certification"]
     with pytest.raises(FactorizationError):
