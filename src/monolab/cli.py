@@ -22,6 +22,17 @@ any length prints; an integer literal in an input may have at most
 MAX_INPUT_DIGITS digits.  Output is deterministic byte for byte for fixed
 inputs and flags: keys are sorted, orderings canonical, and nothing
 timestamps.
+
+After ``import monolab.cli`` every module of the package is in
+``sys.modules`` and an attribute of the package, but only ``_linalg``,
+``homology``, ``words``, ``schemas`` and ``cli`` have run; the others run
+on first use (``importlib.util.LazyLoader``, see the package docstring).
+``verify``, ``conjugate`` and ``--help`` run no more; ``hurwitz explore``
+and ``hurwitz compare`` run ``hurwitz``; ``lattice ...`` runs ``lattices``;
+``johnson`` runs ``johnson`` and ``lattices``; ``invariants`` on a spec file
+runs ``invariants``; ``distinguish``, ``scenario ...`` and ``invariants
+--family`` run ``scenarios``, ``johnson``, ``lattices`` and ``invariants``.
+A refusal (exit 2, 3, 64 or 66) runs no module its command would not.
 """
 
 import json
@@ -31,9 +42,8 @@ from collections import namedtuple
 
 from . import hurwitz, invariants, johnson, lattices, scenarios, schemas
 from ._linalg import gcd_all
-from .homology import GenusMismatchError
 from .schemas import SchemaError
-from .words import ConjugationError, FactorizationError, PositiveFactorization
+from .words import PositiveFactorization
 from .words import partial_conjugation, global_conjugation, verify_factorization
 
 EX_OK = 0
@@ -517,9 +527,13 @@ def run(argv):
     except (UsageError, SchemaError) as exc:
         _warn("error: %s" % exc)
         return EX_SCHEMA
-    except (ConjugationError, FactorizationError, GenusMismatchError,
-            invariants.FibrationError, scenarios.ScenarioValidationError,
-            johnson.SaturationBudgetError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
+        # ConjugationError, FactorizationError, GenusMismatchError and
+        # FibrationError among them; a clause of its own, so that a refusal
+        # runs no module its command did not (see the module docstring)
+        _warn("precondition failed: %s" % exc)
+        return EX_PRECONDITION
+    except (scenarios.ScenarioValidationError, johnson.SaturationBudgetError) as exc:
         _warn("precondition failed: %s" % exc)
         return EX_PRECONDITION
     except AssertionError as exc:

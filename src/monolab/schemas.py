@@ -15,11 +15,9 @@ of plain ints or one dense row.
 import json
 from json.encoder import encode_basestring_ascii
 
+from . import invariants, johnson, lattices
 from ._linalg import SparseRows
 from .homology import HomologyClass, SpMap
-from .invariants import FibrationSpec
-from .johnson import BoundingPairGen, TorelliWord
-from .lattices import IntLattice
 from .words import TwistLetter, Word
 
 SCHEMA = "monolab/1"
@@ -292,11 +290,11 @@ def decode_torelli_word(doc, path="torelli_word"):
         if not isinstance(exp, int) or isinstance(exp, bool):
             _fail(fpath + ".exp", "expected an integer")
         try:
-            gen = BoundingPairGen(HomologyClass(genus, cls_coords), side)
+            gen = johnson.BoundingPairGen(HomologyClass(genus, cls_coords), side)
         except ValueError as exc:
             _fail(fpath + ".generator", str(exc))
         factors.append((conj, gen, exp))
-    return TorelliWord(factors, genus)
+    return johnson.TorelliWord(factors, genus)
 
 
 # -- fibration specs ----------------------------------------------------------
@@ -335,7 +333,7 @@ def decode_fibration_spec(doc, path="fibration_spec"):
     if ref_doc is not None:
         ref = decode_fibration_spec(ref_doc, path + ".signature_reference")
     try:
-        return FibrationSpec(h, cycles, sections, hyper, ref)
+        return invariants.FibrationSpec(h, cycles, sections, hyper, ref)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -351,6 +349,6 @@ def decode_gram(doc, path="gram"):
     for i, row in enumerate(matrix):
         _expect_int_list(row, "%s.matrix[%d]" % (path, i))
     try:
-        return IntLattice(matrix)
+        return lattices.IntLattice(matrix)
     except ValueError as exc:
         _fail(path + ".matrix", str(exc))

@@ -827,15 +827,15 @@ def test_closed_stdout_exits_74_without_a_traceback():
 
 
 # the modules outside monolab that `import monolab.cli` adds to a bare
-# interpreter (`python -I -S`, Python 3.11): json, re and what they and the
-# package import.  Interpreter start and this import are most of a median
-# job's wall time, so a new one joins this list on purpose or not at all
+# interpreter (`python -I -S`, Python 3.11) that has already imported
+# `runpy`, as `python -m monolab` has: json, re and what they and the
+# package's startup modules import.  Interpreter start and this import are
+# most of a median job's wall time, so a new one joins this list on purpose
+# or not at all
 CLI_STARTUP_MODULES = {
-    "_bisect", "_collections", "_collections_abc", "_functools", "_json", "_operator", "_sre",
-    "_stat", "bisect", "collections", "copyreg", "enum", "functools", "genericpath",
-    "itertools", "json", "json.decoder", "json.encoder", "json.scanner", "keyword", "math",
-    "operator", "os", "os.path", "posixpath", "re", "re._casefix", "re._compiler",
-    "re._constants", "re._parser", "reprlib", "stat", "types",
+    "_bisect", "_json", "_sre", "bisect", "copyreg", "enum", "json", "json.decoder",
+    "json.encoder", "json.scanner", "math", "re", "re._casefix", "re._compiler",
+    "re._constants", "re._parser",
 }
 
 
@@ -852,12 +852,44 @@ def test_cli_import_loads_no_fractions_or_decimal():
     # nor any module outside the startup list, with no site and no PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", "import sys; sys.path.insert(0, %r); "
-         "before = set(sys.modules); import monolab.cli; "
+         "import runpy; before = set(sys.modules); import monolab.cli; "
          "print(*sorted(set(sys.modules) - before))" % src],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     added = {m for m in proc.stdout.split() if m.partition(".")[0] != "monolab"}
     assert sorted(added - CLI_STARTUP_MODULES) == []
+
+
+# runs one argv in a bare interpreter, then prints its exit code and every
+# monolab module whose code has not run: a lazily loaded module keeps the
+# LazyLoader's module type until its first attribute access
+_UNRUN = ("import sys, types; sys.path.insert(0, %r); import monolab.cli; "
+          "code = monolab.cli.run(sys.argv[1:]); sys.stdout.flush(); "
+          "print(code, *sorted(name for name, module in sys.modules.items() "
+          "if name.startswith('monolab.') and type(module) is not types.ModuleType))")
+
+
+@pytest.mark.parametrize("argv, code, unrun", [
+    (["--help"], 0, ["hurwitz", "invariants", "johnson", "lattices", "scenarios"]),
+    (["verify", "FACT"], 0, ["hurwitz", "invariants", "johnson", "lattices", "scenarios"]),
+    (["conjugate", "FACT", "--word", "WORD3"], cli.EX_PRECONDITION,
+     ["hurwitz", "invariants", "johnson", "lattices", "scenarios"]),
+    (["hurwitz", "explore", "FACT", "--mod", "3", "--budget", "200"], 0,
+     ["invariants", "johnson", "lattices", "scenarios"]),
+    (["lattice", "sig", "GRAM"], 0, ["hurwitz", "invariants", "johnson", "scenarios"]),
+], ids=["help", "verify", "conjugate-refused", "hurwitz-explore", "lattice-sig"])
+def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, code, unrun):
+    # every module is in sys.modules after `import monolab.cli`, and a job,
+    # refused or not, pays for the code of only those its command reaches
+    src = os.path.dirname(os.path.dirname(monolab.__file__))
+    files = {"FACT": write_json(tmp_path, "fact.json", mck_fact_doc()),
+             "WORD3": write_json(tmp_path, "w3.json", schemas.encode_word(Word((), 3))),
+             "GRAM": _gram_path(tmp_path)}
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _UNRUN % src] + [files.get(a, a) for a in argv],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == [str(code)] + ["monolab." + m for m in unrun]
 
 
 class _Unprintable:

@@ -1,18 +1,26 @@
-"""Every function the benchmark tracer wraps by name still exists.
+"""Every function the benchmark tracer wraps by name still exists, and a
+traced run still prints what an untraced one prints.
 
 ``perfbench/tracer.py`` wraps each ``(module, attribute path)`` in its
 TARGETS list and crashes a traced run when one is missing; this test makes
-a rename or deletion in ``src/`` fail here instead.
+a rename or deletion in ``src/`` fail here instead.  The tracer finds the
+modules in ``sys.modules`` right after ``import monolab.cli``, so a module
+that the command line imported only inside a handler would crash it too.
 """
 
 import importlib
 import importlib.util
+import json
 import os
 import random
+import subprocess
+import sys
 
-from monolab import _linalg
+import monolab
+from monolab import _linalg, schemas
 from monolab.johnson import QuotientClass, saturate
 from monolab.scenarios import family
+from monolab.words import Word
 from oracles import DenseEchelonLattice
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -61,3 +69,24 @@ def test_tracer_counters_read_growth_and_rank():
     for seeds in (fam.seed_classes(1), fam.seed_classes(3), [QuotientClass.zero(genus)]):
         basis = saturate(seeds, gens)
         assert rank(seeds, basis) == _linalg.rank(basis.rows) == basis.rank
+
+
+def test_a_traced_run_prints_what_an_untraced_run_prints(tmp_path):
+    # the tracer wraps its targets in every module named in sys.modules right
+    # after `import monolab.cli`; a module that has not run yet loads when the
+    # tracer reads its namespace, so a traced job still wraps every target
+    src = os.path.dirname(os.path.dirname(monolab.__file__))
+    fact = tmp_path / "fact.json"
+    fact.write_text(json.dumps(schemas.encode_factorization(
+        Word(family("mck", 2).spec(0).cycles, 4))))
+    argv = ["hurwitz", "explore", str(fact), "--mod", "3", "--budget", "200"]
+    env = dict(os.environ, PYTHONPATH=src)
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run([sys.executable, TRACER, str(trace), "explore"] + argv,
+                            capture_output=True, env=env, timeout=60)
+    plain = subprocess.run([sys.executable, "-m", "monolab"] + argv,
+                           capture_output=True, env=env, timeout=60)
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    stats = json.loads(trace.read_text())["stats"]
+    assert stats["hurwitz.orbit_explore"]["calls"] == 1
