@@ -39,10 +39,12 @@ s.c = <c, c> = 0 and c ^ c = 0, so T^-1 = I - D.  ``sp_action_quotient``
 ``distinguish`` saturates once, at parameter 1, and scales the result;
 no lattice is kept between calls.
 
-Two sparse kernels keep the wedge bookkeeping: ``_wedge_pair`` adds a
-multiple of vec ^ gamma_p ^ gamma_q (for the rewrite table, the pair
-columns of W_c and tau) and ``_project`` maps wedge coefficients to the
-retained basis (for ``reduce_to_quotient``, the pair columns and tau).
+Sparse kernels keep the wedge bookkeeping: ``_wedge_pair`` adds a multiple
+of vec ^ gamma_p ^ gamma_q (for the rewrite table and tau), ``_project`` maps
+wedge coefficients to the retained basis (for ``reduce_to_quotient`` and
+tau), and ``_BasisTable.wedge_rows`` holds each projected gamma_m ^ gamma_j
+^ gamma_k (j < k) once per genus for D: n C(n, 2) entries, built on the
+first D application.
 """
 
 import collections
@@ -75,11 +77,13 @@ class SaturationBudgetError(RuntimeError):
 # reduction against rows kept reduced: at G = 12, 14 + 195 x 13 = 2549 for
 # mck g = 6 (14 seeds, 13 nonseparating letters, 195 growths to rank 195) and
 # 24 + 2000 x 24 = 48024 for chain g = 12 (24 letters, 2000 growths to rank
-# 2000 = dim).  Measured through the CLI, one process per job
+# 2000 = dim).  Each D application reads the genus's wedge table
+# (``_BasisTable.wedge_rows``), n C(n, 2) entries for n = 2G: 6624 at G = 12,
+# about 140 KB.  Measured through the CLI, one process per job
 # (perfbench/launcher.py) on a shared 2-CPU machine (Python 3.11), median of
-# 5, `distinguish --n 1 --m 3 --deep-check` takes 0.35 s and 15.3 MB max RSS
-# for mck g = 5 (G = 10, with --json), 0.51 s and 16.1 MB for mck g = 6
-# (G = 12), and 0.43 s and 17.8 MB for chain g = 12 with --json, whose 56 MB
+# 5, `distinguish --n 1 --m 3 --deep-check` takes 0.36 s and 15.0 MB max RSS
+# for mck g = 5 (G = 10, with --json), 0.48 s and 15.6 MB for mck g = 6
+# (G = 12), and 0.49 s and 17.1 MB for chain g = 12 with --json, whose 56 MB
 # document streams out.
 MAX_QUOTIENT_GENUS = 12
 
@@ -115,6 +119,25 @@ class _BasisTable:
         self.dim_wedge = len(self.triples)
         self.dim_quot = len(self.retained)
         self.expansions = self._rewrite_table(excluded)
+
+    @functools.cached_property
+    def wedge_rows(self):
+        """The projected triples gamma_m ^ gamma_j ^ gamma_k that D reads
+        (``_TwistDelta``), one row per pair j < k at index j n + k: the
+        target of each m, a retained index or a discarded triple's rewrite
+        terms (both shared with ``retained_index`` and ``expansions``; None
+        when an index repeats), and its sign (0 when an index repeats).
+        n C(n, 2) entries, 1920 at n = 16; built on the first D
+        application, so a command that applies none builds no rows."""
+        n, rows = self.n, [None] * self.n ** 2
+        for j, k in itertools.combinations(range(n), 2):
+            targets, signs = [], []
+            for m in range(n):
+                sign, t = _sort_triple(m, j, k)
+                targets.append(self.retained_index.get(t, self.expansions.get(t)))
+                signs.append(sign)
+            rows[j * n + k] = (tuple(targets), tuple(signs))
+        return rows
 
     def _rewrite_table(self, excluded):
         """Each discarded triple as a sum of retained triples in the quotient.
@@ -310,16 +333,15 @@ def sp_action_quotient(m, q):
     return reduce_to_quotient(sp_action_wedge(m, Wedge3(q.genus, lift)))
 
 
-class _TwistDelta(dict):
+class _TwistDelta:
     """D = T_c^p - I on the quotient: T_c^p = I + c (p s)^T, s = ``dual(c)``,
     and c ^ c = 0, so D t = p c ^ iota_s(t) on a triple t.  A call first
     contracts the lift of v to the 2-form p iota_s(v), keyed by pair index
-    a n + b (a < b), then applies W_c, which sends gamma_a ^ gamma_b to the
-    projected c ^ gamma_a ^ gamma_b.  The operator is its own table of those
-    pair columns, each built on first use and kept as two flat tuples, its
-    rows and its coefficients (``()`` when it is zero): at most n(n - 1)/2,
-    none for a separating letter (s = 0).  Build one per call; nothing
-    outlives it."""
+    j n + k (j < k), then applies W_c, which sends gamma_j ^ gamma_k to
+    sum_m c_m gamma_m ^ gamma_j ^ gamma_k: it reads the projected triple at
+    each of the letter's nonzero coordinates m from the genus's
+    ``_BasisTable.wedge_rows``.  An operator holds only its letter's s (n
+    ints) and nonzero c, and no cache; the table it reads is the genus's."""
 
     __slots__ = ("tab", "c", "s")
 
@@ -328,13 +350,6 @@ class _TwistDelta(dict):
         s = dict(dual(coords))
         self.s = [power * s.get(i, 0) for i in tab.perm]
         self.c = tuple((m, coords[i]) for m, i in enumerate(tab.perm) if coords[i])
-
-    def __missing__(self, key):
-        acc = {}
-        _wedge_pair(acc, self.c, *divmod(key, self.tab.n), 1)
-        col = sorted(x for x in _project(self.tab, acc.items()).items() if x[1])
-        col = self[key] = tuple(zip(*col))
-        return col
 
     def __call__(self, vec):
         """D vec, for a vector given and returned as a ``{col: value}`` dict
@@ -351,11 +366,18 @@ class _TwistDelta(dict):
             if t := s[k]:
                 key = i * n + j
                 form[key] = form.get(key, 0) + t * x
-        img = {}
+        rows, c, img = self.tab.wedge_rows, self.c, {}
         for key, y in form.items():
             if y:
-                for r, a in zip(*self[key]):
-                    img[r] = img.get(r, 0) + a * y
+                targets, signs = rows[key]
+                for m, a in c:
+                    if t := signs[m]:
+                        r, t = targets[m], t * a * y
+                        if r.__class__ is int:
+                            img[r] = img.get(r, 0) + t
+                        else:
+                            for r, b in r:
+                                img[r] = img.get(r, 0) + b * t
         return {r: x for r, x in img.items() if x}
 
 
@@ -556,9 +578,10 @@ def saturate(seeds, action_gens):
     makes is chain g = 12, whose lattice is the whole quotient: 24 seeds,
     2000 growths and 24 letters give 48024 attempts, under a quarter of the
     bound.  So the bound binds there only on a fault, a letter operator that
-    keeps growing the lattice.  The letter operators and their pair columns
-    are dropped before the Hermite pass, which shares every stored row that
-    needs no further step; nothing is kept between calls.
+    keeps growing the lattice.  The letter operators keep no table of their
+    own (each reads the genus's ``wedge_rows``, n C(n, 2) entries kept with
+    its basis table), the Hermite pass shares every stored row that needs
+    no further step, and no lattice is kept between calls.
     """
     seeds = list(seeds)
     if not seeds:
@@ -589,7 +612,6 @@ def saturate(seeds, action_gens):
         vec = grown.popleft()
         for delta in deltas:
             attempt(delta(vec))
-    del deltas
     return SublatticeBasis._from_hermite(dim, lat.hermite())
 
 
@@ -667,8 +689,8 @@ def check_certificate(cert_dict, family, deep=True):
     the seeds, re-verifies every containment against the shipped bases,
     re-derives the contents by gcd, and re-checks the divisibility
     contradiction.  With ``deep=True`` it also re-verifies that each shipped
-    lattice is stable under the family action: directly at n, building one
-    letter operator at a time and dropping it before the next.  At m the
+    lattice is stable under the family action: directly at n, one letter
+    operator at a time, each reading the genus's wedge table.  At m the
     verdict comes from the exact identity m * basis_n == n * basis_m, row
     by row with the same pivots (k times a Hermite form is the Hermite form
     of k L): then basis_m spans m/n times the lattice of basis_n, which the

@@ -86,6 +86,10 @@ MUTANTS = [
      "form.get(key, 0) - t * x", "form.get(key, 0) + t * x",
      ["tests/test_johnson.py::test_twist_delta_matches_the_dense_action",
       "tests/test_scenarios.py::test_unit_seeds_match_commutator_tau"]),
+    ("wedge-table-rewrite-sign", "src/monolab/johnson.py",
+     "img.get(r, 0) + b * t", "img.get(r, 0) - b * t",
+     ["tests/test_johnson.py::test_twist_delta_matches_the_dense_action",
+      "tests/test_johnson.py::test_quotient_action_rank_one_matches_dense"]),
     ("output-limit-lift", "src/monolab/cli.py",
      "sys.set_int_max_str_digits(0)", "sys.get_int_max_str_digits()",
      ["tests/test_cli.py::test_a_5000_digit_coefficient_prints_exactly"]),

@@ -605,6 +605,18 @@ def test_johnson_stdout_is_pinned(tmp_path, capsys):
             assert digest == JOHNSON_STDOUT_SHA256[(genus, mode)], (genus, mode)
 
 
+def test_johnson_builds_no_wedge_table(tmp_path, capsys):
+    # tau goes by transport and applies no D, so the command builds the
+    # basis table of its genus but not that table's projected-wedge rows,
+    # which only the first D application builds
+    path = write_json(tmp_path, "tw8.json", _torelli_doc(8, 8))
+    johnson._table.cache_clear()
+    code, _, _ = run_cli(["johnson", path, "--json"], capsys)
+    assert code == 0
+    assert johnson._table.cache_info().currsize == 1
+    assert "wedge_rows" not in vars(johnson._table(8))
+
+
 # sha256 of stdout: the first three recorded from the search that keyed its
 # seen sets on canonical_form bytes, the others (a larger budget, a modulus
 # above 255) from the search that kept its states as tuples of letter tuples

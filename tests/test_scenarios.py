@@ -253,22 +253,28 @@ def test_unit_seeds_check_a_sign_flipped_contraction(monkeypatch):
 
 
 def test_unit_seeds_check_a_dropped_pair_column(monkeypatch):
-    # only a pair column that the contraction of tau(f) reaches enters a
-    # seed, so that is the one dropped (applying the operator to tau(f)
-    # fills exactly those); dropping an arbitrary column can go unnoticed
-    real = johnson._TwistDelta.__init__
+    # only a wedge-table entry (pair row j < k, letter coordinate m) that
+    # the contraction of tau(f) reaches enters a seed, so one that the
+    # first base letter reads on tau(f) is dropped; an arbitrary entry can
+    # go unnoticed.  The table is shared by the genus, so a copy is patched
     fam = family("mck", 3)
+    tab = johnson._table(fam.surface_genus)
     tau_f = _linalg.sparse(tau_word(fam.twist).coords)
+    letter = fam.base_letters[0]
+    delta = johnson._TwistDelta(tab.genus, letter.curve.coords, letter.power)
+    reached = []
 
-    def dropped(self, genus, coords, power):
-        real(self, genus, coords, power)
-        self(tau_f)
-        reached = [k for k, col in self.items() if col]
-        self.clear()
-        if reached:
-            self[min(reached)] = ()
+    class Recording(list):
+        def __getitem__(self, key):
+            reached.append(key)
+            return super().__getitem__(key)
 
-    monkeypatch.setattr(johnson._TwistDelta, "__init__", dropped)
+    rows = Recording(tab.wedge_rows)
+    monkeypatch.setattr(tab, "wedge_rows", rows)
+    delta(tau_f)
+    targets, signs = rows[min(reached)]
+    m = next(m for m, _ in delta.c if signs[m])
+    rows[min(reached)] = (targets, signs[:m] + (0,) + signs[m + 1:])
     with pytest.raises(AssertionError, match="formula and literal word disagree"):
         fam.unit_seeds
 
