@@ -81,9 +81,9 @@ class SaturationBudgetError(RuntimeError):
 # (``_BasisTable.wedge_rows``), n C(n, 2) entries for n = 2G: 6624 at G = 12,
 # about 140 KB.  Measured through the CLI, one process per job
 # (perfbench/launcher.py) on a shared 2-CPU machine (Python 3.11), median of
-# 5, `distinguish --n 1 --m 3 --deep-check` takes 0.36 s and 15.0 MB max RSS
-# for mck g = 5 (G = 10, with --json), 0.48 s and 15.6 MB for mck g = 6
-# (G = 12), and 0.49 s and 17.1 MB for chain g = 12 with --json, whose 56 MB
+# 7, `distinguish --n 1 --m 3 --deep-check` takes 0.26 s and 14.9 MB max RSS
+# for mck g = 5 (G = 10, with --json), 0.57 s and 15.6 MB for mck g = 6
+# (G = 12), and 0.48 s and 17.1 MB for chain g = 12 with --json, whose 56 MB
 # document streams out.
 MAX_QUOTIENT_GENUS = 12
 

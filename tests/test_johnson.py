@@ -260,11 +260,14 @@ def test_pair_table_is_bounded_by_the_pairs():
         split = TwistLetter(zero_class(genus), 1, separating=True, split=(1, genus - 1))
         saturate(seeds, [split, split])
         assert "wedge_rows" not in vars(tab)
+        tables = set()
         for c in [random_class(rng, genus) for _ in range(3)]:
             delta = _TwistDelta(genus, c.coords, rng.choice((1, -1, 2)))
             for r_idx in range(tab.dim_quot):
                 delta({r_idx: 1})
             assert not hasattr(delta, "__dict__")
+            tables.add(id(vars(tab)["wedge_rows"]))
+        assert len(tables) == 1
         rows = {key: row for key, row in enumerate(vars(tab)["wedge_rows"]) if row}
         assert sorted(rows) == [j * n + k for j in range(n) for k in range(j + 1, n)]
         assert all(len(targets) == len(signs) == n for targets, signs in rows.values())
